@@ -9,6 +9,11 @@ refinements F, G):
   under per-column constant shifts;
 * powered bounds ``tau_p(B^k) ** (1/k)``, which tighten as k grows;
 * a determinant bound ``|lambda| * tau_p(B^k) ** ((n-1)/k)``.
+
+Costs: the disc bounds and ``tau_inf`` sort the columns once, in
+``O(n^2 log n)`` time and ``O(n^2)`` memory; ``tau1`` compares all row
+pairs in ``O(n^3)`` time over row blocks, so its memory stays ``O(n^2)``;
+a powered bound adds ``k - 1`` matrix products, ``O(k n^3)`` time.
 """
 
 from __future__ import annotations
@@ -19,12 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, Eigenpair, SizeError, as_matrix
-from .discs import _top_bottom_gap, second_type_radius
+from .discs import constant_row_sum_similar, row_gaps, sorted_columns
 from .refine import row_sum_constant
-from .similarity import diag_similar
 
 #: Entry magnitude above which matrix powering stops with OverflowError.
 POWER_LIMIT = 1e300
+
+#: Entries per row-pair temporary in :func:`tau1` (512 KiB of float64);
+#: a single row against all others is the smallest block.
+TAU1_BLOCK = 1 << 16
 
 
 class SemiNorm(enum.Enum):
@@ -57,20 +65,25 @@ def bound_from_discs(matrix) -> float:
     n = m.shape[0]
     if n < 3:
         raise SizeError(f"disc bound needs n >= 3, got n = {n}")
-    best = 0.0
-    for j in range(n):
-        off = np.delete(m[:, j], j)
-        best = max(best, abs(float(m[j, j])) + second_type_radius(off))
-    return best
+    reach = np.abs(np.diagonal(m)) + row_gaps(sorted_columns(m, 0.0))
+    return max(0.0, float(reach.max()))
 
 
 def tau1(matrix) -> float:
-    """Half the maximum L1 distance between any two rows."""
+    """Half the maximum L1 distance between any two rows.
+
+    Each block of rows is compared with the rows at or below it (the
+    distance is symmetric), so no temporary exceeds about
+    ``max(TAU1_BLOCK, n^2)`` entries.
+    """
     m = as_matrix(matrix)
-    if m.shape[0] < 2:
+    n = m.shape[0]
+    if n < 2:
         return 0.0
-    dist = np.abs(m[:, None, :] - m[None, :, :]).sum(axis=2)
-    return float(dist.max() / 2.0)
+    rows = max(1, TAU1_BLOCK // (n * n))
+    best = max(np.abs(m[i:i + rows, None, :] - m[None, i:, :]).sum(axis=2).max()
+               for i in range(0, n, rows))
+    return float(best / 2.0)
 
 
 def column_gap(matrix) -> np.ndarray:
@@ -78,8 +91,7 @@ def column_gap(matrix) -> np.ndarray:
     bottom block from the top block (middle skipped for odd n).  Unlike the
     second-type radius the diagonal entry participates and no 0 is inserted.
     """
-    m = as_matrix(matrix)
-    return np.array([_top_bottom_gap(np.sort(m[:, j])[::-1]) for j in range(m.shape[1])])
+    return row_gaps(sorted_columns(as_matrix(matrix)))
 
 
 def tau_inf(matrix) -> float:
@@ -123,11 +135,12 @@ def det_bound(matrix, pair: Eigenpair, k: int, kind: SemiNorm,
               tol: float = DEFAULT_TOL) -> float:
     """Upper bound ``|lambda| * tau_kind(B^k) ** ((n-1)/k)`` on |det A|.
 
-    B is the diagonal-similar constant row-sum matrix; powering B directly
-    is the same as conjugating A^k and avoids one similarity per power.
+    B is the constant row-sum matrix similar to A (desingularized first
+    when v has zero components); powering B directly is the same as
+    conjugating A^k and avoids one similarity per power.
     """
     a = as_matrix(matrix)
-    b = diag_similar(a, pair, tol).B
+    b = constant_row_sum_similar(a, pair, tol)
     n = a.shape[0]
     value = _tau(_power(b, k), kind)
     return float(abs(pair.value) * value ** ((n - 1) / k))
@@ -146,7 +159,7 @@ def standard_reports(matrix, pair: Eigenpair, ks: tuple[int, ...] = (1,),
     from .refine import refine_even, refine_odd
 
     a = as_matrix(matrix)
-    b = diag_similar(a, pair, tol).B
+    b = constant_row_sum_similar(a, pair, tol)
     n = a.shape[0]
     reports = [BoundReport("m_B", bound_from_discs(b), "second_type_discs(B)")]
     if n % 2 == 0:

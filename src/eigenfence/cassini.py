@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, Eigenpair, SizeError, as_matrix
-from .discs import MEMBERSHIP_EPS
+from .discs import MEMBERSHIP_EPS, constant_row_sum_similar
 from .refine import refine_even, refine_odd
-from .similarity import desingularize, diag_similar, zero_tolerance
 
 
 @dataclass(frozen=True)
@@ -103,12 +102,7 @@ def cassini_intersection_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TO
     a = as_matrix(matrix)
     if a.shape[0] < 3:
         raise SizeError(f"refined Cassini region needs n >= 3, got n = {a.shape[0]}")
-    if np.any(np.abs(pair.vector) <= zero_tolerance(pair.vector)):
-        d = desingularize(a, pair, tol)
-        sim = diag_similar(d.C, Eigenpair(pair.value, d.w), tol)
-    else:
-        sim = diag_similar(a, pair, tol)
-    b = sim.B
+    b = constant_row_sum_similar(a, pair, tol)
     if b.shape[0] % 2 == 0:
         f = refine_even(b).F
         parts = (obr_set(f), obr_set(f.T))

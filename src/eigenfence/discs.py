@@ -4,7 +4,9 @@ A disc of the second type is built from the off-diagonal entries of a
 column (or row) with a mandated extra 0: sort the values in non-increasing
 order and subtract the bottom-half sum from the top-half sum (the middle
 element is skipped when the count is odd).  The radius is nonnegative by
-construction because the top half dominates the bottom half.
+construction because the top half dominates the bottom half.  All radii
+of a matrix come from one sort of its columns (:func:`sorted_columns`):
+``O(n^2 log n)`` time and ``O(n^2)`` memory.
 """
 
 from __future__ import annotations
@@ -78,26 +80,43 @@ class DiscUnion:
         return {"kind": "disc_union", "discs": [d.to_json() for d in self.discs]}
 
 
-def _top_bottom_gap(desc: np.ndarray) -> float:
-    """Top-half sum minus bottom-half sum of a descending-sorted vector."""
-    n = desc.size
+def sorted_columns(matrix, diag: float | None = None) -> np.ndarray:
+    """Each column of M, sorted in non-increasing order, as a row.
+
+    ``diag`` replaces every diagonal entry before sorting (None keeps it):
+    0.0 gives the off-diagonal entries plus the mandated 0 of the
+    second-type radius, -inf moves the diagonal to the end so the leading
+    n-1 entries of each row are the off-diagonal order statistics.  The
+    result is a reversed view of a C-contiguous copy sorted along rows, so
+    :func:`row_gaps` sums each column in the same order as a 1-D sum would.
+    """
+    t = np.asarray(matrix, dtype=float).T.copy()
+    if diag is not None:
+        np.fill_diagonal(t, diag)
+    t.sort(axis=1)
+    return t[:, ::-1]
+
+
+def row_gaps(desc: np.ndarray) -> np.ndarray:
+    """Top-half sum minus bottom-half sum of each non-increasing row (the
+    middle entry is skipped when the row length is odd)."""
+    n = desc.shape[1]
     half = n // 2
-    if n % 2:
-        return float(desc[:half].sum() - desc[half + 1:].sum())
-    return float(desc[:half].sum() - desc[half:].sum())
+    return desc[:, :half].sum(axis=1) - desc[:, half + n % 2:].sum(axis=1)
 
 
 def second_type_radius(values) -> float:
     """Second-type radius of a list of n-1 off-diagonal entries.
 
     The mandated 0 is inserted here so callers cannot forget it.  Requires
-    at least two values (n >= 3); the result is always >= 0.
+    at least two values (n >= 3); the result is always >= 0.  This is the
+    one-column reference; whole matrices go through :func:`sorted_columns`.
     """
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size < 2:
         raise SizeError(f"need at least 2 off-diagonal entries (n >= 3), got {vals.size}")
     desc = np.sort(np.append(vals, 0.0))[::-1]
-    return _top_bottom_gap(desc)
+    return float(row_gaps(desc[None, :])[0])
 
 
 def second_type_discs_of_transpose(matrix) -> DiscUnion:
@@ -106,11 +125,8 @@ def second_type_discs_of_transpose(matrix) -> DiscUnion:
     n = m.shape[0]
     if n < 3:
         raise SizeError(f"second-type discs need n >= 3, got n = {n}")
-    discs = []
-    for j in range(n):
-        off = np.delete(m[:, j], j)
-        discs.append(Disc(float(m[j, j]), second_type_radius(off)))
-    return DiscUnion(tuple(discs))
+    radii = row_gaps(sorted_columns(m, 0.0))
+    return DiscUnion(tuple(Disc(c, r) for c, r in zip(np.diagonal(m).tolist(), radii.tolist())))
 
 
 def classic_discs(matrix, axis: str = "rows") -> DiscUnion:
@@ -127,6 +143,19 @@ def classic_discs(matrix, axis: str = "rows") -> DiscUnion:
     return DiscUnion(tuple(discs))
 
 
+def constant_row_sum_similar(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Constant row-sum matrix B similar to A, with row sums ``pair.value``.
+
+    Desingularizes first when the eigenvector has zero components, then
+    applies the diagonal similarity.
+    """
+    a = as_matrix(matrix)
+    if np.any(np.abs(pair.vector) <= zero_tolerance(pair.vector)):
+        d = desingularize(a, pair, tol)
+        return diag_similar(d.C, Eigenpair(pair.value, d.w), tol).B
+    return diag_similar(a, pair, tol).B
+
+
 def eigenpair_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> DiscUnion:
     """Inclusion region for every eigenvalue of A other than the known one.
 
@@ -134,10 +163,4 @@ def eigenpair_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> DiscU
     when the eigenvector has zero components) and returns the second-type
     discs of its transpose.
     """
-    a = as_matrix(matrix)
-    if np.any(np.abs(pair.vector) <= zero_tolerance(pair.vector)):
-        d = desingularize(a, pair, tol)
-        sim = diag_similar(d.C, Eigenpair(pair.value, d.w), tol)
-    else:
-        sim = diag_similar(a, pair, tol)
-    return second_type_discs_of_transpose(sim.B)
+    return second_type_discs_of_transpose(constant_row_sum_similar(matrix, pair, tol))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EvenSizeError, NotConstantRowSumError, OddSizeError, SizeError, as_matrix
-from .discs import MEMBERSHIP_EPS, Disc, second_type_discs_of_transpose, second_type_radius
+from .discs import MEMBERSHIP_EPS, Disc, second_type_discs_of_transpose, sorted_columns
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,6 @@ def row_sum_constant(matrix, rel_tol: float = MEMBERSHIP_EPS) -> float:
     return lam
 
 
-def _kth_largest_offdiag(column: np.ndarray, j: int, k: int) -> float:
-    off = np.delete(column, j)
-    return float(np.sort(off)[::-1][k - 1])
-
-
 def refine_even(matrix) -> EvenRefinement:
     """Even-size refinement: subtract the (n/2)-th largest off-diagonal per column."""
     b = as_matrix(matrix)
@@ -102,7 +97,7 @@ def refine_even(matrix) -> EvenRefinement:
     if n < 4:
         raise SizeError(f"even-size refinement needs n >= 4, got n = {n}")
     row_sum_constant(b)
-    shifts = np.array([_kth_largest_offdiag(b[:, j], j, n // 2) for j in range(n)])
+    shifts = sorted_columns(b, -np.inf)[:, n // 2 - 1].copy()
     f = b - shifts[None, :]
     f.setflags(write=False)
     shifts.setflags(write=False)
@@ -123,8 +118,9 @@ def refine_odd(matrix) -> OddRefinement:
     if n < 3:
         raise SizeError(f"odd-size refinement needs n >= 3, got n = {n}")
     row_sum_constant(b)
-    f_shifts = np.array([-_kth_largest_offdiag(b[:, j], j, (n - 1) // 2) for j in range(n)])
-    g_shifts = np.array([-_kth_largest_offdiag(b[:, j], j, (n + 1) // 2) for j in range(n)])
+    desc = sorted_columns(b, -np.inf)
+    f_shifts = -desc[:, (n - 1) // 2 - 1]
+    g_shifts = -desc[:, (n + 1) // 2 - 1]
     f = b + f_shifts[None, :]
     g = b + g_shifts[None, :]
     for arr in (f, g, f_shifts, g_shifts):
@@ -132,17 +128,12 @@ def refine_odd(matrix) -> OddRefinement:
     return OddRefinement(F=f, G=g, f_shifts=f_shifts, g_shifts=g_shifts)
 
 
-def _column_disc(matrix: np.ndarray, j: int) -> Disc:
-    off = np.delete(matrix[:, j], j)
-    return Disc(float(matrix[j, j]), second_type_radius(off))
-
-
 def refined_region_odd(matrix) -> PairIntersectionUnion:
     """Union over columns of (disc from F column j) ∩ (disc from G column j)."""
     ref = refine_odd(matrix)
-    n = ref.F.shape[0]
-    pairs = tuple((_column_disc(ref.F, j), _column_disc(ref.G, j)) for j in range(n))
-    return PairIntersectionUnion(pairs)
+    f_discs = second_type_discs_of_transpose(ref.F).discs
+    g_discs = second_type_discs_of_transpose(ref.G).discs
+    return PairIntersectionUnion(tuple(zip(f_discs, g_discs)))
 
 
 def fg_intersection_region(matrix):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cases
+from eigenfence import SemiNorm, det_bound, standard_reports
 from eigenfence.cli import main
 
 
@@ -125,6 +126,15 @@ def test_bound_det(perron4, capsys):
     assert det_names
     for name in det_names:
         assert reports[name]["value"] >= abs(cases.PERRON4_DET) - 1e-6
+
+
+def test_bound_library_agrees_with_cli_on_zero_components(shear4, capsys):
+    assert main(["bound", shear4, "--k", "2", "--det"]) == 0
+    cli = [(r["name"], r["value"]) for r in json.loads(capsys.readouterr().out)]
+    reports = standard_reports(cases.SHEAR4_A, cases.SHEAR4_PAIR, ks=(1, 2), include_det=True)
+    assert [(r.name, r.value) for r in reports] == cli
+    det = det_bound(cases.SHEAR4_A, cases.SHEAR4_PAIR, 2, SemiNorm.L1)
+    assert ("det_tau1_k2", det) in cli
 
 
 def test_obr_region(rowsum3, capsys):
