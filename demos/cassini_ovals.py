@@ -22,8 +22,8 @@ print("G =\n", odd.G)
 print("rows of zeros make every oval bound collapse to 0")
 
 ovals = ef.obr_set(odd.G)
-for o in ovals.ovals:
-    print(f"  oval centers ({o.c1:g}, {o.c2:g}) bound {o.bound:g}")
+for c1, c2, bound in ovals.ovals.tolist():
+    print(f"  oval centers ({c1:g}, {c2:g}) bound {bound:g}")
 
 both = ef.RegionIntersection((ef.obr_set(odd.G), ef.obr_set(odd.G.T)))
 for z in (0.0, -2.0, 0.5, -1.0, 1j):

@@ -28,13 +28,13 @@ print(B)
 
 region = ef.second_type_discs_of_transpose(B)
 print("\nsecond-type discs of B^T (center, radius):")
-for d in region.discs:
-    print(f"  ({d.center:g}, {d.radius:g})")
+for c, r in region.discs.tolist():
+    print(f"  ({c:g}, {r:g})")
 
 classic = ef.classic_discs(A, "columns")
 print("\nclassic column discs of A for comparison:")
-for d in classic.discs:
-    print(f"  ({d.center:g}, {d.radius:g})")
+for c, r in classic.discs.tolist():
+    print(f"  ({c:g}, {r:g})")
 
 print("\nfarthest reach from origin: second-type",
       ef.max_abs(region).value, "vs classic", ef.max_abs(classic).value)

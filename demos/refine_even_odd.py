@@ -29,7 +29,7 @@ print("F =\n", ref.F)
 
 fine = ef.second_type_discs_of_transpose(ref.F)
 coarse = ef.second_type_discs_of_transpose(B6)
-print("refined discs:", [(d.center, d.radius) for d in fine.discs])
+print("refined discs:", [tuple(d) for d in fine.discs.tolist()])
 print("refined region inside the original:",
       ef.sampled_subset(fine, coarse, resolution=128).is_subset)
 for z in ef.nontrivial_values(ef.eigenvalues(A6), 24.0):
@@ -54,8 +54,8 @@ print("\nodd-size shifts for F:", odd.f_shifts, " for G:", odd.g_shifts)
 
 region = ef.refined_region_odd(B7)
 print("disc pairs (F disc | G disc):")
-for da, db in region.pairs:
-    print(f"  ({da.center:g},{da.radius:g}) | ({db.center:g},{db.radius:g})")
+for (ca, ra), (cb, rb) in region.pairs.tolist():
+    print(f"  ({ca:g},{ra:g}) | ({cb:g},{rb:g})")
 
 # for this matrix the whole union collapses into the first pair's disc
 coarse7 = ef.second_type_discs_of_transpose(B7)

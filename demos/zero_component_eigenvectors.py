@@ -29,7 +29,7 @@ ref = ef.refine_even(d.C)
 print("\nrefined matrix F:\n", ref.F)
 
 region = ef.second_type_discs_of_transpose(ref.F)
-print("refined discs:", [(disc.center, disc.radius) for disc in region.discs])
+print("refined discs:", [tuple(disc) for disc in region.discs.tolist()])
 
 print("\nspectrum of A:", np.round(ef.eigenvalues(A).values.real, 6))
 print("spectrum of C:", np.round(ef.eigenvalues(d.C).values.real, 6))

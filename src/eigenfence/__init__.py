@@ -41,7 +41,6 @@ from .similarity import (
     normalize_stochastic,
 )
 from .discs import (
-    Disc,
     DiscUnion,
     classic_discs,
     eigenpair_region,
@@ -58,7 +57,7 @@ from .refine import (
     refined_region,
     refined_region_odd,
 )
-from .cassini import CassiniOval, CassiniUnion, cassini_intersection_region, obr_set
+from .cassini import CassiniUnion, cassini_intersection_region, obr_set
 from .bounds import (
     BoundReport,
     SemiNorm,

@@ -13,7 +13,8 @@ refinements F, G):
 Costs: the disc bounds and ``tau_inf`` sort the columns once, in
 ``O(n^2 log n)`` time and ``O(n^2)`` memory; ``tau1`` compares all row
 pairs in ``O(n^3)`` time over row blocks, so its memory stays ``O(n^2)``;
-a powered bound adds ``k - 1`` matrix products, ``O(k n^3)`` time.
+a powered bound adds ``k - 1`` matrix products, ``O(k n^3)`` time, and
+:func:`standard_reports` walks B, B^2, ... once for all its powers.
 """
 
 from __future__ import annotations
@@ -107,28 +108,36 @@ def _tau(matrix, kind: SemiNorm) -> float:
     return tau1(matrix) if kind is SemiNorm.L1 else tau_inf(matrix)
 
 
-def _check_magnitude(p: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(p)) or np.abs(p).max() > POWER_LIMIT:
-        raise OverflowError(f"matrix power exceeded {POWER_LIMIT:g}")
-    return p
+def _power(matrix: np.ndarray, k: int):
+    """Yield M, M^2, ..., M^k: one product per step, one power held."""
+    p = matrix
+    for step in range(k):
+        if step:
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = p @ matrix
+        if not np.all(np.isfinite(p)) or np.abs(p).max() > POWER_LIMIT:
+            raise OverflowError(f"matrix power exceeded {POWER_LIMIT:g}")
+        yield p
 
 
-def _power(matrix: np.ndarray, k: int) -> np.ndarray:
-    if k < 1:
-        raise ValueError(f"power k must be >= 1, got {k}")
-    p = _check_magnitude(matrix)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k - 1):
-            p = _check_magnitude(p @ matrix)
-    return p
+def _taus(matrix: np.ndarray, ks: set[int], kinds) -> dict:
+    """``tau_kind(M^k)`` per k in ``ks`` and kind, from one walk over powers."""
+    if min(ks, default=1) < 1:
+        raise ValueError(f"power k must be >= 1, got {min(ks)}")
+    powers = _power(matrix, max(ks)) if ks else ()
+    return {(k, kind): _tau(p, kind)
+            for k, p in enumerate(powers, start=1) if k in ks for kind in kinds}
+
+
+def _det(value: float, tau: float, n: int, k: int) -> float:
+    return float(abs(value) * tau ** ((n - 1) / k))
 
 
 def powered_bound(matrix, k: int, kind: SemiNorm) -> float:
     """``tau_kind(M^k) ** (1/k)`` for a constant row-sum matrix M."""
     m = as_matrix(matrix)
     row_sum_constant(m)
-    value = _tau(_power(m, k), kind)
-    return float(value ** (1.0 / k))
+    return float(_taus(m, {k}, (kind,))[k, kind] ** (1.0 / k))
 
 
 def det_bound(matrix, pair: Eigenpair, k: int, kind: SemiNorm,
@@ -141,9 +150,7 @@ def det_bound(matrix, pair: Eigenpair, k: int, kind: SemiNorm,
     """
     a = as_matrix(matrix)
     b = constant_row_sum_similar(a, pair, tol)
-    n = a.shape[0]
-    value = _tau(_power(b, k), kind)
-    return float(abs(pair.value) * value ** ((n - 1) / k))
+    return _det(pair.value, _taus(b, {k}, (kind,))[k, kind], a.shape[0], k)
 
 
 def standard_reports(matrix, pair: Eigenpair, ks: tuple[int, ...] = (1,),
@@ -172,17 +179,18 @@ def standard_reports(matrix, pair: Eigenpair, ks: tuple[int, ...] = (1,),
         reports.append(BoundReport("m_F", m_f, "second_type_discs(F)"))
         reports.append(BoundReport("m_G", m_g, "second_type_discs(G)"))
         reports.append(BoundReport("m_FG", min(m_f, m_g), "min(second_type_discs(F), second_type_discs(G))"))
+    det_ks = sorted(set(ks) | {n - 1}) if include_det else []
+    taus = _taus(b, set(ks) | set(det_ks), kinds)
     for kind in kinds:
         label = "tau1" if kind is SemiNorm.L1 else "tauinf"
         for k in ks:
             reports.append(BoundReport(
-                f"{label}_k{k}", powered_bound(b, k, kind),
+                f"{label}_k{k}", float(taus[k, kind] ** (1.0 / k)),
                 f"tau_{kind.value}(B^k)^(1/k)", k=k))
-    if include_det:
-        for kind in kinds:
-            label = "tau1" if kind is SemiNorm.L1 else "tauinf"
-            for k in sorted(set(ks) | {n - 1}):
-                reports.append(BoundReport(
-                    f"det_{label}_k{k}", det_bound(a, pair, k, kind, tol),
-                    f"|lambda| * tau_{kind.value}(B^k)^((n-1)/k)", k=k))
+    for kind in kinds:
+        label = "tau1" if kind is SemiNorm.L1 else "tauinf"
+        for k in det_ks:
+            reports.append(BoundReport(
+                f"det_{label}_k{k}", _det(pair.value, taus[k, kind], n, k),
+                f"|lambda| * tau_{kind.value}(B^k)^((n-1)/k)", k=k))
     return reports

@@ -9,84 +9,59 @@ eigenvalues other than the known one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DEFAULT_TOL, Eigenpair, SizeError, as_matrix
-from .discs import MEMBERSHIP_EPS, constant_row_sum_similar
+from .discs import MEMBERSHIP_EPS, _members, _records, _table, constant_row_sum_similar
 from .refine import refine_even, refine_odd
 
 
-@dataclass(frozen=True)
-class CassiniOval:
-    """Oval of Cassini: |z - c1| * |z - c2| <= bound."""
-
-    c1: float
-    c2: float
-    bound: float
-
-    def __post_init__(self):
-        if not (self.bound >= 0.0):
-            raise ValueError(f"oval bound must be nonnegative, got {self.bound}")
-
-    def contains_points(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        eps = MEMBERSHIP_EPS * (1.0 + self.bound)
-        return np.abs(z - self.c1) * np.abs(z - self.c2) <= self.bound + eps
-
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        # every member is within sqrt(bound) of the nearer focus
-        reach = float(np.sqrt(self.bound))
-        return (min(self.c1, self.c2) - reach, max(self.c1, self.c2) + reach,
-                -reach, reach)
-
-    def to_json(self) -> dict:
-        return {"c1": self.c1, "c2": self.c2, "bound": self.bound}
+def _inside_ovals(z, table) -> np.ndarray:
+    """Membership of points z in each oval of a [c1, c2, bound] table."""
+    c1, c2, b = table[..., 0].astype(complex), table[..., 1].astype(complex), table[..., 2]
+    return np.abs(z - c1) * np.abs(z - c2) <= b + MEMBERSHIP_EPS * (1.0 + b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CassiniUnion:
-    """Union of the n(n-1)/2 ovals of all index pairs i < j."""
+    """Union of ovals of Cassini ``|z - c1| * |z - c2| <= bound``; ``ovals``
+    is a read-only ``(m, 3)`` array of [c1, c2, bound] rows."""
 
-    ovals: tuple[CassiniOval, ...]
+    ovals: np.ndarray
 
     def __post_init__(self):
-        if not self.ovals:
-            raise ValueError("a Cassini union needs at least one oval")
-        object.__setattr__(self, "ovals", tuple(self.ovals))
+        object.__setattr__(self, "ovals", _table(self.ovals, (3,), "Cassini union"))
 
     def __len__(self) -> int:
         return len(self.ovals)
 
     def contains_points(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        hit = np.zeros(z.shape, dtype=bool)
-        for oval in self.ovals:
-            hit |= oval.contains_points(z)
-        return hit
+        return _members(z, self.ovals, _inside_ovals)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
-        boxes = [o.bounding_box() for o in self.ovals]
-        return (min(b[0] for b in boxes), max(b[1] for b in boxes),
-                min(b[2] for b in boxes), max(b[3] for b in boxes))
+        # every member is within sqrt(bound) of the nearer focus
+        c1, c2, b = self.ovals.T
+        reach = np.sqrt(b)
+        return (float((np.minimum(c1, c2) - reach).min()),
+                float((np.maximum(c1, c2) + reach).max()),
+                -float(reach.max()), float(reach.max()))
 
     def to_json(self) -> dict:
-        return {"kind": "cassini_union", "ovals": [o.to_json() for o in self.ovals]}
+        return {"kind": "cassini_union", "ovals": _records(("c1", "c2", "bound"), self.ovals)}
 
 
 def obr_set(matrix) -> CassiniUnion:
-    """Ostrowski-Brauer set of M: one oval per index pair i < j."""
+    """Ostrowski-Brauer set of M: one oval per index pair i < j, in order."""
     m = as_matrix(matrix)
     n = m.shape[0]
     if n < 2:
         raise SizeError(f"Ostrowski-Brauer set needs n >= 2, got n = {n}")
-    deleted = np.abs(m).sum(axis=1) - np.abs(np.diagonal(m))
-    ovals = tuple(
-        CassiniOval(float(m[i, i]), float(m[j, j]), float(deleted[i] * deleted[j]))
-        for i, j in itertools.combinations(range(n), 2))
-    return CassiniUnion(ovals)
+    d = np.diagonal(m)
+    deleted = np.abs(m).sum(axis=1) - np.abs(d)
+    i, j = np.triu_indices(n, 1)
+    return CassiniUnion(np.column_stack((d[i], d[j], deleted[i] * deleted[j])))
 
 
 def cassini_intersection_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL):

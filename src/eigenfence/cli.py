@@ -37,12 +37,14 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_problem(path: str, need_pair: bool = True):
+def _load_problem(path: str):
     matrix, pair = parse_problem(_read(path))
-    if need_pair and pair is None:
+    if pair is None:
         raise InputError(
             "this command needs an eigenpair in the problem file; "
             "run `eigenfence eig` on the matrix to discover one")
+    if matrix.shape[0] < 3:
+        raise InputError(f"this command needs n >= 3, got n = {matrix.shape[0]}")
     return matrix, pair
 
 

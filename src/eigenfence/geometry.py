@@ -1,11 +1,14 @@
 """Membership, extremal modulus and sampled comparisons over regions.
 
-A region is one of: :class:`~eigenfence.discs.DiscUnion`,
-:class:`~eigenfence.refine.PairIntersectionUnion`,
-:class:`~eigenfence.cassini.CassiniUnion` or :class:`RegionIntersection`.
-Intersections are never converted to explicit shapes; membership
-predicates compose instead, and set comparisons are sampled (boundary
-points plus a grid over the bounding box).
+A region is a :class:`~eigenfence.discs.DiscUnion` (an ``(n, 2)`` array of
+[center, radius]), a :class:`~eigenfence.refine.PairIntersectionUnion`
+(``(n, 2, 2)``: two discs per column), a
+:class:`~eigenfence.cassini.CassiniUnion` (``(m, 3)`` of [c1, c2, bound]) or
+a :class:`RegionIntersection` of regions.  Membership tests blocks of points
+against all primitives at once: ``O(points * primitives)`` time in blocks
+of fixed size.  Intersections are never converted to explicit shapes;
+membership predicates compose instead, and set comparisons are sampled
+(boundary points plus a grid over the bounding box).
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cassini import CassiniOval, CassiniUnion
-from .discs import Disc, DiscUnion
+from .cassini import CassiniUnion, _inside_ovals
+from .discs import DiscUnion
 from .refine import PairIntersectionUnion
 
 
@@ -67,10 +70,6 @@ def contains(region, z) -> bool:
     return bool(region.contains_points(np.asarray(z, dtype=complex)))
 
 
-def bounding_box(region) -> tuple[float, float, float, float]:
-    return region.bounding_box()
-
-
 def max_abs(region) -> MaxAbs:
     """Largest modulus over the region.
 
@@ -80,41 +79,41 @@ def max_abs(region) -> MaxAbs:
     sqrt(bound).  The flag says which case applies.
     """
     if isinstance(region, DiscUnion):
-        return MaxAbs(max(abs(d.center) + d.radius for d in region.discs), True)
+        c, r = region.discs.T
+        return MaxAbs(float((np.abs(c) + r).max()), True)
     if isinstance(region, PairIntersectionUnion):
-        value = max(min(abs(a.center) + a.radius, abs(b.center) + b.radius)
-                    for a, b in region.pairs)
-        return MaxAbs(value, False)
+        reach = np.abs(region.pairs[..., 0]) + region.pairs[..., 1]
+        return MaxAbs(float(reach.min(axis=1).max()), False)
     if isinstance(region, CassiniUnion):
-        value = max(max(abs(o.c1), abs(o.c2)) + float(np.sqrt(o.bound))
-                    for o in region.ovals)
-        return MaxAbs(value, False)
+        c1, c2, b = region.ovals.T
+        return MaxAbs(float((np.maximum(np.abs(c1), np.abs(c2)) + np.sqrt(b)).max()), False)
     if isinstance(region, RegionIntersection):
         return MaxAbs(min(max_abs(p).value for p in region.parts), False)
     raise TypeError(f"not a region: {type(region).__name__}")
 
 
-def _disc_boundary(disc: Disc, angles: int) -> np.ndarray:
+def _disc_boundary(table: np.ndarray, angles: int) -> np.ndarray:
     theta = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
-    return disc.center + disc.radius * np.exp(1j * theta)
+    c, r = table[:, 0, None], table[:, 1, None]
+    return (c + r * np.exp(1j * theta)).ravel()
 
 
-def _oval_boundary(oval: CassiniOval, angles: int) -> np.ndarray:
-    """Outermost membership crossings along rays from each focus."""
-    points = []
-    reach = float(np.sqrt(oval.bound)) + abs(oval.c1 - oval.c2) + 1.0
+def _oval_boundary(ovals: np.ndarray, angles: int) -> np.ndarray:
+    """Outermost membership crossings along rays from each focus, oval by
+    oval (first focus, then second), by bisection on every ray at once."""
+    c1, c2, b = (col[:, None, None] for col in ovals.T)
+    reach = np.sqrt(b) + np.abs(c1 - c2) + 1.0
     theta = np.linspace(0.0, 2.0 * np.pi, angles // 2, endpoint=False)
-    for focus in (oval.c1, oval.c2):
-        directions = np.exp(1j * theta)
-        lo = np.zeros(theta.size)
-        hi = np.full(theta.size, reach)
-        for _ in range(40):
-            mid = (lo + hi) / 2.0
-            inside = oval.contains_points(focus + mid * directions)
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        points.append(focus + lo * directions)
-    return np.concatenate(points)
+    directions = np.exp(1j * theta)
+    focus = np.concatenate((c1, c2), axis=1)
+    lo = np.zeros((len(ovals), 2, theta.size))
+    hi = np.broadcast_to(reach, lo.shape)
+    for _ in range(40):
+        mid = (lo + hi) / 2.0
+        inside = _inside_ovals(focus + mid * directions, ovals[:, None, None])
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return (focus + lo * directions).ravel()
 
 
 def boundary_points(region, angles: int = 256) -> np.ndarray:
@@ -125,16 +124,15 @@ def boundary_points(region, angles: int = 256) -> np.ndarray:
     boundary survive.
     """
     if isinstance(region, DiscUnion):
-        raw = [_disc_boundary(d, angles) for d in region.discs]
+        pts = _disc_boundary(region.discs, angles)
     elif isinstance(region, PairIntersectionUnion):
-        raw = [_disc_boundary(d, angles) for pair in region.pairs for d in pair]
+        pts = _disc_boundary(region.pairs.reshape(-1, 2), angles)
     elif isinstance(region, CassiniUnion):
-        raw = [_oval_boundary(o, angles) for o in region.ovals]
+        pts = _oval_boundary(region.ovals, angles)
     elif isinstance(region, RegionIntersection):
-        raw = [boundary_points(p, angles) for p in region.parts]
+        pts = np.concatenate([boundary_points(p, angles) for p in region.parts])
     else:
         raise TypeError(f"not a region: {type(region).__name__}")
-    pts = np.concatenate(raw)
     return pts[region.contains_points(pts)]
 
 
@@ -174,14 +172,12 @@ def region_from_json(doc: dict):
     """Rebuild a region from its documented JSON form."""
     kind = doc.get("kind")
     if kind == "disc_union":
-        return DiscUnion(tuple(Disc(d["center"], d["radius"]) for d in doc["discs"]))
+        return DiscUnion([[d["center"], d["radius"]] for d in doc["discs"]])
     if kind == "pairwise_intersection_union":
-        return PairIntersectionUnion(tuple(
-            (Disc(a["center"], a["radius"]), Disc(b["center"], b["radius"]))
-            for a, b in doc["pairs"]))
+        return PairIntersectionUnion([[[a["center"], a["radius"]], [b["center"], b["radius"]]]
+                                      for a, b in doc["pairs"]])
     if kind == "cassini_union":
-        return CassiniUnion(tuple(
-            CassiniOval(o["c1"], o["c2"], o["bound"]) for o in doc["ovals"]))
+        return CassiniUnion([[o["c1"], o["c2"], o["bound"]] for o in doc["ovals"]])
     if kind == "intersection":
         return RegionIntersection(tuple(region_from_json(p) for p in doc["parts"]))
     raise ValueError(f"unknown region kind: {kind!r}")

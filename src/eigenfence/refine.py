@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EvenSizeError, NotConstantRowSumError, OddSizeError, SizeError, as_matrix
-from .discs import MEMBERSHIP_EPS, Disc, second_type_discs_of_transpose, sorted_columns
+from .discs import (MEMBERSHIP_EPS, _inside_discs, _members, _records, _table,
+                    second_type_discs_of_transpose, sorted_columns)
 
 
 @dataclass(frozen=True)
@@ -36,40 +37,40 @@ class OddRefinement:
     g_shifts: np.ndarray
 
 
-@dataclass(frozen=True)
-class PairIntersectionUnion:
-    """Union over columns j of the intersection of the two per-column discs."""
+def _inside_pairs(z, table) -> np.ndarray:
+    """Membership of points z in both discs of each [F disc, G disc] pair."""
+    return _inside_discs(z, table[..., 0, :]) & _inside_discs(z, table[..., 1, :])
 
-    pairs: tuple[tuple[Disc, Disc], ...]
+
+@dataclass(frozen=True, eq=False)
+class PairIntersectionUnion:
+    """Union over columns j of the intersection of the two per-column discs;
+    ``pairs`` is a read-only ``(n, 2, 2)`` array of [F disc, G disc] per
+    column, each disc a [center, radius] row."""
+
+    pairs: np.ndarray
 
     def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("need at least one disc pair")
-        object.__setattr__(self, "pairs", tuple((a, b) for a, b in self.pairs))
+        object.__setattr__(self, "pairs", _table(self.pairs, (2, 2), "disc pair union"))
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def contains_points(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        hit = np.zeros(z.shape, dtype=bool)
-        for da, db in self.pairs:
-            hit |= da.contains_points(z) & db.contains_points(z)
-        return hit
+        return _members(z, self.pairs, _inside_pairs)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
-        boxes = []
-        for da, db in self.pairs:
-            ba, bb = da.bounding_box(), db.bounding_box()
-            boxes.append((max(ba[0], bb[0]), min(ba[1], bb[1]),
-                          max(ba[2], bb[2]), min(ba[3], bb[3])))
-        boxes = [b for b in boxes if b[0] <= b[1] and b[2] <= b[3]] or boxes
-        return (min(b[0] for b in boxes), max(b[1] for b in boxes),
-                min(b[2] for b in boxes), max(b[3] for b in boxes))
+        c, r = self.pairs[..., 0], self.pairs[..., 1]
+        x0, x1, reach = (c - r).max(axis=1), (c + r).min(axis=1), r.min(axis=1)
+        keep = x0 <= x1
+        keep = keep if keep.any() else ~keep   # no pair overlaps: fall back to all
+        return (float(x0[keep].min()), float(x1[keep].max()),
+                -float(reach[keep].max()), float(reach[keep].max()))
 
     def to_json(self) -> dict:
+        discs = _records(("center", "radius"), self.pairs.reshape(-1, 2))
         return {"kind": "pairwise_intersection_union",
-                "pairs": [[a.to_json(), b.to_json()] for a, b in self.pairs]}
+                "pairs": list(map(list, zip(discs[::2], discs[1::2])))}
 
 
 def row_sum_constant(matrix, rel_tol: float = MEMBERSHIP_EPS) -> float:
@@ -133,7 +134,7 @@ def refined_region_odd(matrix) -> PairIntersectionUnion:
     ref = refine_odd(matrix)
     f_discs = second_type_discs_of_transpose(ref.F).discs
     g_discs = second_type_discs_of_transpose(ref.G).discs
-    return PairIntersectionUnion(tuple(zip(f_discs, g_discs)))
+    return PairIntersectionUnion(np.stack((f_discs, g_discs), axis=1))
 
 
 def fg_intersection_region(matrix):

@@ -204,10 +204,10 @@ def render_svg(scene: Scene) -> str:
         out.append(f'<g fill="{color}" fill-opacity="{opacity:g}" stroke="none" '
                    'fill-rule="evenodd">')
         if isinstance(region, DiscUnion):
-            for disc in region.discs:
-                cx, cy = t.px(disc.center, 0.0)
+            for center, radius in region.discs.tolist():
+                cx, cy = t.px(center, 0.0)
                 out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                           f'r="{_fmt(disc.radius * t.scale)}"/>')
+                           f'r="{_fmt(radius * t.scale)}"/>')
         else:
             d = _raster_path(region, box, scene.raster_res, t)
             if d:

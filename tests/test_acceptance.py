@@ -15,7 +15,6 @@ import pytest
 import cases
 from conftest import random_row_sum_matrix, tau_vertex_oracle
 from eigenfence import (
-    Disc,
     DiscUnion,
     Eigenpair,
     PairIntersectionUnion,
@@ -50,7 +49,7 @@ _DURATIONS: dict[str, float] = {}
 
 
 def disc_list(union):
-    return [(d.center, d.radius) for d in union.discs]
+    return [tuple(d) for d in union.discs.tolist()]
 
 
 # -- gate 1: 6x6 similarity and disc lists, integer-exact --------------------
@@ -127,9 +126,9 @@ def test_perron7_odd_refinement():
     for z in nontrivial_values(eigenvalues(cases.PERRON7_A), 15.0):
         assert contains(region, z)
 
-    hull = DiscUnion((Disc(*cases.PERRON7_HULL_DISC),))
+    hull = DiscUnion([cases.PERRON7_HULL_DISC])
     for pair in region.pairs:
-        one = PairIntersectionUnion((pair,))
+        one = PairIntersectionUnion([pair])
         assert sampled_subset(one, hull).is_subset
 
 
@@ -339,7 +338,8 @@ def test_property_brauer_containment():
             m = rng.integers(-9, 10, size=(n, n)).astype(float)
             union = obr_set(m)
             for z in eigenvalues(m).values:
-                slack = min(abs(z - o.c1) * abs(z - o.c2) - o.bound for o in union.ovals)
+                slack = min(abs(z - c1) * abs(z - c2) - bound
+                            for c1, c2, bound in union.ovals.tolist())
                 assert slack <= 1e-7
 
 

@@ -9,6 +9,7 @@ from eigenfence import (
     bound_from_discs,
     det_bound,
     determinant,
+    diag_similar,
     eigenvalues,
     max_abs,
     nontrivial_values,
@@ -215,3 +216,28 @@ def test_reports_odd_case_with_det():
     assert any(name.startswith("det_") for name in reports)
     for r in reports.values():
         assert r.value >= 0.0 and np.isfinite(r.value)
+
+
+def test_reports_walk_one_power_ladder(monkeypatch):
+    from eigenfence import bounds
+
+    calls = []
+    power = bounds._power
+
+    def counted(matrix, k):
+        calls.append(k)
+        return power(matrix, k)
+
+    monkeypatch.setattr(bounds, "_power", counted)
+    a, pair = cases.PERRON6_A, cases.PERRON6_PAIR
+    ks = tuple(range(1, 41))
+    reports = standard_reports(a, pair, ks=ks, include_det=True)
+    assert sum(k - 1 for k in calls) <= max(set(ks) | {a.shape[0] - 1}) - 1
+    # every value is bit-identical to the one-report functions
+    b = diag_similar(a, pair).B
+    for r in reports:
+        kind = SemiNorm.L1 if "tau1" in r.name else SemiNorm.LINF
+        if r.name.startswith("det_"):
+            assert r.value == det_bound(a, pair, r.k, kind)
+        elif r.k is not None:
+            assert r.value == powered_bound(b, r.k, kind)

@@ -18,7 +18,7 @@ def test_oval_count_and_values():
     union = obr_set(cases.ROWSUM3_G)
     assert len(union) == 3
     oval = union.ovals[2]  # pair (2, 3): centers -3 and 2, deleted sums 12 and 7
-    assert (oval.c1, oval.c2, oval.bound) == (-3.0, 2.0, 84.0)
+    assert tuple(oval.tolist()) == (-3.0, 2.0, 84.0)
 
 
 def test_degenerate_set_is_two_points():
@@ -55,7 +55,8 @@ def test_brauer_containment_random():
         m = rng.integers(-9, 10, size=(n, n)).astype(float)
         union = obr_set(m)
         for z in eigenvalues(m).values:
-            slack = min(abs(z - o.c1) * abs(z - o.c2) - o.bound for o in union.ovals)
+            slack = min(abs(z - c1) * abs(z - c2) - bound
+                        for c1, c2, bound in union.ovals.tolist())
             assert slack <= 1e-7, (m, z)
 
 

@@ -228,5 +228,17 @@ def test_malformed_json(tmp_path, capsys):
 
 def test_math_error_exit_code(tmp_path, capsys):
     from eigenfence import Eigenpair
-    path = write_problem(tmp_path / "tiny.json", np.eye(2), Eigenpair(1.0, np.ones(2)))
-    assert main(["locate", path]) == 1  # below the n >= 3 floor
+    huge = np.full((3, 3), 1e200)
+    path = write_problem(tmp_path / "huge.json", huge, Eigenpair(3e200, np.ones(3)))
+    assert main(["bound", "--k", "2", path]) == 1  # B^2 overflows
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("command", [["locate"], ["refine"], ["bound"], ["obr"],
+                                     ["render", "--out", "-"], ["validate"]])
+def test_problems_below_n3_are_input_errors(tmp_path, capsys, command, n):
+    # validate must not pass what every later command refuses
+    from eigenfence import Eigenpair
+    path = write_problem(tmp_path / "tiny.json", np.eye(n), Eigenpair(1.0, np.ones(n)))
+    assert main([command[0], path, *command[1:]]) == 2
+    assert "n >= 3" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from eigenfence import (
 
 
 def disc_list(union):
-    return [(d.center, d.radius) for d in union.discs]
+    return [tuple(d) for d in union.discs.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,8 @@ def test_region_not_inside_classic_for_stretch3():
     assert disc_list(region) == [(9, 8), (5, 1), (1, 5)]
     # reaches 17, beyond anything the classic column region can cover
     classic = classic_discs(cases.STRETCH3_A, "columns")
-    assert max(d.center + d.radius for d in region.discs) == 17.0
-    assert max(d.center + d.radius for d in classic.discs) == 13.0
+    assert max(c + r for c, r in region.discs.tolist()) == 17.0
+    assert max(c + r for c, r in classic.discs.tolist()) == 13.0
 
 
 def test_region_desingularizes_transparently():
@@ -152,5 +152,5 @@ def test_region_desingularizes_transparently():
 def test_membership_margin_on_worked_eigenvalues():
     region = eigenpair_region(cases.PERRON6_A, cases.PERRON6_PAIR)
     for z in nontrivial_values(eigenvalues(cases.PERRON6_A), 24.0):
-        margin = min(abs(z - d.center) - d.radius for d in region.discs)
+        margin = min(abs(z - c) - r for c, r in region.discs.tolist())
         assert margin <= 1e-7

@@ -3,9 +3,7 @@ import pytest
 
 import cases
 from eigenfence import (
-    CassiniOval,
     CassiniUnion,
-    Disc,
     DiscUnion,
     PairIntersectionUnion,
     RegionIntersection,
@@ -34,19 +32,19 @@ def test_contains_inside_and_outside():
 
 
 def test_contains_point_disc():
-    assert contains(DiscUnion((Disc(0.0, 0.0),)), 0.0)
-    assert not contains(DiscUnion((Disc(0.0, 0.0),)), 1e-6)
+    assert contains(DiscUnion([[0.0, 0.0]]), 0.0)
+    assert not contains(DiscUnion([[0.0, 0.0]]), 1e-6)
 
 
 def test_disc_rejects_negative_radius():
     with pytest.raises(ValueError):
-        Disc(0.0, -1.0)
+        DiscUnion([[0.0, -1.0]])
 
 
 def test_union_monotone():
     region = worked_region()
-    for d in region.discs:
-        z = complex(d.center + d.radius / 2, 0.0)
+    for c, r in region.discs.tolist():
+        z = complex(c + r / 2, 0.0)
         assert contains(region, z)
 
 
@@ -65,12 +63,12 @@ def test_max_abs_disc_union_exact():
 
 
 def test_max_abs_single_disc():
-    assert max_abs(DiscUnion((Disc(2.0, 15.0),))).value == 17.0
+    assert max_abs(DiscUnion([[2.0, 15.0]])).value == 17.0
 
 
 def test_max_abs_disjoint_intersection_is_conservative():
     region = RegionIntersection((
-        DiscUnion((Disc(0.0, 1.0),)), DiscUnion((Disc(10.0, 1.0),))))
+        DiscUnion([[0.0, 1.0]]), DiscUnion([[10.0, 1.0]])))
     result = max_abs(region)
     assert result.value == 1.0
     assert not result.exact
@@ -110,15 +108,15 @@ def test_sampled_subset_detects_escape():
 
 
 def test_sampled_subset_nested_discs():
-    small = DiscUnion((Disc(0.0, 1.0),))
-    big = DiscUnion((Disc(0.0, 2.0),))
+    small = DiscUnion([[0.0, 1.0]])
+    big = DiscUnion([[0.0, 2.0]])
     assert sampled_subset(small, big).is_subset
     assert not sampled_subset(big, small).is_subset
 
 
 def test_sampled_subset_touching_boundary():
-    inner = DiscUnion((Disc(1.0, 1.0),))
-    outer = DiscUnion((Disc(0.0, 2.0),))
+    inner = DiscUnion([[1.0, 1.0]])
+    outer = DiscUnion([[0.0, 2.0]])
     assert sampled_subset(inner, outer).is_subset
 
 
@@ -132,11 +130,11 @@ def test_resolution_floor():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("region", [
-    DiscUnion((Disc(1.0, 2.0), Disc(-3.0, 0.5))),
-    PairIntersectionUnion(((Disc(0.0, 1.0), Disc(0.5, 1.0)),)),
-    CassiniUnion((CassiniOval(0.0, -2.0, 3.5),)),
-    RegionIntersection((DiscUnion((Disc(0.0, 1.0),)),
-                        CassiniUnion((CassiniOval(1.0, 2.0, 0.0),)))),
+    DiscUnion([[1.0, 2.0], [-3.0, 0.5]]),
+    PairIntersectionUnion([[[0.0, 1.0], [0.5, 1.0]]]),
+    CassiniUnion([[0.0, -2.0, 3.5]]),
+    RegionIntersection((DiscUnion([[0.0, 1.0]]),
+                        CassiniUnion([[1.0, 2.0, 0.0]]))),
 ])
 def test_region_json_round_trip(region):
     doc = region_to_json(region)

@@ -57,7 +57,7 @@ def test_second_type_radii_match_per_column(parity, data):
         assert radii[j] == second_type_radius(off)
         assert radii[j] == gap_1d(np.sort(np.append(off, 0.0))[::-1])
     region = second_type_discs_of_transpose(m)
-    assert [(d.center, d.radius) for d in region.discs] == list(zip(np.diagonal(m), radii))
+    assert [tuple(d) for d in region.discs.tolist()] == list(zip(np.diagonal(m), radii))
     reach = max(0.0, *(abs(m[j, j]) + radii[j] for j in range(n)))
     assert bounds.bound_from_discs(m) == reach
 

@@ -29,7 +29,7 @@ def test_even_worked_6x6():
 
 def test_even_disc_list():
     union = second_type_discs_of_transpose(cases.PERRON6_F)
-    assert [(d.center, d.radius) for d in union.discs] == cases.PERRON6_F_DISCS
+    assert [tuple(d) for d in union.discs.tolist()] == cases.PERRON6_F_DISCS
 
 
 def test_even_shear4():
@@ -66,9 +66,9 @@ def test_region_invariant_under_per_column_pair_swap():
     from eigenfence import PairIntersectionUnion
 
     region = refined_region_odd(cases.PERRON7_B)
-    pairs = list(region.pairs)
-    pairs[3] = (pairs[3][1], pairs[3][0])
-    swapped = PairIntersectionUnion(tuple(pairs))
+    pairs = region.pairs.copy()
+    pairs[3] = pairs[3, ::-1]
+    swapped = PairIntersectionUnion(pairs)
     rng = np.random.default_rng(31)
     pts = rng.uniform(-16, 18, size=800) + 1j * rng.uniform(-17, 17, size=800)
     np.testing.assert_array_equal(region.contains_points(pts),
@@ -122,11 +122,11 @@ def test_region_odd_single_disc_hull():
     region = refined_region_odd(cases.PERRON7_B)
     assert len(region) == 7
     # the whole region collapses into its first pair's disc
-    first = region.pairs[0][0]
-    assert (first.center, first.radius) == (-1.0, 12.0)
-    for da, db in region.pairs:
-        for d in (da, db):
-            assert abs(d.center - first.center) + d.radius <= first.radius + 1e-12
+    first_c, first_r = region.pairs[0][0].tolist()
+    assert (first_c, first_r) == (-1.0, 12.0)
+    for da, db in region.pairs.tolist():
+        for c, r in (da, db):
+            assert abs(c - first_c) + r <= first_r + 1e-12
 
 
 def test_region_odd_membership_7x7():

@@ -83,7 +83,7 @@ def test_circles_match_region_after_transform():
         r'<circle cx="([-0-9.]+)" cy="([-0-9.]+)" r="([-0-9.]+)"', svg)
     circles = re.findall(r'<circle cx="([-0-9.]+)" cy="([-0-9.]+)" r="([-0-9.]+)"/>', svg)
     # region circles come first (bare), markers carry a fill attribute
-    discs = [d for region, _c, _o in scene.layers for d in region.discs]
+    discs = [d for region, _c, _o in scene.layers for d in region.discs.tolist()]
     assert len(all_circles) == len(discs) + len(scene.points)
     assert len(circles) == len(discs)
 
@@ -104,10 +104,10 @@ def test_circles_match_region_after_transform():
     y0, y1 = cy - side / 2, cy + side / 2
     scale = 640 / (x1 - x0)
 
-    for (sx, sy, sr), disc in zip(circles, discs):
-        assert abs(float(sx) - (disc.center - x0) * scale) <= 0.5
+    for (sx, sy, sr), (center, radius) in zip(circles, discs):
+        assert abs(float(sx) - (center - x0) * scale) <= 0.5
         assert abs(float(sy) - (y1 - 0.0) * scale) <= 0.5
-        assert abs(float(sr) - disc.radius * scale) <= 0.5
+        assert abs(float(sr) - radius * scale) <= 0.5
 
 
 def test_rasterized_region_has_closed_path():
@@ -148,9 +148,9 @@ def test_raster_contour_tracks_membership():
 def test_raster_area_of_disc_shaped_oval():
     # equal foci make the oval an exact disc; the marching-squares fill
     # must recover its area closely at the default resolution
-    from eigenfence import CassiniOval, CassiniUnion
+    from eigenfence import CassiniUnion
 
-    oval = CassiniUnion((CassiniOval(1.0, 1.0, 9.0),))  # disc: center 1, radius 3
+    oval = CassiniUnion([[1.0, 1.0, 9.0]])  # disc: center 1, radius 3
     scene = Scene(layers=((oval, BLUE, 1.0),), viewport=(-4, 6, -5, 5))
     svg = render_svg(scene)
     d = re.search(r'<path d="([^"]+)"', svg).group(1)
