@@ -38,12 +38,13 @@ from .similarity import (
     SimilarityResult,
     desingularize,
     diag_similar,
+    eigenpair_region,
     normalize_stochastic,
+    prepare,
 )
 from .discs import (
     DiscUnion,
     classic_discs,
-    eigenpair_region,
     second_type_discs_of_transpose,
     second_type_radius,
 )
@@ -56,8 +57,9 @@ from .refine import (
     refine_odd,
     refined_region,
     refined_region_odd,
+    refinement,
 )
-from .cassini import CassiniUnion, cassini_intersection_region, obr_set
+from .cassini import CassiniUnion, cassini_intersection_region, obr_intersection, obr_set
 from .bounds import (
     BoundReport,
     SemiNorm,

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, Eigenpair, SizeError, as_matrix
-from .discs import constant_row_sum_similar, row_gaps, sorted_columns
-from .refine import row_sum_constant
+from .discs import row_gaps, sorted_columns
+from .refine import refinement, row_sum_constant
+from .similarity import SimilarityResult, prepare
 
 #: Entry magnitude above which matrix powering stops with OverflowError.
 POWER_LIMIT = 1e300
@@ -144,13 +145,12 @@ def det_bound(matrix, pair: Eigenpair, k: int, kind: SemiNorm,
               tol: float = DEFAULT_TOL) -> float:
     """Upper bound ``|lambda| * tau_kind(B^k) ** ((n-1)/k)`` on |det A|.
 
-    B is the constant row-sum matrix similar to A (desingularized first
-    when v has zero components); powering B directly is the same as
-    conjugating A^k and avoids one similarity per power.
+    B is the constant row-sum matrix similar to A from
+    :func:`~eigenfence.similarity.prepare`; powering B directly is the same
+    as conjugating A^k and avoids one similarity per power.
     """
-    a = as_matrix(matrix)
-    b = constant_row_sum_similar(a, pair, tol)
-    return _det(pair.value, _taus(b, {k}, (kind,))[k, kind], a.shape[0], k)
+    b = prepare(matrix, pair, tol).B
+    return _det(pair.value, _taus(b, {k}, (kind,))[k, kind], b.shape[0], k)
 
 
 def standard_reports(matrix, pair: Eigenpair, ks: tuple[int, ...] = (1,),
@@ -163,22 +163,22 @@ def standard_reports(matrix, pair: Eigenpair, ks: tuple[int, ...] = (1,),
     semi-norm bounds for the requested powers/kinds, and optionally the
     determinant bounds (at each requested k and at k = n-1).
     """
-    from .refine import refine_even, refine_odd
+    return prepared_reports(prepare(matrix, pair, tol), ks, kinds, include_det)
 
-    a = as_matrix(matrix)
-    b = constant_row_sum_similar(a, pair, tol)
-    n = a.shape[0]
+
+def prepared_reports(sim: SimilarityResult, ks: tuple[int, ...] = (1,),
+                     kinds: tuple[SemiNorm, ...] = (SemiNorm.L1, SemiNorm.LINF),
+                     include_det: bool = False) -> list[BoundReport]:
+    """:func:`standard_reports` of an already prepared B."""
+    b = sim.B
+    n = b.shape[0]
     reports = [BoundReport("m_B", bound_from_discs(b), "second_type_discs(B)")]
-    if n % 2 == 0:
-        f = refine_even(b).F
-        reports.append(BoundReport("m_F", bound_from_discs(f), "second_type_discs(F)"))
-    else:
-        ref = refine_odd(b)
-        m_f = bound_from_discs(ref.F)
-        m_g = bound_from_discs(ref.G)
-        reports.append(BoundReport("m_F", m_f, "second_type_discs(F)"))
-        reports.append(BoundReport("m_G", m_g, "second_type_discs(G)"))
-        reports.append(BoundReport("m_FG", min(m_f, m_g), "min(second_type_discs(F), second_type_discs(G))"))
+    reach = {name: bound_from_discs(m) for name, m in refinement(b).matrices.items()}
+    reports += [BoundReport(f"m_{name}", value, f"second_type_discs({name})")
+                for name, value in reach.items()]
+    if len(reach) == 2:
+        reports.append(BoundReport("m_FG", min(reach.values()),
+                                   "min(second_type_discs(F), second_type_discs(G))"))
     det_ks = sorted(set(ks) | {n - 1}) if include_det else []
     taus = _taus(b, set(ks) | set(det_ks), kinds)
     for kind in kinds:
@@ -191,6 +191,6 @@ def standard_reports(matrix, pair: Eigenpair, ks: tuple[int, ...] = (1,),
         label = "tau1" if kind is SemiNorm.L1 else "tauinf"
         for k in det_ks:
             reports.append(BoundReport(
-                f"det_{label}_k{k}", _det(pair.value, taus[k, kind], n, k),
+                f"det_{label}_k{k}", _det(sim.row_sum, taus[k, kind], n, k),
                 f"|lambda| * tau_{kind.value}(B^k)^((n-1)/k)", k=k))
     return reports

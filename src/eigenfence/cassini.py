@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, Eigenpair, SizeError, as_matrix
-from .discs import MEMBERSHIP_EPS, _members, _records, _table, constant_row_sum_similar
-from .refine import refine_even, refine_odd
+from .discs import MEMBERSHIP_EPS, _members, _records, _table
+from .refine import refinement
+from .similarity import prepare
 
 
 def _inside_ovals(z, table) -> np.ndarray:
@@ -65,23 +66,16 @@ def obr_set(matrix) -> CassiniUnion:
 
 
 def cassini_intersection_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL):
-    """Intersection of Ostrowski-Brauer sets of the refinement matrices.
+    """:func:`obr_intersection` of the constant row-sum matrix similar to A:
+    contains every eigenvalue of A other than the known one."""
+    return obr_intersection(prepare(matrix, pair, tol).B)
 
-    Builds the constant row-sum similar matrix, refines it, and intersects
-    the sets of F and F^T (even n), additionally of G and G^T (odd n).
-    Contains every eigenvalue of A other than the known one.  Returns a
-    :class:`eigenfence.geometry.RegionIntersection`.
-    """
+
+def obr_intersection(matrix):
+    """Intersection of the Ostrowski-Brauer sets of F and F^T (and of G and
+    G^T for odd n), the refinement of a constant row-sum matrix B.  Returns
+    a :class:`eigenfence.geometry.RegionIntersection`."""
     from .geometry import RegionIntersection
 
-    a = as_matrix(matrix)
-    if a.shape[0] < 3:
-        raise SizeError(f"refined Cassini region needs n >= 3, got n = {a.shape[0]}")
-    b = constant_row_sum_similar(a, pair, tol)
-    if b.shape[0] % 2 == 0:
-        f = refine_even(b).F
-        parts = (obr_set(f), obr_set(f.T))
-    else:
-        ref = refine_odd(b)
-        parts = (obr_set(ref.F), obr_set(ref.F.T), obr_set(ref.G), obr_set(ref.G.T))
-    return RegionIntersection(parts)
+    return RegionIntersection(tuple(obr_set(part) for m in refinement(matrix).matrices.values()
+                                    for part in (m, m.T)))

@@ -3,22 +3,21 @@
 Subcommands: locate, refine, bound, obr, render, eig, validate.  All take
 the JSON problem format (matrix plus optional eigenpair); ``eig`` also
 accepts the plain-text matrix form.  Exit codes: 0 success, 1 math-module
-failure, 2 parse/validation failure.
+failure, 2 parse/validation failure (including n < 3 and a ``--tol`` that
+is not a positive number).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from . import bounds, cassini, discs, oracle, refine, render, similarity
 from .core import (
     DEFAULT_TOL,
     EigenfenceError,
-    Eigenpair,
     InputError,
     check_eigenpair,
     parse_matrix,
@@ -48,14 +47,13 @@ def _load_problem(path: str):
     return matrix, pair
 
 
-def _resolve_zero_free(matrix, pair: Eigenpair, tol: float):
-    """Desingularize transparently when the eigenvector has zero components."""
-    if np.any(np.abs(pair.vector) <= similarity.zero_tolerance(pair.vector)):
-        d = similarity.desingularize(matrix, pair, tol)
-        print(f"note: eigenvector has {d.k} zero component(s); "
+def _prepare(matrix, pair, tol: float) -> similarity.SimilarityResult:
+    """B for the command, with a note on stderr when the shear path ran."""
+    sim = similarity.prepare(matrix, pair, tol)
+    if sim.k:
+        print(f"note: eigenvector has {sim.k} zero component(s); "
               "continuing on the desingularized similar matrix", file=sys.stderr)
-        return d.C, Eigenpair(pair.value, d.w)
-    return matrix, pair
+    return sim
 
 
 def _emit(doc) -> None:
@@ -68,8 +66,7 @@ def _emit(doc) -> None:
 
 def _cmd_locate(args) -> int:
     matrix, pair = _load_problem(args.problem)
-    resolved, rpair = _resolve_zero_free(matrix, pair, args.tol)
-    region = discs.eigenpair_region(resolved, rpair, args.tol)
+    region = discs.second_type_discs_of_transpose(_prepare(matrix, pair, args.tol).B)
     if args.classic:
         _emit({
             "second_type": region.to_json(),
@@ -83,27 +80,15 @@ def _cmd_locate(args) -> int:
 
 def _cmd_refine(args) -> int:
     matrix, pair = _load_problem(args.problem)
-    matrix, pair = _resolve_zero_free(matrix, pair, args.tol)
-    b = similarity.diag_similar(matrix, pair, args.tol).B
-    doc = {"row_sum": pair.value}
-    if b.shape[0] % 2 == 0:
-        ref = refine.refine_even(b)
-        doc["F"] = ref.F.tolist()
-        doc["shifts"] = ref.shifts.tolist()
-    else:
-        ref = refine.refine_odd(b)
-        doc["F"] = ref.F.tolist()
-        doc["G"] = ref.G.tolist()
-        doc["f_shifts"] = ref.f_shifts.tolist()
-        doc["g_shifts"] = ref.g_shifts.tolist()
-    doc["region"] = refine.refined_region(b).to_json()
-    _emit(doc)
+    ref = refine.refinement(_prepare(matrix, pair, args.tol).B)
+    _emit({"row_sum": pair.value,
+           **{f.name: getattr(ref, f.name).tolist() for f in dataclasses.fields(ref)},
+           "region": ref.region().to_json()})
     return EXIT_OK
 
 
 def _cmd_bound(args) -> int:
     matrix, pair = _load_problem(args.problem)
-    matrix, pair = _resolve_zero_free(matrix, pair, args.tol)
     if args.norm == "1":
         kinds = (bounds.SemiNorm.L1,)
     elif args.norm == "inf":
@@ -111,8 +96,8 @@ def _cmd_bound(args) -> int:
     else:
         kinds = (bounds.SemiNorm.L1, bounds.SemiNorm.LINF)
     ks = tuple(range(1, args.k + 1))
-    reports = bounds.standard_reports(matrix, pair, ks=ks, kinds=kinds,
-                                      include_det=args.det, tol=args.tol)
+    reports = bounds.prepared_reports(_prepare(matrix, pair, args.tol), ks=ks, kinds=kinds,
+                                      include_det=args.det)
     known = abs(pair.value)
     _emit([r.to_json() | {"improves_on_known": r.value < known} for r in reports])
     return EXIT_OK
@@ -120,27 +105,21 @@ def _cmd_bound(args) -> int:
 
 def _cmd_obr(args) -> int:
     matrix, pair = _load_problem(args.problem)
-    matrix, pair = _resolve_zero_free(matrix, pair, args.tol)
-    region = cassini.cassini_intersection_region(matrix, pair, args.tol)
-    _emit(region.to_json())
+    _emit(cassini.obr_intersection(_prepare(matrix, pair, args.tol).B).to_json())
     return EXIT_OK
 
 
 def _cmd_render(args) -> int:
     matrix, pair = _load_problem(args.problem)
     layer_names = [s.strip() for s in args.layers.split(",") if s.strip()]
-    layers = []
+    b = _prepare(matrix, pair, args.tol).B if {"second", "refined"} & set(layer_names) else None
+    build = {"classic": lambda: (discs.classic_discs(matrix, "columns"), render.GRAY),
+             "second": lambda: (discs.second_type_discs_of_transpose(b), render.BLUE),
+             "refined": lambda: (refine.refined_region(b), render.TURQUOISE)}
     for name in layer_names:
-        if name == "classic":
-            layers.append((discs.classic_discs(matrix, "columns"), render.GRAY, 1.0))
-        elif name == "second":
-            layers.append((discs.eigenpair_region(matrix, pair, args.tol), render.BLUE, 1.0))
-        elif name == "refined":
-            m, p = _resolve_zero_free(matrix, pair, args.tol)
-            b = similarity.diag_similar(m, p, args.tol).B
-            layers.append((refine.refined_region(b), render.TURQUOISE, 1.0))
-        else:
-            raise InputError(f"unknown layer {name!r} (choose from classic,second,refined)")
+        if name not in build:
+            raise InputError(f"unknown layer {name!r} (choose from {','.join(build)})")
+    layers = [(*build[name](), 1.0) for name in layer_names]
     points = []
     if args.eigs:
         spectrum = oracle.eigenvalues(matrix)
@@ -186,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Inclusion regions and bounds for the eigenvalues of a real "
                     "matrix other than one known eigenpair.")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="eigenpair residual tolerance (default 1e-9)")
+                        help="eigenpair residual tolerance, a positive number (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("locate", help="second-type disc inclusion region")
@@ -237,6 +216,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        if not args.tol > 0:  # NaN too: no residual exceeds it, so every pair would pass
+            raise InputError(f"--tol must be a positive number, got {args.tol!r}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -220,7 +220,7 @@ def check_eigenpair(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> float:
     treats the pair as valid iff the residual is at most ``tol``.
     """
     a = as_matrix(matrix)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if pair.n != a.shape[0]:
         raise DimensionError(

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Eigenpair, SizeError, as_matrix
-from .similarity import (
-    desingularize,
-    diag_similar,
-    zero_tolerance,
-)
+from .core import SizeError, as_matrix
 
 #: Relative slack used by all membership predicates.
 MEMBERSHIP_EPS = 1e-9
@@ -158,26 +153,3 @@ def classic_discs(matrix, axis: str = "rows") -> DiscUnion:
     lines = m if axis == "rows" else m.T
     off = np.abs(lines[~np.eye(n, dtype=bool)]).reshape(n, n - 1)
     return DiscUnion(np.column_stack((np.diagonal(m), off.sum(axis=1))))
-
-
-def constant_row_sum_similar(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Constant row-sum matrix B similar to A, with row sums ``pair.value``.
-
-    Desingularizes first when the eigenvector has zero components, then
-    applies the diagonal similarity.
-    """
-    a = as_matrix(matrix)
-    if np.any(np.abs(pair.vector) <= zero_tolerance(pair.vector)):
-        d = desingularize(a, pair, tol)
-        return diag_similar(d.C, Eigenpair(pair.value, d.w), tol).B
-    return diag_similar(a, pair, tol).B
-
-
-def eigenpair_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> DiscUnion:
-    """Inclusion region for every eigenvalue of A other than the known one.
-
-    Builds the constant row-sum matrix similar to A (desingularizing first
-    when the eigenvector has zero components) and returns the second-type
-    discs of its transpose.
-    """
-    return second_type_discs_of_transpose(constant_row_sum_similar(matrix, pair, tol))

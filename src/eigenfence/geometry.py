@@ -119,16 +119,17 @@ def _oval_boundary(ovals: np.ndarray, angles: int) -> np.ndarray:
 def boundary_points(region, angles: int = 256) -> np.ndarray:
     """Representative boundary samples of a region's primitive shapes.
 
-    Points are filtered to those that belong to the region itself, so for
-    intersections only the genuinely attained parts of each primitive
-    boundary survive.
+    Oval samples all belong to their own oval (the bisection keeps only
+    accepted points).  Other kinds keep the samples inside the region, which
+    drops unattained parts of intersections and disc samples that rounding
+    put outside (center 1e8, radius 1e-3).
     """
+    if isinstance(region, CassiniUnion):
+        return _oval_boundary(region.ovals, angles)
     if isinstance(region, DiscUnion):
         pts = _disc_boundary(region.discs, angles)
     elif isinstance(region, PairIntersectionUnion):
         pts = _disc_boundary(region.pairs.reshape(-1, 2), angles)
-    elif isinstance(region, CassiniUnion):
-        pts = _oval_boundary(region.ovals, angles)
     elif isinstance(region, RegionIntersection):
         pts = np.concatenate([boundary_points(p, angles) for p in region.parts])
     else:

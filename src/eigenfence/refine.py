@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EvenSizeError, NotConstantRowSumError, OddSizeError, SizeError, as_matrix
-from .discs import (MEMBERSHIP_EPS, _inside_discs, _members, _records, _table,
+from .discs import (MEMBERSHIP_EPS, DiscUnion, _inside_discs, _members, _records, _table,
                     second_type_discs_of_transpose, sorted_columns)
 
 
@@ -26,6 +26,14 @@ class EvenRefinement:
     F: np.ndarray
     shifts: np.ndarray
 
+    @property
+    def matrices(self) -> dict[str, np.ndarray]:
+        return {"F": self.F}
+
+    def region(self) -> DiscUnion:
+        """Refined region: the second-type disc union of F^T."""
+        return second_type_discs_of_transpose(self.F)
+
 
 @dataclass(frozen=True)
 class OddRefinement:
@@ -35,6 +43,16 @@ class OddRefinement:
     G: np.ndarray
     f_shifts: np.ndarray
     g_shifts: np.ndarray
+
+    @property
+    def matrices(self) -> dict[str, np.ndarray]:
+        return {"F": self.F, "G": self.G}
+
+    def region(self) -> PairIntersectionUnion:
+        """Union over columns of (disc from F column j) ∩ (disc from G column j)."""
+        f_discs = second_type_discs_of_transpose(self.F).discs
+        g_discs = second_type_discs_of_transpose(self.G).discs
+        return PairIntersectionUnion(np.stack((f_discs, g_discs), axis=1))
 
 
 def _inside_pairs(z, table) -> np.ndarray:
@@ -129,12 +147,16 @@ def refine_odd(matrix) -> OddRefinement:
     return OddRefinement(F=f, G=g, f_shifts=f_shifts, g_shifts=g_shifts)
 
 
+def refinement(matrix) -> EvenRefinement | OddRefinement:
+    """The refinement of a constant row-sum matrix for its parity: F for
+    even n, the pair F, G for odd n."""
+    b = as_matrix(matrix)
+    return refine_even(b) if b.shape[0] % 2 == 0 else refine_odd(b)
+
+
 def refined_region_odd(matrix) -> PairIntersectionUnion:
-    """Union over columns of (disc from F column j) ∩ (disc from G column j)."""
-    ref = refine_odd(matrix)
-    f_discs = second_type_discs_of_transpose(ref.F).discs
-    g_discs = second_type_discs_of_transpose(ref.G).discs
-    return PairIntersectionUnion(np.stack((f_discs, g_discs), axis=1))
+    """Odd-size refined region: :meth:`OddRefinement.region` of :func:`refine_odd`."""
+    return refine_odd(matrix).region()
 
 
 def fg_intersection_region(matrix):
@@ -158,7 +180,4 @@ def refined_region(matrix):
     Even n: the second-type disc union of F^T.  Odd n: the per-column
     pair-intersection union.
     """
-    b = as_matrix(matrix)
-    if b.shape[0] % 2 == 0:
-        return second_type_discs_of_transpose(refine_even(b).F)
-    return refined_region_odd(b)
+    return refinement(matrix).region()

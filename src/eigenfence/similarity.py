@@ -3,8 +3,10 @@
 Two constructions: the diagonal similarity ``B = S^-1 A S`` with
 ``S = diag(v)`` for eigenvectors without zero components, and a
 permutation-plus-shear similarity that first repairs eigenvectors that do
-contain zeros.  A stochastic normalization is provided for nonnegative
-matrices with a positive eigenpair.
+contain zeros.  :func:`prepare` is the one path from ``(A, pair)`` to B:
+it picks the construction, checks the eigenpair once and reports the path
+taken.  A stochastic normalization is provided for nonnegative matrices
+with a positive eigenpair.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ from .core import (
     as_matrix,
     require_eigenpair,
 )
+from .discs import DiscUnion, second_type_discs_of_transpose
 
 #: Relative threshold under which an eigenvector component counts as zero.
 ZERO_TOL_FACTOR = 1e-12
 
 
-def zero_tolerance(vector: np.ndarray) -> float:
-    return ZERO_TOL_FACTOR * float(np.abs(vector).max())
+def zero_mask(vector: np.ndarray) -> np.ndarray:
+    """Components of v that count as zero: ``|v_i| <= ZERO_TOL_FACTOR * max|v|``."""
+    size = np.abs(vector)
+    return size <= ZERO_TOL_FACTOR * float(size.max())
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -41,13 +46,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class SimilarityResult:
     """Constant row-sum matrix B similar to A, with ``B e = row_sum * e``.
 
-    ``scaling`` is the diagonal of the similarity transform (the eigenvector).
-    The diagonal of B equals the diagonal of A entry for entry.
+    ``scaling`` is the diagonal of the final scaling: v on the diagonal
+    path, the desingularized ``w`` on the shear path, which removed ``k``
+    zero components of v (0: diagonal path).  B keeps the diagonal of the
+    matrix it scales (A, or the sheared C) entry for entry.
     """
 
     B: np.ndarray
     row_sum: float
     scaling: np.ndarray
+    k: int = 0
+
+
+def _scaled(matrix: np.ndarray, value: float, v: np.ndarray, k: int = 0) -> SimilarityResult:
+    b = matrix * (v[None, :] / v[:, None])
+    return SimilarityResult(B=_frozen(b), row_sum=value, scaling=_frozen(v.copy()), k=k)
 
 
 @dataclass(frozen=True)
@@ -72,14 +85,12 @@ def diag_similar(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Similarit
     """
     a = as_matrix(matrix)
     require_eigenpair(a, pair, tol)
-    v = pair.vector
-    ztol = zero_tolerance(v)
-    if np.any(np.abs(v) <= ztol):
-        where = np.nonzero(np.abs(v) <= ztol)[0].tolist()
+    zero = zero_mask(pair.vector)
+    if zero.any():
         raise ZeroComponentError(
-            f"eigenvector has zero component(s) at {where}; desingularize first")
-    b = a * (v[None, :] / v[:, None])
-    return SimilarityResult(B=_frozen(b), row_sum=pair.value, scaling=_frozen(v.copy()))
+            f"eigenvector has zero component(s) at {np.nonzero(zero)[0].tolist()}; "
+            "desingularize first")
+    return _scaled(a, pair.value, pair.vector)
 
 
 def desingularize(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Desingularization:
@@ -94,8 +105,7 @@ def desingularize(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Desingul
     a = as_matrix(matrix)
     require_eigenpair(a, pair, tol)
     v = pair.vector
-    ztol = zero_tolerance(v)
-    zero = np.abs(v) <= ztol
+    zero = zero_mask(v)
     k = int(zero.sum())
     if k == v.size:
         raise AllZeroError("eigenvector is entirely zero")
@@ -115,6 +125,23 @@ def desingularize(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Desingul
     w = vp.copy()
     w[:k] = vp[k]
     return Desingularization(C=_frozen(c), w=_frozen(w), perm=tuple(int(i) for i in order), k=k)
+
+
+def prepare(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> SimilarityResult:
+    """The constant row-sum matrix B similar to A, with row sums ``pair.value``:
+    :func:`diag_similar`, or :func:`desingularize` first when v has zero
+    components.  The pair is checked against ``tol`` once, on A; the
+    sheared pair ``(C, w)`` is not checked again."""
+    if not zero_mask(pair.vector).any():
+        return diag_similar(matrix, pair, tol)
+    d = desingularize(matrix, pair, tol)
+    return _scaled(d.C, pair.value, d.w, d.k)
+
+
+def eigenpair_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> DiscUnion:
+    """Inclusion region for every eigenvalue of A other than the known one:
+    the second-type discs of the transpose of B from :func:`prepare`."""
+    return second_type_discs_of_transpose(prepare(matrix, pair, tol).B)
 
 
 def normalize_stochastic(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -242,3 +242,62 @@ def test_problems_below_n3_are_input_errors(tmp_path, capsys, command, n):
     path = write_problem(tmp_path / "tiny.json", np.eye(n), Eigenpair(1.0, np.ones(n)))
     assert main([command[0], path, *command[1:]]) == 2
     assert "n >= 3" in capsys.readouterr().err
+
+
+# -- one prepare step per command -------------------------------------------
+
+# v = (0, 1, 1) with residual 8e-10 on A: the sheared pair (C, w) has twice
+# that, so a second check on (C, w) refused what `validate` had accepted
+RECHECK_A = [[2.0, 3.0 + 1.6e-9, -3.0], [1.0, 4.0 + 1.6e-9, 1.0], [7.0, 2.0, 3.0]]
+
+
+def test_shear_pair_checked_once(tmp_path, capsys):
+    from eigenfence import Eigenpair, contains, eigenvalues, nontrivial_values, region_from_json
+    pair = Eigenpair(5.0, np.array([0.0, 1.0, 1.0]))
+    path = write_problem(tmp_path / "recheck.json", RECHECK_A, pair)
+    assert main(["validate", path]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] == pytest.approx(8e-10)
+    others = nontrivial_values(eigenvalues(RECHECK_A), 5.0)
+    for command in ("locate", "refine", "obr"):
+        assert main([command, path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        region = region_from_json(doc.get("region", doc))
+        assert all(contains(region, z) for z in others)
+    assert main(["bound", path, "--det"]) == 0
+    reports = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)}
+    assert reports["m_B"] >= np.abs(others).max()
+    assert reports["det_tau1_k2"] >= abs(np.linalg.det(RECHECK_A)) * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["validate", "locate"])
+def test_bad_tolerance_is_an_input_error(perron6, capsys, tol, command):
+    assert main(["--tol", tol, command, perron6]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--tol must be a positive number" in out.err
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_command_prepares_once(shear4, monkeypatch, capsys):
+    from eigenfence import core, refine, similarity
+    checks = count_calls(monkeypatch, core, "check_eigenpair")
+    shears = count_calls(monkeypatch, similarity, "desingularize")
+    evens = count_calls(monkeypatch, refine, "refine_even")
+    assert main(["render", shear4, "--out", "-", "--layers", "classic,second,refined"]) == 0
+    assert (len(checks), len(shears)) == (1, 1)
+    assert capsys.readouterr().err.count("note: eigenvector has 2 zero component(s)") == 1
+    evens.clear()
+    assert main(["refine", shear4]) == 0
+    assert len(evens) == 1

@@ -16,6 +16,7 @@ from eigenfence import (
     refine_odd,
     refined_region,
     refined_region_odd,
+    refinement,
     sampled_subset,
     second_type_discs_of_transpose,
 )
@@ -188,6 +189,15 @@ def test_refined_region_dispatches_on_parity():
     odd = refined_region(cases.PERRON7_B)
     assert even.to_json()["kind"] == "disc_union"
     assert odd.to_json()["kind"] == "pairwise_intersection_union"
+
+
+def test_refinement_carries_its_region():
+    even, odd = refinement(cases.PERRON6_B), refinement(cases.PERRON7_B)
+    np.testing.assert_array_equal(even.F, refine_even(cases.PERRON6_B).F)
+    np.testing.assert_array_equal(odd.G, refine_odd(cases.PERRON7_B).G)
+    assert list(even.matrices) == ["F"] and list(odd.matrices) == ["F", "G"]
+    assert even.region().to_json() == refined_region(cases.PERRON6_B).to_json()
+    assert odd.region().to_json() == refined_region_odd(cases.PERRON7_B).to_json()
 
 
 def test_random_membership_even_and_odd():

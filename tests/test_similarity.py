@@ -13,7 +13,9 @@ from eigenfence import (
     diag_similar,
     eigenvalues,
     normalize_stochastic,
+    prepare,
 )
+from eigenfence.similarity import zero_mask
 
 
 def test_worked_6x6_scaling():
@@ -158,6 +160,47 @@ def test_desingularize_then_scale_always_works():
         assert np.all(np.abs(d.w) > 0)
         sim = diag_similar(d.C, Eigenpair(lam, d.w), tol=1e-6)
         np.testing.assert_allclose(sim.B.sum(axis=1), lam, atol=1e-6 * (1 + abs(lam)))
+
+
+# ---------------------------------------------------------------------------
+# prepare: the one path from (A, pair) to B
+# ---------------------------------------------------------------------------
+
+def test_zero_mask_is_relative_to_the_largest_component():
+    v = np.array([0.0, 1e-13, 1e-11, -5e-13, 1.0, -1.0])
+    assert zero_mask(v).tolist() == [True, True, False, True, False, False]
+    assert not zero_mask(1e-13 * v[4:]).any()
+
+
+def test_prepare_diagonal_path_is_diag_similar():
+    sim = prepare(cases.PERRON6_A, cases.PERRON6_PAIR)
+    ref = diag_similar(cases.PERRON6_A, cases.PERRON6_PAIR)
+    assert sim.k == ref.k == 0
+    np.testing.assert_array_equal(sim.B, ref.B)
+    np.testing.assert_array_equal(sim.scaling, ref.scaling)
+    assert sim.row_sum == ref.row_sum == 24.0
+
+
+def test_prepare_shear_path_scales_by_w():
+    sim = prepare(cases.SHEAR4_A, cases.SHEAR4_PAIR)
+    d = desingularize(cases.SHEAR4_A, cases.SHEAR4_PAIR)
+    assert sim.k == d.k == 2
+    np.testing.assert_array_equal(sim.B, diag_similar(d.C, Eigenpair(sim.row_sum, d.w)).B)
+    np.testing.assert_array_equal(sim.scaling, d.w)
+
+
+def test_prepare_checks_only_the_given_pair():
+    # residual 8e-10 on A passes tol = 1e-9; the sheared pair (C, w) has 1.6e-9
+    a = np.array([[2.0, 3.0 + 1.6e-9, -3.0], [1.0, 4.0 + 1.6e-9, 1.0], [7.0, 2.0, 3.0]])
+    pair = Eigenpair(5.0, np.array([0.0, 1.0, 1.0]))
+    d = desingularize(a, pair)
+    with pytest.raises(InvalidEigenpairError):
+        diag_similar(d.C, Eigenpair(5.0, d.w))
+    sim = prepare(a, pair)
+    assert sim.k == 1
+    np.testing.assert_allclose(sim.B.sum(axis=1), 5.0, rtol=1e-8)
+    with pytest.raises(InvalidEigenpairError):
+        prepare(a, Eigenpair(5.1, pair.vector))
 
 
 # ---------------------------------------------------------------------------
