@@ -64,8 +64,3 @@ print("region inside the unrefined one:",
 for z in ef.nontrivial_values(ef.eigenvalues(A7), 15.0):
     assert ef.contains(region, z)
 print("all six remaining eigenvalues inside the pairwise-intersection region")
-
-# the simpler two-region intersection is coarser but easier to draw
-simple = ef.fg_intersection_region(B7)
-print("pairwise region inside intersection(F region, G region):",
-      ef.sampled_subset(region, simple, resolution=32).is_subset)

@@ -11,7 +11,6 @@ dense-solver oracle exists only for verification and the ``eig`` command.
 
 from .core import (
     DEFAULT_TOL,
-    AllZeroError,
     ConvergenceError,
     DimensionError,
     EigenfenceError,
@@ -20,7 +19,6 @@ from .core import (
     InputError,
     InvalidEigenpairError,
     NoZeroError,
-    NotApplicableError,
     NotConstantRowSumError,
     OddSizeError,
     ParseError,
@@ -39,7 +37,6 @@ from .similarity import (
     desingularize,
     diag_similar,
     eigenpair_region,
-    normalize_stochastic,
     prepare,
 )
 from .discs import (
@@ -52,7 +49,6 @@ from .refine import (
     EvenRefinement,
     OddRefinement,
     PairIntersectionUnion,
-    fg_intersection_region,
     refine_even,
     refine_odd,
     refined_region,

@@ -44,16 +44,8 @@ class ZeroComponentError(EigenfenceError):
     """Eigenvector has a (near-)zero component; desingularize first."""
 
 
-class AllZeroError(EigenfenceError):
-    """Eigenvector is the zero vector."""
-
-
 class NoZeroError(EigenfenceError):
     """Desingularization requested but no component of v is zero."""
-
-
-class NotApplicableError(EigenfenceError):
-    """Operation preconditions (sign/positivity) not met."""
 
 
 class SizeError(EigenfenceError):

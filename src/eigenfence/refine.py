@@ -159,21 +159,6 @@ def refined_region_odd(matrix) -> PairIntersectionUnion:
     return refine_odd(matrix).region()
 
 
-def fg_intersection_region(matrix):
-    """Intersection of the full second-type regions of F^T and G^T (odd n).
-
-    Coarser than :func:`refined_region_odd` but has a simpler two-part
-    shape.  Returns a :class:`eigenfence.geometry.RegionIntersection`.
-    """
-    from .geometry import RegionIntersection
-
-    ref = refine_odd(matrix)
-    return RegionIntersection((
-        second_type_discs_of_transpose(ref.F),
-        second_type_discs_of_transpose(ref.G),
-    ))
-
-
 def refined_region(matrix):
     """Refined inclusion region of a constant row-sum matrix, any parity.
 

@@ -2,8 +2,10 @@
 
 Disc unions are drawn as true circles.  Every other region kind (Cassini
 unions, pair intersections, general intersections) is rasterized to filled
-contours by marching squares over the membership predicate.  Identical
-scenes produce byte-identical SVG documents.
+contours by marching squares over the membership predicate: one array pass
+codes every raster cell and lists the crossed edges as integer ids, and
+Python only walks the contour itself.  Identical scenes produce
+byte-identical SVG documents.
 """
 
 from __future__ import annotations
@@ -89,76 +91,62 @@ class _Transform:
 # marching squares over the membership predicate
 # ---------------------------------------------------------------------------
 
-# corner bits: 1 = (ix, iy), 2 = (ix+1, iy), 4 = (ix+1, iy+1), 8 = (ix, iy+1)
-# edge names per cell: T top, B bottom, L left, R right (midpoints)
-_CASES = {
-    0: (), 15: (),
-    1: (("T", "L"),), 14: (("T", "L"),),
-    2: (("T", "R"),), 13: (("T", "R"),),
-    4: (("R", "B"),), 11: (("R", "B"),),
-    8: (("L", "B"),), 7: (("L", "B"),),
-    3: (("L", "R"),), 12: (("L", "R"),),
-    6: (("T", "B"),), 9: (("T", "B"),),
-    5: (("T", "L"), ("R", "B")),
-    10: (("T", "R"), ("L", "B")),
-}
+# corner bits: 1 = (ix, iy), 2 = (ix+1, iy), 4 = (ix+1, iy+1), 8 = (ix, iy+1);
+# cell edges (midpoints): 0 top, 1 bottom, 2 left, 3 right; up to two
+# segments per cell code, -1 where a code has fewer
+_SEGMENTS = np.array([
+    [[-1, -1], [-1, -1]], [[0, 2], [-1, -1]], [[0, 3], [-1, -1]], [[2, 3], [-1, -1]],
+    [[3, 1], [-1, -1]], [[0, 2], [3, 1]], [[0, 1], [-1, -1]], [[2, 1], [-1, -1]],
+    [[2, 1], [-1, -1]], [[0, 1], [-1, -1]], [[0, 3], [2, 1]], [[3, 1], [-1, -1]],
+    [[2, 3], [-1, -1]], [[0, 3], [-1, -1]], [[0, 2], [-1, -1]], [[-1, -1], [-1, -1]],
+])
 
 
-def _edge_key(name: str, ix: int, iy: int):
-    if name == "T":
-        return ("h", ix, iy)
-    if name == "B":
-        return ("h", ix, iy + 1)
-    if name == "L":
-        return ("v", ix, iy)
-    return ("v", ix + 1, iy)
+def _march(inside: np.ndarray) -> list[np.ndarray]:
+    """Closed contour loops of a padded boolean grid ``inside[iy, ix]``.
 
-
-def _march(inside: np.ndarray) -> list[list[tuple]]:
-    """Closed contour loops (lists of edge keys) of a padded boolean grid."""
+    Each loop is an ``(m, 2)`` array of (x, y) grid coordinates of crossed
+    edge midpoints.  A crossing is the integer id ``kind * nx * ny + ix * ny
+    + iy`` of its edge (kind 0 for the horizontal edge right of grid point
+    (ix, iy), 1 for the vertical edge below it); loops start at the
+    smallest unvisited id and first step to the smaller neighbour.
+    """
     ny, nx = inside.shape
-    adjacency: dict[tuple, list[tuple]] = {}
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            code = (int(inside[iy, ix])
-                    | int(inside[iy, ix + 1]) << 1
-                    | int(inside[iy + 1, ix + 1]) << 2
-                    | int(inside[iy + 1, ix]) << 3)
-            for a, b in _CASES[code]:
-                ka, kb = _edge_key(a, ix, iy), _edge_key(b, ix, iy)
-                adjacency.setdefault(ka, []).append(kb)
-                adjacency.setdefault(kb, []).append(ka)
+    b = inside.astype(np.uint8)
+    codes = b[:-1, :-1] | b[:-1, 1:] << 1 | b[1:, 1:] << 2 | b[1:, :-1] << 3
+    iy, ix = np.nonzero((codes != 0) & (codes != 15))
+    segs = _SEGMENTS[codes[iy, ix]]
+    offsets = np.array([0, 1, nx * ny, nx * ny + ny])
+    ends = (ix * ny + iy)[:, None, None] + offsets[segs]
+    ends = ends[segs[..., 0] >= 0]
+    if not len(ends):
+        return []
 
     # every crossing midpoint is used by exactly one segment of each of its
     # two adjacent cells, so the contour graph is a union of simple cycles
-    loops = []
-    visited = set()
-    for start in sorted(adjacency):
-        if start in visited:
+    node = np.concatenate((ends[:, 0], ends[:, 1]))
+    other = np.concatenate((ends[:, 1], ends[:, 0]))
+    order = np.lexsort((other, node))
+    ids, other = node[order][::2], other[order]
+    lo = np.searchsorted(ids, other[::2]).tolist()
+    hi = np.searchsorted(ids, other[1::2]).tolist()
+
+    walk, starts = [], []
+    seen = [False] * len(ids)
+    for start in range(len(ids)):
+        if seen[start]:
             continue
-        loop = [start]
-        visited.add(start)
+        starts.append(len(walk))
         prev, current = None, start
-        while True:
-            a, b = sorted(adjacency[current])
-            nxt = b if a == prev else a
-            if nxt == start:
-                break
-            loop.append(nxt)
-            visited.add(nxt)
-            prev, current = current, nxt
-        loops.append(loop)
-    return loops
+        while not seen[current]:
+            walk.append(current)
+            seen[current] = True
+            prev, current = current, hi[current] if lo[current] == prev else lo[current]
 
-
-def _key_position(key: tuple, box, res: int) -> tuple[float, float]:
-    x0, x1, y0, y1 = box
-    dx = (x1 - x0) / res
-    dy = (y1 - y0) / res
-    kind, ix, iy = key
-    if kind == "h":
-        return (x0 + (ix + 0.5) * dx, y0 + iy * dy)
-    return (x0 + ix * dx, y0 + (iy + 0.5) * dy)
+    kind, rest = np.divmod(ids[walk], nx * ny)
+    gx, gy = np.divmod(rest, ny)
+    xy = np.stack((gx + 0.5 * (1 - kind), gy + 0.5 * kind), axis=1)
+    return np.split(xy, starts[1:])
 
 
 def _raster_path(region, box, res: int, transform: _Transform) -> str:
@@ -169,15 +157,14 @@ def _raster_path(region, box, res: int, transform: _Transform) -> str:
     padded = np.zeros((res + 3, res + 3), dtype=bool)
     padded[1:-1, 1:-1] = inside
 
+    x0, x1, y0, y1 = box
+    dx, dy = (x1 - x0) / res, (y1 - y0) / res
     parts = []
     for loop in _march(padded):
-        coords = []
-        for key in loop:
-            kind, ix, iy = key
-            mx, my = _key_position((kind, ix - 1, iy - 1), box, res)
-            coords.append(transform.px(mx, my))
-        d = "M" + "L".join(f"{_fmt(x)} {_fmt(y)}" for x, y in coords) + "Z"
-        parts.append(d)
+        # grid coordinates minus the one-cell pad, then plane, then pixels
+        px, py = transform.px(x0 + (loop[:, 0] - 1) * dx, y0 + (loop[:, 1] - 1) * dy)
+        parts.append("M" + "L".join(f"{_fmt(x)} {_fmt(y)}"
+                                     for x, y in zip(px.tolist(), py.tolist())) + "Z")
     return "".join(parts)
 
 

@@ -5,8 +5,7 @@ Two constructions: the diagonal similarity ``B = S^-1 A S`` with
 permutation-plus-shear similarity that first repairs eigenvectors that do
 contain zeros.  :func:`prepare` is the one path from ``(A, pair)`` to B:
 it picks the construction, checks the eigenpair once and reports the path
-taken.  A stochastic normalization is provided for nonnegative matrices
-with a positive eigenpair.
+taken.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    AllZeroError,
     Eigenpair,
     NoZeroError,
-    NotApplicableError,
     ZeroComponentError,
     as_matrix,
     require_eigenpair,
@@ -107,8 +104,6 @@ def desingularize(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Desingul
     v = pair.vector
     zero = zero_mask(v)
     k = int(zero.sum())
-    if k == v.size:
-        raise AllZeroError("eigenvector is entirely zero")
     if k == 0:
         raise NoZeroError("eigenvector has no zero components; use diag_similar")
 
@@ -142,20 +137,3 @@ def eigenpair_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> DiscU
     """Inclusion region for every eigenvalue of A other than the known one:
     the second-type discs of the transpose of B from :func:`prepare`."""
     return second_type_discs_of_transpose(prepare(matrix, pair, tol).B)
-
-
-def normalize_stochastic(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Row-stochastic matrix ``B / lambda`` for nonnegative A with positive pair.
-
-    Applicable when A is entrywise nonnegative, every v_i > 0 and lambda > 0
-    (the Perron case); raises NotApplicableError otherwise.
-    """
-    a = as_matrix(matrix)
-    if np.any(a < 0.0):
-        raise NotApplicableError("matrix has negative entries")
-    if np.any(pair.vector < 0.0):
-        raise NotApplicableError("eigenvector has negative entries")
-    if pair.value <= 0.0:
-        raise NotApplicableError("eigenvalue must be positive")
-    result = diag_similar(a, pair, tol)
-    return _frozen(result.B / pair.value)

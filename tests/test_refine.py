@@ -7,10 +7,10 @@ from eigenfence import (
     EvenSizeError,
     NotConstantRowSumError,
     OddSizeError,
+    RegionIntersection,
     contains,
     diag_similar,
     eigenvalues,
-    fg_intersection_region,
     nontrivial_values,
     refine_even,
     refine_odd,
@@ -154,34 +154,29 @@ def test_subset_odd_refinement():
     assert sampled_subset(fine, coarse).is_subset
 
 
+def fg_intersection(matrix) -> RegionIntersection:
+    """Intersection of the full second-type regions of F^T and G^T (odd n)."""
+    ref = refine_odd(matrix)
+    return RegionIntersection((second_type_discs_of_transpose(ref.F),
+                               second_type_discs_of_transpose(ref.G)))
+
+
 def test_pairwise_region_inside_two_region_intersection():
     rng = np.random.default_rng(29)
     for _ in range(10):
         n = int(rng.integers(1, 5)) * 2 + 1
         b, _lam = random_row_sum_matrix(rng, n)
         fine = refined_region_odd(b)
-        simple = fg_intersection_region(b)
+        simple = fg_intersection(b)
         assert sampled_subset(fine, simple, resolution=32).is_subset
 
 
 def test_pairwise_region_equals_simple_intersection_for_7x7():
     # for this matrix the two shapes agree as point sets (sampled both ways)
     fine = refined_region_odd(cases.PERRON7_B)
-    simple = fg_intersection_region(cases.PERRON7_B)
+    simple = fg_intersection(cases.PERRON7_B)
     assert sampled_subset(fine, simple).is_subset
     assert sampled_subset(simple, fine).is_subset
-
-
-def test_fg_intersection_membership_rowsum3():
-    region = fg_intersection_region(cases.ROWSUM3_A)
-    assert contains(region, -6.0)
-    assert contains(region, 5.0)
-
-
-def test_fg_intersection_zero_matrix():
-    region = fg_intersection_region(np.zeros((3, 3)))
-    assert contains(region, 0.0)
-    assert not contains(region, 1e-3)
 
 
 def test_refined_region_dispatches_on_parity():

@@ -1,8 +1,11 @@
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cases
 from eigenfence import (
@@ -19,6 +22,7 @@ from eigenfence import (
     render_svg,
     second_type_discs_of_transpose,
 )
+from eigenfence.render import _march
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,10 +54,19 @@ def scene_cassini_intersection() -> Scene:
                  points=((-6 + 0j, YELLOW), (5 + 0j, YELLOW)))
 
 
+def scene_odd_refinement() -> Scene:
+    """Second-type discs under the rasterized odd-size pair intersections
+    (the demo figure without its solver-computed markers)."""
+    blue = second_type_discs_of_transpose(cases.PERRON7_B)
+    turq = refined_region_odd(cases.PERRON7_B)
+    return Scene(layers=((blue, BLUE, 1.0), (turq, TURQUOISE, 1.0)))
+
+
 SCENES = {
     "disc_comparison": scene_disc_comparison,
     "refined_overlay": scene_refined_overlay,
     "cassini_intersection": scene_cassini_intersection,
+    "odd_refinement": scene_odd_refinement,
 }
 
 
@@ -176,3 +189,56 @@ def test_degenerate_viewport_rejected():
 def test_layer_order_is_paint_order():
     svg = render_svg(scene_refined_overlay())
     assert svg.index(GRAY) < svg.index(BLUE) < svg.index(TURQUOISE)
+
+
+# ---------------------------------------------------------------------------
+# contour pass: properties that hold for any correct marching squares
+# ---------------------------------------------------------------------------
+
+def _padded(rows) -> np.ndarray:
+    inner = np.array(rows, dtype=bool)
+    grid = np.zeros((inner.shape[0] + 2, inner.shape[1] + 2), dtype=bool)
+    grid[1:-1, 1:-1] = inner
+    return grid
+
+
+@st.composite
+def padded_grids(draw):
+    ny, nx = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cells = draw(st.lists(st.booleans(), min_size=ny * nx, max_size=ny * nx))
+    return _padded(np.reshape(cells, (ny, nx)))
+
+
+def _crossings(grid) -> list[tuple[float, float]]:
+    """(x, y) midpoints of the grid edges whose two ends differ in membership."""
+    hy, hx = np.nonzero(grid[:, :-1] != grid[:, 1:])
+    vy, vx = np.nonzero(grid[:-1, :] != grid[1:, :])
+    return sorted([(x + 0.5, float(y)) for x, y in zip(hx.tolist(), hy.tolist())]
+                  + [(float(x), y + 0.5) for x, y in zip(vx.tolist(), vy.tolist())])
+
+
+def _cells(point) -> set[tuple[int, int]]:
+    """Lower-left corners of the unit grid cells whose boundary holds ``point``."""
+    def spans(c):
+        return {math.floor(c)} if c % 1 else {int(c) - 1, int(c)}
+    x, y = point
+    return {(cx, cy) for cx in spans(x) for cy in spans(y)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_grids())
+@example(_padded([[1, 0], [0, 1]]))                   # saddle code 5
+@example(_padded([[0, 1], [1, 0]]))                   # saddle code 10
+@example(_padded([[1, 1, 1], [1, 0, 1], [1, 1, 1]]))  # hole
+@example(_padded([[1, 0, 1], [0, 0, 0], [1, 1, 0]]))  # several components
+@example(_padded([[0]]))                              # nothing inside
+def test_march_loops_trace_each_crossing_once(grid):
+    loops = _march(grid)
+    vertices = sorted(tuple(p) for loop in loops for p in loop.tolist())
+    assert vertices == _crossings(grid)
+    for loop in loops:
+        points = [tuple(p) for p in loop.tolist()]
+        assert len(points) >= 4
+        # closed: the last vertex steps back to the first within one cell
+        for a, b in zip(points, points[1:] + points[:1]):
+            assert _cells(a) & _cells(b)

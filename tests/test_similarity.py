@@ -7,12 +7,10 @@ from eigenfence import (
     Eigenpair,
     InvalidEigenpairError,
     NoZeroError,
-    NotApplicableError,
     ZeroComponentError,
     desingularize,
     diag_similar,
     eigenvalues,
-    normalize_stochastic,
     prepare,
 )
 from eigenfence.similarity import zero_mask
@@ -201,41 +199,3 @@ def test_prepare_checks_only_the_given_pair():
     np.testing.assert_allclose(sim.B.sum(axis=1), 5.0, rtol=1e-8)
     with pytest.raises(InvalidEigenpairError):
         prepare(a, Eigenpair(5.1, pair.vector))
-
-
-# ---------------------------------------------------------------------------
-# stochastic normalization
-# ---------------------------------------------------------------------------
-
-def test_stochastic_rows_sum_to_one():
-    p = normalize_stochastic(cases.PERRON6_A, cases.PERRON6_PAIR)
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_array_equal(p * 24.0, cases.PERRON6_B)
-    assert np.all(p >= 0.0)
-
-
-def test_stochastic_identity():
-    np.testing.assert_array_equal(
-        normalize_stochastic(np.eye(3), Eigenpair(1.0, np.ones(3))), np.eye(3))
-
-
-def test_stochastic_4x4_row():
-    p = normalize_stochastic(cases.PERRON4_A, cases.PERRON4_PAIR)
-    np.testing.assert_allclose(p[2] * 24.0, [8.0, 8.0, 2.0, 6.0], atol=1e-12)
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_stochastic_rejects_negative_matrix():
-    with pytest.raises(NotApplicableError):
-        normalize_stochastic(cases.SINGULAR6_A, cases.SINGULAR6_PAIR)
-
-
-def test_stochastic_rejects_nonpositive_eigenvalue():
-    a = np.eye(3)
-    with pytest.raises(NotApplicableError):
-        normalize_stochastic(a, Eigenpair(-1.0, np.ones(3)))
-
-
-def test_stochastic_rejects_negative_vector():
-    with pytest.raises(NotApplicableError):
-        normalize_stochastic(np.eye(3), Eigenpair(1.0, -np.ones(3)))
