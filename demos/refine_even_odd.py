@@ -52,7 +52,7 @@ B7 = ef.diag_similar(A7, pair7).B
 odd = ef.refine_odd(B7)
 print("\nodd-size shifts for F:", odd.f_shifts, " for G:", odd.g_shifts)
 
-region = ef.refined_region_odd(B7)
+region = odd.region()
 print("disc pairs (F disc | G disc):")
 for (ca, ra), (cb, rb) in region.pairs.tolist():
     print(f"  ({ca:g},{ra:g}) | ({cb:g},{rb:g})")

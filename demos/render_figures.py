@@ -61,7 +61,7 @@ B7 = ef.diag_similar(A7, pair7).B
 
 save("odd_refinement.svg", ef.Scene(
     layers=((ef.second_type_discs_of_transpose(B7), ef.BLUE, 1.0),
-            (ef.refined_region_odd(B7), ef.TURQUOISE, 1.0)),
+            (ef.refined_region(B7), ef.TURQUOISE, 1.0)),
     points=tuple((complex(z), ef.BLACK) for z in ef.eigenvalues(A7).values)))
 
 # ---- four-way Cassini intersection -------------------------------------------

@@ -39,23 +39,16 @@ from .similarity import (
     eigenpair_region,
     prepare,
 )
-from .discs import (
-    DiscUnion,
-    classic_discs,
-    second_type_discs_of_transpose,
-    second_type_radius,
-)
+from .discs import classic_discs, second_type_discs_of_transpose, second_type_radius
 from .refine import (
     EvenRefinement,
     OddRefinement,
-    PairIntersectionUnion,
     refine_even,
     refine_odd,
     refined_region,
-    refined_region_odd,
     refinement,
 )
-from .cassini import CassiniUnion, cassini_intersection_region, obr_intersection, obr_set
+from .cassini import cassini_intersection_region, obr_intersection, obr_set
 from .bounds import (
     BoundReport,
     SemiNorm,
@@ -67,7 +60,10 @@ from .bounds import (
     tau_inf,
 )
 from .geometry import (
+    CassiniUnion,
+    DiscUnion,
     MaxAbs,
+    PairIntersectionUnion,
     RegionIntersection,
     SubsetCheck,
     contains,

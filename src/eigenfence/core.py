@@ -65,7 +65,7 @@ class NotConstantRowSumError(EigenfenceError):
 
 
 class ConvergenceError(EigenfenceError):
-    """Eigenvalue iteration failed to converge within the retry budget."""
+    """The dense eigenvalue iteration failed to converge."""
 
 
 class ViewportError(EigenfenceError):

@@ -6,90 +6,17 @@ order and subtract the bottom-half sum from the top-half sum (the middle
 element is skipped when the count is odd).  The radius is nonnegative by
 construction because the top half dominates the bottom half.  All radii
 of a matrix come from one sort of its columns (:func:`sorted_columns`):
-``O(n^2 log n)`` time and ``O(n^2)`` memory.
+``O(n^2 log n)`` time and ``O(n^2)`` memory.  The discs are returned as a
+:class:`~eigenfence.geometry.DiscUnion`, whose membership, box and JSON
+live in :mod:`eigenfence.geometry` with the other region kinds.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import SizeError, as_matrix
-
-#: Relative slack used by all membership predicates.
-MEMBERSHIP_EPS = 1e-9
-
-#: Point-primitive pairs per membership block (one point at least).  On x86-64,
-#: 2^12 ran 1024 discs 2x slower (per-call overhead), 2^16 a 257^2 raster of
-#: ovals 2x slower (temporaries freshly paged in for every block).
-MEMBERSHIP_BLOCK = 1 << 15
-
-
-def _table(rows, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Read-only float copy of a table of rows of ``shape``; the last entry
-    of every row (a radius or an oval bound) must be >= 0."""
-    table = np.array(rows, dtype=float)
-    if table.shape[1:] != shape or len(table) == 0:
-        raise ValueError(f"a {what} needs one or more rows of shape {shape}")
-    if not np.all(table[..., -1] >= 0.0):
-        raise ValueError(f"{what} radii and bounds must be nonnegative")
-    table.setflags(write=False)
-    return table
-
-
-def _records(keys: tuple[str, ...], table: np.ndarray) -> list[dict]:
-    """The rows of a primitive table as JSON objects with ``keys``."""
-    return list(map(dict, map(zip, itertools.repeat(keys), table.tolist())))
-
-
-def _inside_discs(z, table) -> np.ndarray:
-    """Membership of points z in each disc of a [center, radius] table."""
-    r = table[..., 1]
-    # complex centers: a float operand would be cast inside the broadcast loop
-    return np.abs(z - table[..., 0].astype(complex)) <= r + MEMBERSHIP_EPS * (1.0 + r)
-
-
-def _members(z, table: np.ndarray, inside) -> np.ndarray:
-    """Points of z in the union of the primitives of ``table``.
-
-    ``inside(w, rows)`` maps p points and the table with an axis inserted
-    after the first to ``(m, p)`` booleans, so the points run along the
-    fast axis.  Blocks of ``MEMBERSHIP_BLOCK`` point-primitive pairs keep
-    every temporary small; the time is ``O(points * primitives)``.
-    """
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    hit = np.empty(flat.size, dtype=bool)
-    step = max(1, MEMBERSHIP_BLOCK // len(table))
-    for i in range(0, flat.size, step):
-        hit[i:i + step] = inside(flat[i:i + step], table[:, None]).any(axis=0)
-    return hit.reshape(z.shape)
-
-
-@dataclass(frozen=True, eq=False)
-class DiscUnion:
-    """Union of closed discs with real centers, index-aligned with the
-    matrix; ``discs`` is a read-only ``(n, 2)`` array of [center, radius]."""
-
-    discs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "discs", _table(self.discs, (2,), "disc union"))
-
-    def __len__(self) -> int:
-        return len(self.discs)
-
-    def contains_points(self, z) -> np.ndarray:
-        return _members(z, self.discs, _inside_discs)
-
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        c, r = self.discs.T
-        return (float((c - r).min()), float((c + r).max()), -float(r.max()), float(r.max()))
-
-    def to_json(self) -> dict:
-        return {"kind": "disc_union", "discs": _records(("center", "radius"), self.discs)}
+from .geometry import DiscUnion
 
 
 def sorted_columns(matrix, diag: float | None = None) -> np.ndarray:

@@ -1,26 +1,240 @@
-"""Membership, extremal modulus and sampled comparisons over regions.
+"""Regions: their tables, membership, extremal modulus and sampled comparisons.
 
-A region is a :class:`~eigenfence.discs.DiscUnion` (an ``(n, 2)`` array of
-[center, radius]), a :class:`~eigenfence.refine.PairIntersectionUnion`
-(``(n, 2, 2)``: two discs per column), a
-:class:`~eigenfence.cassini.CassiniUnion` (``(m, 3)`` of [c1, c2, bound]) or
-a :class:`RegionIntersection` of regions.  Membership tests blocks of points
-against all primitives at once: ``O(points * primitives)`` time in blocks
-of fixed size.  Intersections are never converted to explicit shapes;
-membership predicates compose instead, and set comparisons are sampled
-(boundary points plus a grid over the bounding box).
+A region is a :class:`DiscUnion` (an ``(n, 2)`` array of [center, radius]),
+a :class:`PairIntersectionUnion` (``(n, 2, 2)``: two discs per column), a
+:class:`CassiniUnion` (``(m, 3)`` of [c1, c2, bound]) or a
+:class:`RegionIntersection` of regions.  The three table kinds share one
+base: it validates the table and owns membership, the bounding box, the
+extremal modulus, boundary samples and JSON, while each kind supplies only
+its formulas.  Membership tests blocks of points against all primitives at
+once: ``O(points * primitives)`` time in blocks of fixed size, with one
+relative slack for every kind (:func:`_within`).  Intersections are never
+converted to explicit shapes; membership predicates compose instead, and
+set comparisons are sampled (boundary points plus a grid over the bounding
+box).  This module imports no other eigenfence module.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .cassini import CassiniUnion, _inside_ovals
-from .discs import DiscUnion
-from .refine import PairIntersectionUnion
+#: Relative slack used by all membership predicates.
+MEMBERSHIP_EPS = 1e-9
+
+#: Point-primitive pairs per membership block (one point at least).  On x86-64,
+#: 2^12 ran 1024 discs 2x slower (per-call overhead), 2^16 a 257^2 raster of
+#: ovals 2x slower (temporaries freshly paged in for every block).
+MEMBERSHIP_BLOCK = 1 << 15
+
+
+class MaxAbs(NamedTuple):
+    value: float
+    exact: bool
+
+
+class SubsetCheck(NamedTuple):
+    is_subset: bool
+    witness: complex | None
+
+
+def _within(size, bound):
+    """``size <= bound`` up to the membership slack, relative to the bound."""
+    return size <= bound + MEMBERSHIP_EPS * (1.0 + bound)
+
+
+def _records(keys: tuple[str, ...], rows: list, depth: int) -> list:
+    """Nested lists of table rows as nested lists of JSON objects with ``keys``."""
+    if depth:
+        return [_records(keys, r, depth - 1) for r in rows]
+    return list(map(dict, map(zip, itertools.repeat(keys), rows)))
+
+
+def _rows(keys: tuple[str, ...], records: list, depth: int) -> list:
+    """Inverse of :func:`_records`."""
+    if depth:
+        return [_rows(keys, r, depth - 1) for r in records]
+    return [[rec[k] for k in keys] for rec in records]
+
+
+class _Union:
+    """Union of primitive shapes held in one read-only table, one row each.
+
+    A kind names its table field, row shape, JSON kind and record keys, and
+    supplies its formulas as static functions of (a slice of) the table:
+    ``_inside(z, table)`` maps p points and a table with an axis inserted
+    after the first to ``(m, p)`` booleans, ``_extents`` gives each row's
+    ``(x0, x1, half-height)``, ``_reach`` each row's largest modulus and
+    ``_samples`` points on each row's boundary (or the kind overrides
+    :meth:`boundary_points`).  ``_exact`` says whether that modulus is
+    attained.
+    """
+
+    _field: str
+    _shape: tuple[int, ...]
+    _kind: str
+    _keys: tuple[str, ...]
+    _exact = False
+
+    def __post_init__(self):
+        table, what = np.array(getattr(self, self._field), dtype=float), type(self).__name__
+        if table.shape[1:] != self._shape or len(table) == 0:
+            raise ValueError(f"a {what} needs one or more rows of shape {self._shape}")
+        if not np.all(table[..., -1] >= 0.0):
+            raise ValueError(f"{what} radii and bounds must be nonnegative")
+        table.setflags(write=False)
+        object.__setattr__(self, self._field, table)
+
+    @property
+    def table(self) -> np.ndarray:
+        return getattr(self, self._field)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def contains_points(self, z) -> np.ndarray:
+        """Points of z in the union.  Blocks of ``MEMBERSHIP_BLOCK``
+        point-primitive pairs keep every temporary small; the points run
+        along the fast axis."""
+        z = np.asarray(z, dtype=complex)
+        table = self.table
+        flat = z.ravel()
+        hit = np.empty(flat.size, dtype=bool)
+        step = max(1, MEMBERSHIP_BLOCK // len(table))
+        for i in range(0, flat.size, step):
+            hit[i:i + step] = self._inside(flat[i:i + step], table[:, None]).any(axis=0)
+        return hit.reshape(z.shape)
+
+    def bounding_box(self) -> tuple[float, float, float, float]:
+        x0, x1, h = self._extents(self.table)
+        keep = x0 <= x1
+        keep = keep if keep.any() else ~keep   # no disc pair overlaps: fall back to all
+        return (float(x0[keep].min()), float(x1[keep].max()),
+                -float(h[keep].max()), float(h[keep].max()))
+
+    def max_abs(self) -> MaxAbs:
+        return MaxAbs(float(self._reach(self.table).max()), self._exact)
+
+    def boundary_points(self, angles: int = 256) -> np.ndarray:
+        """Boundary samples kept where they lie in the region, which drops
+        unattained arcs of disc pairs and disc samples that rounding put
+        outside (center 1e8, radius 1e-3)."""
+        pts = self._samples(self.table, angles)
+        return pts[self.contains_points(pts)]
+
+    def to_json(self) -> dict:
+        return {"kind": self._kind,
+                self._field: _records(self._keys, self.table.tolist(), len(self._shape) - 1)}
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        return cls(_rows(cls._keys, doc[cls._field], len(cls._shape) - 1))
+
+
+@dataclass(frozen=True, eq=False)
+class DiscUnion(_Union):
+    """Union of closed discs with real centers, index-aligned with the
+    matrix; ``discs`` is a read-only ``(n, 2)`` array of [center, radius].
+    Its :meth:`max_abs` (``max |c| + r``) is exact."""
+
+    discs: np.ndarray
+
+    _field, _shape, _kind, _keys, _exact = "discs", (2,), "disc_union", ("center", "radius"), True
+
+    @staticmethod
+    def _inside(z, table):
+        # complex centers: a float operand would be cast inside the broadcast loop
+        return _within(np.abs(z - table[..., 0].astype(complex)), table[..., 1])
+
+    @staticmethod
+    def _extents(table):
+        c, r = table[..., 0], table[..., 1]
+        return c - r, c + r, r
+
+    @staticmethod
+    def _reach(table):
+        return np.abs(table[..., 0]) + table[..., 1]
+
+    @staticmethod
+    def _samples(table, angles):
+        theta = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
+        return (table[..., 0, None] + table[..., 1, None] * np.exp(1j * theta)).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class PairIntersectionUnion(_Union):
+    """Union over columns j of the intersection of the two per-column discs;
+    ``pairs`` is a read-only ``(n, 2, 2)`` array of [F disc, G disc] per
+    column, each disc a [center, radius] row.  Each pair's extent and reach
+    are the tighter of its two discs'."""
+
+    pairs: np.ndarray
+
+    _field, _shape, _keys = "pairs", (2, 2), ("center", "radius")
+    _kind = "pairwise_intersection_union"
+
+    @staticmethod
+    def _inside(z, table):
+        return DiscUnion._inside(z, table[..., 0, :]) & DiscUnion._inside(z, table[..., 1, :])
+
+    @staticmethod
+    def _extents(table):
+        x0, x1, h = DiscUnion._extents(table)
+        return x0.max(axis=-1), x1.min(axis=-1), h.min(axis=-1)
+
+    @staticmethod
+    def _reach(table):
+        return DiscUnion._reach(table).min(axis=-1)
+
+    _samples = staticmethod(DiscUnion._samples)
+
+
+@dataclass(frozen=True, eq=False)
+class CassiniUnion(_Union):
+    """Union of ovals of Cassini ``|z - c1| * |z - c2| <= bound``; ``ovals``
+    is a read-only ``(m, 3)`` array of [c1, c2, bound] rows.  Every member
+    is within sqrt(bound) of the nearer focus."""
+
+    ovals: np.ndarray
+
+    _field, _shape, _kind, _keys = "ovals", (3,), "cassini_union", ("c1", "c2", "bound")
+
+    @staticmethod
+    def _inside(z, table):
+        c1, c2 = table[..., 0].astype(complex), table[..., 1].astype(complex)
+        return _within(np.abs(z - c1) * np.abs(z - c2), table[..., 2])
+
+    @staticmethod
+    def _extents(table):
+        c1, c2, reach = table[..., 0], table[..., 1], np.sqrt(table[..., 2])
+        return np.minimum(c1, c2) - reach, np.maximum(c1, c2) + reach, reach
+
+    @staticmethod
+    def _reach(table):
+        return np.maximum(np.abs(table[..., 0]), np.abs(table[..., 1])) + np.sqrt(table[..., 2])
+
+    def boundary_points(self, angles: int = 256) -> np.ndarray:
+        """Outermost membership crossings along rays from each focus, oval by
+        oval (first focus, then second), by bisection on every ray at once.
+        The bisection keeps only accepted points, so every sample belongs to
+        its own oval."""
+        ovals = self.ovals
+        c1, c2, b = (col[:, None, None] for col in ovals.T)
+        reach = np.sqrt(b) + np.abs(c1 - c2) + 1.0
+        theta = np.linspace(0.0, 2.0 * np.pi, angles // 2, endpoint=False)
+        directions = np.exp(1j * theta)
+        focus = np.concatenate((c1, c2), axis=1)
+        lo = np.zeros((len(ovals), 2, theta.size))
+        hi = np.broadcast_to(reach, lo.shape)
+        for _ in range(40):
+            mid = (lo + hi) / 2.0
+            inside = self._inside(focus + mid * directions, ovals[:, None, None])
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid)
+        return (focus + lo * directions).ravel()
 
 
 @dataclass(frozen=True)
@@ -29,16 +243,19 @@ class RegionIntersection:
 
     parts: tuple
 
+    _kind = "intersection"
+
     def __post_init__(self):
         if not self.parts:
             raise ValueError("an intersection needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
 
     def contains_points(self, z) -> np.ndarray:
+        """Each part tests only the points every earlier part accepted."""
         z = np.asarray(z, dtype=complex)
-        hit = np.ones(z.shape, dtype=bool)
-        for part in self.parts:
-            hit &= part.contains_points(z)
+        hit = self.parts[0].contains_points(z)
+        for part in self.parts[1:]:
+            hit[hit] = part.contains_points(z[hit])
         return hit
 
     def bounding_box(self) -> tuple[float, float, float, float]:
@@ -51,18 +268,19 @@ class RegionIntersection:
             return boxes[0]
         return box
 
+    def max_abs(self) -> MaxAbs:
+        return MaxAbs(min(p.max_abs().value for p in self.parts), False)
+
+    def boundary_points(self, angles: int = 256) -> np.ndarray:
+        pts = np.concatenate([p.boundary_points(angles) for p in self.parts])
+        return pts[self.contains_points(pts)]
+
     def to_json(self) -> dict:
-        return {"kind": "intersection", "parts": [p.to_json() for p in self.parts]}
+        return {"kind": self._kind, "parts": [p.to_json() for p in self.parts]}
 
-
-class MaxAbs(NamedTuple):
-    value: float
-    exact: bool
-
-
-class SubsetCheck(NamedTuple):
-    is_subset: bool
-    witness: complex | None
+    @classmethod
+    def from_json(cls, doc: dict):
+        return cls(tuple(region_from_json(p) for p in doc["parts"]))
 
 
 def contains(region, z) -> bool:
@@ -78,63 +296,13 @@ def max_abs(region) -> MaxAbs:
     the smallest bound among their parts, ovals use focus distance plus
     sqrt(bound).  The flag says which case applies.
     """
-    if isinstance(region, DiscUnion):
-        c, r = region.discs.T
-        return MaxAbs(float((np.abs(c) + r).max()), True)
-    if isinstance(region, PairIntersectionUnion):
-        reach = np.abs(region.pairs[..., 0]) + region.pairs[..., 1]
-        return MaxAbs(float(reach.min(axis=1).max()), False)
-    if isinstance(region, CassiniUnion):
-        c1, c2, b = region.ovals.T
-        return MaxAbs(float((np.maximum(np.abs(c1), np.abs(c2)) + np.sqrt(b)).max()), False)
-    if isinstance(region, RegionIntersection):
-        return MaxAbs(min(max_abs(p).value for p in region.parts), False)
-    raise TypeError(f"not a region: {type(region).__name__}")
-
-
-def _disc_boundary(table: np.ndarray, angles: int) -> np.ndarray:
-    theta = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
-    c, r = table[:, 0, None], table[:, 1, None]
-    return (c + r * np.exp(1j * theta)).ravel()
-
-
-def _oval_boundary(ovals: np.ndarray, angles: int) -> np.ndarray:
-    """Outermost membership crossings along rays from each focus, oval by
-    oval (first focus, then second), by bisection on every ray at once."""
-    c1, c2, b = (col[:, None, None] for col in ovals.T)
-    reach = np.sqrt(b) + np.abs(c1 - c2) + 1.0
-    theta = np.linspace(0.0, 2.0 * np.pi, angles // 2, endpoint=False)
-    directions = np.exp(1j * theta)
-    focus = np.concatenate((c1, c2), axis=1)
-    lo = np.zeros((len(ovals), 2, theta.size))
-    hi = np.broadcast_to(reach, lo.shape)
-    for _ in range(40):
-        mid = (lo + hi) / 2.0
-        inside = _inside_ovals(focus + mid * directions, ovals[:, None, None])
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return (focus + lo * directions).ravel()
+    return region.max_abs()
 
 
 def boundary_points(region, angles: int = 256) -> np.ndarray:
-    """Representative boundary samples of a region's primitive shapes.
-
-    Oval samples all belong to their own oval (the bisection keeps only
-    accepted points).  Other kinds keep the samples inside the region, which
-    drops unattained parts of intersections and disc samples that rounding
-    put outside (center 1e8, radius 1e-3).
-    """
-    if isinstance(region, CassiniUnion):
-        return _oval_boundary(region.ovals, angles)
-    if isinstance(region, DiscUnion):
-        pts = _disc_boundary(region.discs, angles)
-    elif isinstance(region, PairIntersectionUnion):
-        pts = _disc_boundary(region.pairs.reshape(-1, 2), angles)
-    elif isinstance(region, RegionIntersection):
-        pts = np.concatenate([boundary_points(p, angles) for p in region.parts])
-    else:
-        raise TypeError(f"not a region: {type(region).__name__}")
-    return pts[region.contains_points(pts)]
+    """Representative boundary samples of a region's primitive shapes, all
+    inside the region (see each kind's ``boundary_points``)."""
+    return region.boundary_points(angles)
 
 
 def sampled_subset(region_a, region_b, resolution: int = 64) -> SubsetCheck:
@@ -165,6 +333,9 @@ def sampled_subset(region_a, region_b, resolution: int = 64) -> SubsetCheck:
 # JSON round-trip
 # ---------------------------------------------------------------------------
 
+_KINDS = (DiscUnion, PairIntersectionUnion, CassiniUnion, RegionIntersection)
+
+
 def region_to_json(region) -> dict:
     return region.to_json()
 
@@ -172,13 +343,7 @@ def region_to_json(region) -> dict:
 def region_from_json(doc: dict):
     """Rebuild a region from its documented JSON form."""
     kind = doc.get("kind")
-    if kind == "disc_union":
-        return DiscUnion([[d["center"], d["radius"]] for d in doc["discs"]])
-    if kind == "pairwise_intersection_union":
-        return PairIntersectionUnion([[[a["center"], a["radius"]], [b["center"], b["radius"]]]
-                                      for a, b in doc["pairs"]])
-    if kind == "cassini_union":
-        return CassiniUnion([[o["c1"], o["c2"], o["bound"]] for o in doc["ovals"]])
-    if kind == "intersection":
-        return RegionIntersection(tuple(region_from_json(p) for p in doc["parts"]))
+    for cls in _KINDS:
+        if cls._kind == kind:
+            return cls.from_json(doc)
     raise ValueError(f"unknown region kind: {kind!r}")

@@ -6,13 +6,11 @@ command use it to check membership, bounds and similarity claims.
 
 Eigenvalues come from LAPACK's standard dense path (Hessenberg reduction
 followed by shifted QR triangularization, via ``numpy.linalg``).  On the
-rare non-convergence the matrix is retried under a random orthogonal
-similarity; the seed comes from the EIGENFENCE_SEED environment variable.
+rare non-convergence it raises :class:`~eigenfence.core.ConvergenceError`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,18 +20,12 @@ from .core import ConvergenceError, SizeError, as_matrix
 #: Largest dimension accepted (desk scale).
 MAX_N = 64
 
-#: Orthogonal-similarity retries before giving up.
-MAX_RETRIES = 4
-
-SEED_ENV = "EIGENFENCE_SEED"
-
 
 @dataclass(frozen=True)
 class Spectrum:
     """All n eigenvalues (with multiplicity) sorted by modulus, descending."""
 
     values: np.ndarray
-    residual_bound: float
 
     def __len__(self) -> int:
         return self.values.size
@@ -46,19 +38,10 @@ def _sorted_spectrum(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _retry_seed() -> int:
-    raw = os.environ.get(SEED_ENV, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def eigenvalues(matrix) -> Spectrum:
     """Full spectrum of a dense real matrix, n <= 64.
 
-    Complex values occur in conjugate pairs.  The reported residual bound
-    is the backward-error scale of the dense solve, eps * n * ||A||_F.
+    Complex values occur in conjugate pairs.
     """
     a = as_matrix(matrix)
     n = a.shape[0]
@@ -66,21 +49,9 @@ def eigenvalues(matrix) -> Spectrum:
         raise SizeError(f"oracle is desk-scale only (n <= {MAX_N}), got n = {n}")
     try:
         values = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError:
-        values = None
-        rng = np.random.default_rng(_retry_seed())
-        for _ in range(MAX_RETRIES):
-            q, _r = np.linalg.qr(rng.normal(size=(n, n)))
-            try:
-                values = np.linalg.eigvals(q.T @ a @ q)
-                break
-            except np.linalg.LinAlgError:
-                continue
-        if values is None:
-            raise ConvergenceError(
-                f"eigenvalue iteration failed after {MAX_RETRIES} orthogonal retries")
-    bound = float(np.finfo(float).eps * n * np.linalg.norm(a, "fro"))
-    return Spectrum(values=_sorted_spectrum(values), residual_bound=bound)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    return Spectrum(values=_sorted_spectrum(values))
 
 
 def determinant(matrix) -> float:

@@ -5,7 +5,9 @@ of the off-diagonal entries from each column yields a new constant row-sum
 matrix whose second-type region is contained in that of B^T and still
 holds every non-trivial eigenvalue.  Even sizes use one shifted matrix F;
 odd sizes use a pair F, G whose per-column disc intersections form the
-refined region.
+refined region, a :class:`~eigenfence.geometry.PairIntersectionUnion`.
+Every entry point here expects a constant row-sum matrix, checked once by
+:func:`row_sum_constant`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EvenSizeError, NotConstantRowSumError, OddSizeError, SizeError, as_matrix
-from .discs import (MEMBERSHIP_EPS, DiscUnion, _inside_discs, _members, _records, _table,
-                    second_type_discs_of_transpose, sorted_columns)
+from .discs import second_type_discs_of_transpose, sorted_columns
+from .geometry import DiscUnion, PairIntersectionUnion
+
+#: Relative tolerance on the spread of the row sums of a constant row-sum matrix.
+ROW_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,53 +60,17 @@ class OddRefinement:
         return PairIntersectionUnion(np.stack((f_discs, g_discs), axis=1))
 
 
-def _inside_pairs(z, table) -> np.ndarray:
-    """Membership of points z in both discs of each [F disc, G disc] pair."""
-    return _inside_discs(z, table[..., 0, :]) & _inside_discs(z, table[..., 1, :])
-
-
-@dataclass(frozen=True, eq=False)
-class PairIntersectionUnion:
-    """Union over columns j of the intersection of the two per-column discs;
-    ``pairs`` is a read-only ``(n, 2, 2)`` array of [F disc, G disc] per
-    column, each disc a [center, radius] row."""
-
-    pairs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", _table(self.pairs, (2, 2), "disc pair union"))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def contains_points(self, z) -> np.ndarray:
-        return _members(z, self.pairs, _inside_pairs)
-
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        c, r = self.pairs[..., 0], self.pairs[..., 1]
-        x0, x1, reach = (c - r).max(axis=1), (c + r).min(axis=1), r.min(axis=1)
-        keep = x0 <= x1
-        keep = keep if keep.any() else ~keep   # no pair overlaps: fall back to all
-        return (float(x0[keep].min()), float(x1[keep].max()),
-                -float(reach[keep].max()), float(reach[keep].max()))
-
-    def to_json(self) -> dict:
-        discs = _records(("center", "radius"), self.pairs.reshape(-1, 2))
-        return {"kind": "pairwise_intersection_union",
-                "pairs": list(map(list, zip(discs[::2], discs[1::2])))}
-
-
-def row_sum_constant(matrix, rel_tol: float = MEMBERSHIP_EPS) -> float:
-    """The shared row sum of a constant row-sum matrix.
+def row_sum_constant(matrix) -> float:
+    """The shared row sum of a constant row-sum matrix, already validated
+    by :func:`~eigenfence.core.as_matrix`.
 
     Raises NotConstantRowSumError when the row sums deviate by more than
-    ``rel_tol * (1 + |mean sum|)``.
+    ``ROW_SUM_TOL * (1 + |mean sum|)``.
     """
-    m = as_matrix(matrix)
-    sums = m.sum(axis=1)
+    sums = np.sum(matrix, axis=1)
     lam = float(sums.mean())
     spread = float(sums.max() - sums.min())
-    if spread > rel_tol * (1.0 + abs(lam)):
+    if spread > ROW_SUM_TOL * (1.0 + abs(lam)):
         raise NotConstantRowSumError(
             f"row sums spread {spread:.3e} exceeds tolerance (mean sum {lam:g})")
     return lam
@@ -152,11 +121,6 @@ def refinement(matrix) -> EvenRefinement | OddRefinement:
     even n, the pair F, G for odd n."""
     b = as_matrix(matrix)
     return refine_even(b) if b.shape[0] % 2 == 0 else refine_odd(b)
-
-
-def refined_region_odd(matrix) -> PairIntersectionUnion:
-    """Odd-size refined region: :meth:`OddRefinement.region` of :func:`refine_odd`."""
-    return refine_odd(matrix).region()
 
 
 def refined_region(matrix):

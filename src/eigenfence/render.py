@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ViewportError
-from .discs import DiscUnion
+from .geometry import DiscUnion
 
 GRAY = "#c8c8c8"
 BLUE = "#4477dd"
@@ -25,6 +25,9 @@ YELLOW = "#ffcc00"
 
 #: fraction of the content extent added around an auto-fitted viewport
 AUTO_PAD = 0.10
+
+#: width and height of every document, in pixels
+SIZE_PX = 640
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ class Scene:
     layers: tuple = ()
     points: tuple = ()
     viewport: tuple[float, float, float, float] | None = None
-    size_px: int = 640
     raster_res: int = 256
 
     def __post_init__(self):
@@ -78,10 +80,9 @@ def _fmt(x: float) -> str:
 
 
 class _Transform:
-    def __init__(self, box, size_px):
+    def __init__(self, box):
         self.x0, self.x1, self.y0, self.y1 = box
-        self.size = size_px
-        self.scale = size_px / (self.x1 - self.x0)
+        self.scale = SIZE_PX / (self.x1 - self.x0)
 
     def px(self, x: float, y: float) -> tuple[float, float]:
         return ((x - self.x0) * self.scale, (self.y1 - y) * self.scale)
@@ -175,16 +176,13 @@ def _raster_path(region, box, res: int, transform: _Transform) -> str:
 def render_svg(scene: Scene) -> str:
     """Render a scene to an SVG document string (deterministic)."""
     box = _squared(scene.viewport if scene.viewport is not None else _auto_box(scene))
-    size = int(scene.size_px)
-    if size <= 0:
-        raise ViewportError(f"size_px must be positive, got {size}")
-    t = _Transform(box, size)
+    t = _Transform(box)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE_PX}" height="{SIZE_PX}" '
+        f'viewBox="0 0 {SIZE_PX} {SIZE_PX}">',
+        f'<rect x="0" y="0" width="{SIZE_PX}" height="{SIZE_PX}" fill="#ffffff"/>',
     ]
 
     for region, color, opacity in scene.layers:
@@ -205,11 +203,11 @@ def render_svg(scene: Scene) -> str:
     x0, x1, y0, y1 = box
     if x0 <= 0.0 <= x1:
         px, _ = t.px(0.0, 0.0)
-        out.append(f'<line x1="{_fmt(px)}" y1="0" x2="{_fmt(px)}" y2="{size}" '
+        out.append(f'<line x1="{_fmt(px)}" y1="0" x2="{_fmt(px)}" y2="{SIZE_PX}" '
                    'stroke="#555555" stroke-width="1"/>')
     if y0 <= 0.0 <= y1:
         _, py = t.px(0.0, 0.0)
-        out.append(f'<line x1="0" y1="{_fmt(py)}" x2="{size}" y2="{_fmt(py)}" '
+        out.append(f'<line x1="0" y1="{_fmt(py)}" x2="{SIZE_PX}" y2="{_fmt(py)}" '
                    'stroke="#555555" stroke-width="1"/>')
 
     for z, color in scene.points:

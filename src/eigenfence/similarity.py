@@ -22,7 +22,8 @@ from .core import (
     as_matrix,
     require_eigenpair,
 )
-from .discs import DiscUnion, second_type_discs_of_transpose
+from .discs import second_type_discs_of_transpose
+from .geometry import DiscUnion
 
 #: Relative threshold under which an eigenvector component counts as zero.
 ZERO_TOL_FACTOR = 1e-12

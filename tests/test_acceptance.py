@@ -35,7 +35,6 @@ from eigenfence import (
     refine_even,
     refine_odd,
     refined_region,
-    refined_region_odd,
     render_svg,
     sampled_subset,
     second_type_discs_of_transpose,
@@ -122,7 +121,7 @@ def test_perron7_odd_refinement():
         expected = (cases.PERRON7_F[:, j].tolist(), cases.PERRON7_G[:, j].tolist())
         assert ours == expected or ours == expected[::-1]
 
-    region = refined_region_odd(cases.PERRON7_B)
+    region = refined_region(cases.PERRON7_B)
     for z in nontrivial_values(eigenvalues(cases.PERRON7_A), 15.0):
         assert contains(region, z)
 

@@ -189,6 +189,16 @@ def test_eig_problem_json(perron4, capsys):
     assert lines[0] == "24"
 
 
+def test_eig_nonconvergence_is_a_math_error(perron4, monkeypatch, capsys):
+    def fails(a):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fails)
+    assert main(["eig", perron4]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_validate_ok(perron6, capsys):
     assert main(["validate", perron6]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -12,7 +12,7 @@ from eigenfence import (
     eigenpair_region,
     max_abs,
     obr_set,
-    refined_region_odd,
+    refined_region,
     region_from_json,
     region_to_json,
     sampled_subset,
@@ -57,6 +57,34 @@ def test_intersection_monotone():
                 assert contains(part, z)
 
 
+class Spy:
+    """A region that records the points it is asked about."""
+
+    def __init__(self, region):
+        self.region, self.seen = region, []
+
+    def contains_points(self, z):
+        self.seen.append(np.asarray(z).copy())
+        return self.region.contains_points(z)
+
+
+def test_intersection_tests_each_part_on_survivors_only():
+    parts = (DiscUnion([[0.0, 1.5]]), CassiniUnion([[0.5, 1.5, 0.8]]),
+             PairIntersectionUnion([[[0.0, 2.0], [1.0, 1.0]]]))
+    spies = tuple(map(Spy, parts))
+    gx, gy = np.meshgrid(np.linspace(-3.0, 3.0, 61), np.linspace(-2.0, 2.0, 41))
+    z = gx + 1j * gy
+    hits = [p.contains_points(z) for p in parts]
+    hit = RegionIntersection(spies).contains_points(z)
+    assert hit.shape == z.shape
+    assert np.array_equal(hit, hits[0] & hits[1] & hits[2])
+    assert np.array_equal(spies[1].seen[0], z[hits[0]])
+    assert np.array_equal(spies[2].seen[0], z[hits[0] & hits[1]])
+    assert 0 < hit.sum() < spies[2].seen[0].size < spies[1].seen[0].size < z.size
+    region = RegionIntersection(parts)
+    assert contains(region, 0.5) and not contains(region, -1.4)
+
+
 def test_max_abs_disc_union_exact():
     result = max_abs(worked_region())
     assert result == (22.0, True)
@@ -78,7 +106,7 @@ def test_max_abs_sound_for_members():
     rng = np.random.default_rng(83)
     regions = [
         worked_region(),
-        refined_region_odd(cases.PERRON7_B),
+        refined_region(cases.PERRON7_B),
         obr_set(cases.ROWSUM3_G),
         RegionIntersection((worked_region(),)),
     ]
@@ -91,7 +119,7 @@ def test_max_abs_sound_for_members():
 
 
 def test_sampled_subset_reflexive():
-    for region in (worked_region(), refined_region_odd(cases.PERRON7_B),
+    for region in (worked_region(), refined_region(cases.PERRON7_B),
                    obr_set(cases.ROWSUM3_G)):
         check = sampled_subset(region, region)
         assert check.is_subset and check.witness is None

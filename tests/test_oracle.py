@@ -10,7 +10,6 @@ from eigenfence import (
     diag_similar,
     eigenvalues,
 )
-from eigenfence import oracle
 
 
 def test_worked_6x6_spectrum():
@@ -84,22 +83,6 @@ def test_size_cap():
         determinant(np.eye(65))
 
 
-def test_retry_path_recovers(monkeypatch):
-    calls = {"n": 0}
-    real = np.linalg.eigvals
-
-    def flaky(a):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise np.linalg.LinAlgError("no convergence")
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", flaky)
-    values = eigenvalues(cases.ROWSUM3_A).values
-    assert calls["n"] == 2
-    np.testing.assert_allclose(np.sort(values.real), [-6.0, 5.0, 24.0], atol=1e-7)
-
-
 def test_retry_exhaustion(monkeypatch):
     def always_fails(a):
         raise np.linalg.LinAlgError("no convergence")
@@ -108,9 +91,3 @@ def test_retry_exhaustion(monkeypatch):
     with pytest.raises(ConvergenceError):
         eigenvalues(cases.ROWSUM3_A)
 
-
-def test_retry_seed_env(monkeypatch):
-    monkeypatch.setenv(oracle.SEED_ENV, "12345")
-    assert oracle._retry_seed() == 12345
-    monkeypatch.setenv(oracle.SEED_ENV, "junk")
-    assert oracle._retry_seed() == 0

@@ -15,7 +15,6 @@ from eigenfence import (
     refine_even,
     refine_odd,
     refined_region,
-    refined_region_odd,
     refinement,
     sampled_subset,
     second_type_discs_of_transpose,
@@ -66,7 +65,7 @@ def test_region_invariant_under_per_column_pair_swap():
     # F/G labeling of a column cannot change the region
     from eigenfence import PairIntersectionUnion
 
-    region = refined_region_odd(cases.PERRON7_B)
+    region = refined_region(cases.PERRON7_B)
     pairs = region.pairs.copy()
     pairs[3] = pairs[3, ::-1]
     swapped = PairIntersectionUnion(pairs)
@@ -120,7 +119,7 @@ def test_shifted_matrices_stay_constant_row_sum():
 # ---------------------------------------------------------------------------
 
 def test_region_odd_single_disc_hull():
-    region = refined_region_odd(cases.PERRON7_B)
+    region = refined_region(cases.PERRON7_B)
     assert len(region) == 7
     # the whole region collapses into its first pair's disc
     first_c, first_r = region.pairs[0][0].tolist()
@@ -131,13 +130,13 @@ def test_region_odd_single_disc_hull():
 
 
 def test_region_odd_membership_7x7():
-    region = refined_region_odd(cases.PERRON7_B)
+    region = refined_region(cases.PERRON7_B)
     for z in nontrivial_values(eigenvalues(cases.PERRON7_A), 15.0):
         assert contains(region, z)
 
 
 def test_region_odd_zero_matrix_is_origin():
-    region = refined_region_odd(np.zeros((3, 3)))
+    region = refined_region(np.zeros((3, 3)))
     assert contains(region, 0.0)
     assert not contains(region, 0.5)
 
@@ -149,7 +148,7 @@ def test_subset_even_refinement():
 
 
 def test_subset_odd_refinement():
-    fine = refined_region_odd(cases.PERRON7_B)
+    fine = refined_region(cases.PERRON7_B)
     coarse = second_type_discs_of_transpose(cases.PERRON7_B)
     assert sampled_subset(fine, coarse).is_subset
 
@@ -166,14 +165,14 @@ def test_pairwise_region_inside_two_region_intersection():
     for _ in range(10):
         n = int(rng.integers(1, 5)) * 2 + 1
         b, _lam = random_row_sum_matrix(rng, n)
-        fine = refined_region_odd(b)
+        fine = refined_region(b)
         simple = fg_intersection(b)
         assert sampled_subset(fine, simple, resolution=32).is_subset
 
 
 def test_pairwise_region_equals_simple_intersection_for_7x7():
     # for this matrix the two shapes agree as point sets (sampled both ways)
-    fine = refined_region_odd(cases.PERRON7_B)
+    fine = refined_region(cases.PERRON7_B)
     simple = fg_intersection(cases.PERRON7_B)
     assert sampled_subset(fine, simple).is_subset
     assert sampled_subset(simple, fine).is_subset
@@ -192,7 +191,7 @@ def test_refinement_carries_its_region():
     np.testing.assert_array_equal(odd.G, refine_odd(cases.PERRON7_B).G)
     assert list(even.matrices) == ["F"] and list(odd.matrices) == ["F", "G"]
     assert even.region().to_json() == refined_region(cases.PERRON6_B).to_json()
-    assert odd.region().to_json() == refined_region_odd(cases.PERRON7_B).to_json()
+    assert odd.region().to_json() == refined_region(cases.PERRON7_B).to_json()
 
 
 def test_random_membership_even_and_odd():

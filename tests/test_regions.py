@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenfence import CassiniUnion, DiscUnion, PairIntersectionUnion, max_abs, obr_set
-from eigenfence import discs as discs_module
-from eigenfence.discs import MEMBERSHIP_EPS
-from eigenfence.geometry import boundary_points
+from eigenfence import (CassiniUnion, DiscUnion, PairIntersectionUnion, RegionIntersection,
+                        max_abs, obr_set, region_from_json)
+from eigenfence import geometry
+from eigenfence.geometry import MEMBERSHIP_EPS, boundary_points
 
 # -- scalar reference: one primitive at a time --------------------------------
 
@@ -147,7 +147,7 @@ def exact_points(region):
     return np.concatenate([(c[:, None] + r[:, None] * unit).ravel() for c, r in rows])
 
 
-@pytest.mark.parametrize("block", [discs_module.MEMBERSHIP_BLOCK, 1])
+@pytest.mark.parametrize("block", [geometry.MEMBERSHIP_BLOCK, 1])
 @pytest.mark.parametrize("kind", ["discs", "pairs", "ovals"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -156,7 +156,7 @@ def test_array_regions_match_scalar_reference(kind, block, data):
     x = data.draw(st.lists(st.floats(-80, 80), min_size=0, max_size=40))
     y = data.draw(st.lists(st.floats(-40, 40), min_size=len(x), max_size=len(x)))
     z = np.concatenate((np.array(x) + 1j * np.array(y), exact_points(region)))
-    with mock.patch.object(discs_module, "MEMBERSHIP_BLOCK", block):
+    with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", block):
         hit = region.contains_points(z)
         assert np.array_equal(hit, ref_contains(region, z))
         assert np.array_equal(region.contains_points(z.reshape(1, -1)), hit.reshape(1, -1))
@@ -164,6 +164,7 @@ def test_array_regions_match_scalar_reference(kind, block, data):
         assert np.array_equal(boundary_points(region, 16), ref_boundary_points(region, 16))
     assert region.bounding_box() == ref_bounding_box(region)
     assert max_abs(region).value == ref_max_abs(region)
+    assert np.array_equal(region_from_json(region.to_json()).table, region.table)
 
 
 @pytest.mark.parametrize("table, shape", [

@@ -18,7 +18,7 @@ from eigenfence import (
     ViewportError,
     cassini_intersection_region,
     classic_discs,
-    refined_region_odd,
+    refined_region,
     render_svg,
     second_type_discs_of_transpose,
 )
@@ -58,7 +58,7 @@ def scene_odd_refinement() -> Scene:
     """Second-type discs under the rasterized odd-size pair intersections
     (the demo figure without its solver-computed markers)."""
     blue = second_type_discs_of_transpose(cases.PERRON7_B)
-    turq = refined_region_odd(cases.PERRON7_B)
+    turq = refined_region(cases.PERRON7_B)
     return Scene(layers=((blue, BLUE, 1.0), (turq, TURQUOISE, 1.0)))
 
 
@@ -132,7 +132,7 @@ def test_rasterized_region_has_closed_path():
 
 
 def test_raster_contour_tracks_membership():
-    region = refined_region_odd(cases.PERRON7_B)
+    region = refined_region(cases.PERRON7_B)
     scene = Scene(layers=((region, BLUE, 1.0),), raster_res=128)
     svg = render_svg(scene)
     path = re.search(r'<path d="([^"]+)"/>', svg).group(1)
