@@ -3,8 +3,9 @@
 Subcommands: locate, refine, bound, obr, render, eig, validate.  All take
 the JSON problem format (matrix plus optional eigenpair); ``eig`` also
 accepts the plain-text matrix form.  Exit codes: 0 success, 1 math-module
-failure, 2 parse/validation failure (including n < 3 and a ``--tol`` that
-is not a positive number).
+failure, 2 parse/validation failure (including n < 3, a ``--tol`` that
+is not a positive number, an input that cannot be read or is not UTF-8, and
+an ``--out`` that cannot be written).
 """
 
 from __future__ import annotations
@@ -32,8 +33,11 @@ EXIT_INPUT = 2
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _load_problem(path: str):
@@ -222,7 +226,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input that cannot be read, an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EigenfenceError, OverflowError) as exc:

@@ -6,12 +6,15 @@ a :class:`PairIntersectionUnion` (``(n, 2, 2)``: two discs per column), a
 :class:`RegionIntersection` of regions.  The three table kinds share one
 base: it validates the table and owns membership, the bounding box, the
 extremal modulus, boundary samples and JSON, while each kind supplies only
-its formulas.  Membership tests blocks of points against all primitives at
-once: ``O(points * primitives)`` time in blocks of fixed size, with one
-relative slack for every kind (:func:`_within`).  Intersections are never
-converted to explicit shapes; membership predicates compose instead, and
-set comparisons are sampled (boundary points plus a grid over the bounding
-box).  This module imports no other eigenfence module.
+its formulas.  Membership tests blocks of points against a chunk of
+primitives at once, in blocks of fixed size, with one relative slack for
+every kind (:func:`_within`).  It takes at most ``O(points * primitives)``
+time: an oval chunk computes one distance per distinct focus, and a point
+leaves the later chunks of a large table once one chunk accepts it.
+Intersections are never converted to explicit shapes; membership
+predicates compose instead, and set comparisons are sampled (boundary
+points plus a grid over the bounding box).  This module imports no other
+eigenfence module.
 """
 
 from __future__ import annotations
@@ -26,9 +29,14 @@ import numpy as np
 MEMBERSHIP_EPS = 1e-9
 
 #: Point-primitive pairs per membership block (one point at least).  On x86-64,
-#: 2^12 ran 1024 discs 2x slower (per-call overhead), 2^16 a 257^2 raster of
-#: ovals 2x slower (temporaries freshly paged in for every block).
+#: over a 257^2 raster, 2^12 ran 1024 discs 1.6x and Ostrowski-Brauer ovals
+#: 2-3.5x slower (per-call overhead), and 2^16 ran n = 64 ovals 2x slower in a
+#: fresh process (temporaries freshly paged in for every block).
 MEMBERSHIP_BLOCK = 1 << 15
+
+#: Table rows per membership chunk; a larger table is sorted by half-height
+#: and its later chunks see only the points earlier chunks left undecided.
+MEMBERSHIP_CHUNK = 64
 
 
 class MaxAbs(NamedTuple):
@@ -70,7 +78,8 @@ class _Union:
     ``(x0, x1, half-height)``, ``_reach`` each row's largest modulus and
     ``_samples`` points on each row's boundary (or the kind overrides
     :meth:`boundary_points`).  ``_exact`` says whether that modulus is
-    attained.
+    attained.  Membership calls ``_tester(rows)`` once per chunk of rows; a
+    kind overrides it to share work between the rows of a chunk.
     """
 
     _field: str
@@ -96,17 +105,44 @@ class _Union:
         return len(self.table)
 
     def contains_points(self, z) -> np.ndarray:
-        """Points of z in the union.  Blocks of ``MEMBERSHIP_BLOCK``
-        point-primitive pairs keep every temporary small; the points run
-        along the fast axis."""
+        """Points of z in the union.  A table of more than ``MEMBERSHIP_CHUNK``
+        rows is walked in chunks, largest half-height first, and each chunk
+        tests only the points no earlier chunk accepted; membership is an OR
+        over rows, so the order cannot change the answer."""
         z = np.asarray(z, dtype=complex)
-        table = self.table
-        flat = z.ravel()
-        hit = np.empty(flat.size, dtype=bool)
-        step = max(1, MEMBERSHIP_BLOCK // len(table))
-        for i in range(0, flat.size, step):
-            hit[i:i + step] = self._inside(flat[i:i + step], table[:, None]).any(axis=0)
+        flat, table = z.ravel(), self.table
+        if len(table) <= MEMBERSHIP_CHUNK:
+            return self._any(flat, table).reshape(z.shape)
+        table = table[np.argsort(-self._extents(table)[2], kind="stable")]
+        hit = self._any(flat, table[:MEMBERSHIP_CHUNK])
+        todo = np.flatnonzero(~hit)
+        for c in range(MEMBERSHIP_CHUNK, len(table), MEMBERSHIP_CHUNK):
+            if not todo.size:
+                break
+            found = self._any(flat, table[c:c + MEMBERSHIP_CHUNK], todo)
+            hit[todo[found]] = True
+            todo = todo[~found]
         return hit.reshape(z.shape)
+
+    def _any(self, flat, rows, at=None) -> np.ndarray:
+        """Whether any of ``rows`` holds each point of ``flat`` (or of
+        ``flat[at]``).  Blocks of ``MEMBERSHIP_BLOCK`` point-row pairs keep
+        every temporary small, and the points of ``at`` are gathered one
+        block at a time; the points run along the fast axis."""
+        inside = self._tester(rows)
+        size = flat.size if at is None else at.size
+        out = np.empty(size, dtype=bool)
+        step = max(1, MEMBERSHIP_BLOCK // len(rows))
+        for i in range(0, size, step):
+            block = flat[i:i + step] if at is None else flat[at[i:i + step]]
+            out[i:i + step] = inside(block).any(axis=0)
+        return out
+
+    @classmethod
+    def _tester(cls, rows):
+        """The ``(m, p)`` membership booleans of ``rows``, as a function of p points."""
+        rows = rows[:, None]
+        return lambda z: cls._inside(z, rows)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         x0, x1, h = self._extents(self.table)
@@ -206,6 +242,20 @@ class CassiniUnion(_Union):
     def _inside(z, table):
         c1, c2 = table[..., 0].astype(complex), table[..., 1].astype(complex)
         return _within(np.abs(z - c1) * np.abs(z - c2), table[..., 2])
+
+    @staticmethod
+    def _tester(rows):
+        # n foci serve up to n(n-1)/2 ovals: one distance per distinct focus,
+        # gathered per oval, is the product _inside computes (np.unique merges
+        # 0.0 and -0.0, whose distances are equal)
+        foci, index = np.unique(rows[:, :2], return_inverse=True)
+        foci, (i1, i2) = foci.astype(complex)[:, None], index.reshape(-1, 2).T
+        bound = rows[:, 2, None]
+
+        def inside(z):
+            d = np.abs(z - foci)
+            return _within(d[i1] * d[i2], bound)
+        return inside
 
     @staticmethod
     def _extents(table):

@@ -236,6 +236,24 @@ def test_malformed_json(tmp_path, capsys):
     assert main(["locate", str(path)]) == 2
 
 
+def test_directory_as_problem_is_an_input_error(tmp_path, capsys):
+    assert main(["locate", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_directory_as_render_output_is_an_input_error(perron6, tmp_path, capsys):
+    assert main(["render", perron6, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_problem_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"matrix": [[1]], "note": "é"}'.encode("latin-1"))
+    assert main(["locate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
 def test_math_error_exit_code(tmp_path, capsys):
     from eigenfence import Eigenpair
     huge = np.full((3, 3), 1e200)

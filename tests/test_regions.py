@@ -2,7 +2,7 @@
 
 The reference keeps the one-disc and one-oval formulas, looped over the
 primitives in Python; the blocked array kernel must agree with it exactly
-(``==``), at the real block size and at a block of one point.
+(``==``), at the real block and chunk sizes and at blocks and chunks of one.
 """
 
 import tracemalloc
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenfence import (CassiniUnion, DiscUnion, PairIntersectionUnion, RegionIntersection,
-                        max_abs, obr_set, region_from_json)
+                        max_abs, obr_intersection, obr_set, region_from_json)
 from eigenfence import geometry
 from eigenfence.geometry import MEMBERSHIP_EPS, boundary_points
 
@@ -130,8 +130,11 @@ def regions(draw, kind):
     if kind == "pairs":
         disc = st.tuples(CENTERS, RADII)
         return PairIntersectionUnion(draw(st.lists(st.tuples(disc, disc), min_size=m, max_size=m)))
+    # foci from a small pool: rows share foci, repeat, have c1 == c2 and mix 0.0 with -0.0
+    focus = st.sampled_from([0.0, -0.0] + draw(st.lists(CENTERS, min_size=1, max_size=3)))
     bounds = st.one_of(RADII, RADII.map(lambda r: r * r))
-    return CassiniUnion(draw(st.lists(st.tuples(CENTERS, CENTERS, bounds), min_size=m, max_size=m)))
+    rows = draw(st.lists(st.tuples(focus, focus, bounds), min_size=m, max_size=m))
+    return CassiniUnion(rows + draw(st.lists(st.sampled_from(rows), max_size=m)))
 
 
 def exact_points(region):
@@ -156,12 +159,14 @@ def test_array_regions_match_scalar_reference(kind, block, data):
     x = data.draw(st.lists(st.floats(-80, 80), min_size=0, max_size=40))
     y = data.draw(st.lists(st.floats(-40, 40), min_size=len(x), max_size=len(x)))
     z = np.concatenate((np.array(x) + 1j * np.array(y), exact_points(region)))
-    with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", block):
-        hit = region.contains_points(z)
-        assert np.array_equal(hit, ref_contains(region, z))
-        assert np.array_equal(region.contains_points(z.reshape(1, -1)), hit.reshape(1, -1))
-        assert bool(region.contains_points(z[-1])) == hit[-1]
-        assert np.array_equal(boundary_points(region, 16), ref_boundary_points(region, 16))
+    for chunk in (geometry.MEMBERSHIP_CHUNK, 5, 1):   # one chunk, several, one row each
+        with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", block), \
+                mock.patch.object(geometry, "MEMBERSHIP_CHUNK", chunk):
+            hit = region.contains_points(z)
+            assert np.array_equal(hit, ref_contains(region, z))
+            assert np.array_equal(region.contains_points(z.reshape(1, -1)), hit.reshape(1, -1))
+            assert bool(region.contains_points(z[-1])) == hit[-1]
+            assert np.array_equal(boundary_points(region, 16), ref_boundary_points(region, 16))
     assert region.bounding_box() == ref_bounding_box(region)
     assert max_abs(region).value == ref_max_abs(region)
     assert np.array_equal(region_from_json(region.to_json()).table, region.table)
@@ -203,12 +208,56 @@ def grid_257(region):
     return gx + 1j * gy
 
 
-@pytest.mark.parametrize("kind", ["discs", "ovals"])
+def random_region(kind, rng, n):
+    if kind == "discs":
+        return DiscUnion(np.column_stack((rng.normal(size=n), rng.random(n))))
+    if kind == "pairs":
+        return PairIntersectionUnion(np.stack([np.column_stack((rng.normal(size=n), rng.random(n)))
+                                               for _ in range(2)], axis=1))
+    return obr_set(rng.random((n, n)))
+
+
+@pytest.mark.parametrize("kind, n", [("discs", 40), ("pairs", 40), ("ovals", 12)])
+def test_later_chunks_see_only_undecided_points(kind, n):
+    rng = np.random.default_rng(11)
+    region = random_region(kind, rng, n)
+    x0, x1, y0, y1 = region.bounding_box()
+    z = rng.uniform(x0, x1, 500) + 1j * rng.uniform(y0, y1, 500)
+    seen = []
+    any_rows = geometry._Union._any
+
+    def spy(self, flat, rows, at=None):
+        seen.append((rows, flat if at is None else flat[at]))
+        return any_rows(self, flat, rows, at)
+
+    with mock.patch.object(geometry, "MEMBERSHIP_CHUNK", 8), \
+            mock.patch.object(geometry._Union, "_any", spy):
+        hit = region.contains_points(z)
+    assert np.array_equal(hit, ref_contains(region, z))
+    assert len(seen) > 2 and np.array_equal(seen[0][1], z)
+    undecided = np.ones(z.size, dtype=bool)
+    for rows, points in seen:
+        assert np.array_equal(points, z[undecided])
+        undecided &= ~ref_contains(type(region)(rows), z)
+    assert 0 < seen[-1][1].size < z.size
+    h = np.concatenate([region._extents(rows)[2] for rows, _ in seen])
+    assert np.all(np.diff(h) <= 0)
+
+    inner = z[ref_contains(type(region)(seen[0][0]), z)]   # points the first chunk accepts
+    seen.clear()
+    with mock.patch.object(geometry, "MEMBERSHIP_CHUNK", 8), \
+            mock.patch.object(geometry._Union, "_any", spy):
+        assert region.contains_points(inner).all()
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("kind", ["discs", "pairs", "ovals", "obr15"])
 def test_membership_memory_stays_blocked(kind):
     rng = np.random.default_rng(5)
-    if kind == "discs":
-        region = DiscUnion(np.column_stack((rng.normal(size=1024), rng.random(1024))))
+    if kind == "obr15":   # four parts of 105 ovals: two chunks each
+        m = rng.random((15, 15))
+        region = obr_intersection(m + np.diag(m.sum(axis=1).max() - m.sum(axis=1)))
     else:
-        region = obr_set(rng.random((64, 64)))   # 2016 ovals
+        region = random_region(kind, rng, 64 if kind == "ovals" else 1024)   # 2016 ovals, 1024 rows
     grid = grid_257(region)
     assert traced_peak(lambda: region.contains_points(grid)) < 8 * 2 ** 20
