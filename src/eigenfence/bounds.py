@@ -3,7 +3,8 @@
 All bounds act on a constant row-sum matrix B similar to A (or its
 refinements F, G):
 
-* disc bound: ``max_i |b_ii| + r_i`` over the second-type discs of B^T;
+* disc bound: the reach ``max_i |b_ii| + r_i`` of the second-type disc
+  union of B^T, read from the region itself;
 * semi-norms ``tau_1`` (half the maximum L1 distance between rows) and
   ``tau_inf`` (the largest column top-half/bottom-half gap), both invariant
   under per-column constant shifts;
@@ -14,7 +15,10 @@ Costs: the disc bounds and ``tau_inf`` sort the columns once, in
 ``O(n^2 log n)`` time and ``O(n^2)`` memory; ``tau1`` compares all row
 pairs in ``O(n^3)`` time over row blocks, so its memory stays ``O(n^2)``;
 a powered bound adds ``k - 1`` matrix products, ``O(k n^3)`` time, and
-:func:`standard_reports` walks B, B^2, ... once for all its powers.
+:func:`standard_reports` walks B, B^2, ... once for all its powers.  The
+walk subtracts row 0 from each power from B^2 on, a column shift the
+semi-norms do not see, which removes the ``lambda^k`` part; only its
+rounding, about ``1e-16 lambda^k``, is left to grow.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Eigenpair, SizeError, as_matrix
-from .discs import row_gaps, sorted_columns
+from .core import DEFAULT_TOL, Eigenpair, as_matrix
+from .discs import row_gaps, second_type_discs_of_transpose, sorted_columns
 from .refine import refinement, row_sum_constant
 from .similarity import SimilarityResult, prepare
 
@@ -38,7 +42,8 @@ TAU1_BLOCK = 1 << 16
 
 
 class SemiNorm(enum.Enum):
-    """The two semi-norms with closed forms."""
+    """The two semi-norms with closed forms; ``f"tau{kind.value}"`` labels
+    their reports."""
 
     L1 = "1"
     LINF = "inf"
@@ -58,51 +63,46 @@ class BoundReport:
 
 
 def bound_from_discs(matrix) -> float:
-    """``max_i |m_ii| + r_i`` with r_i the second-type radius of column i.
+    """``max_i |m_ii| + r_i`` with r_i the second-type radius of column i:
+    the farthest reach from the origin of the second-type disc union.
 
-    Meaningful when M is a constant row-sum matrix (B, F or G); the value
-    is the farthest reach from the origin of the second-type disc union.
+    Meaningful when M is a constant row-sum matrix (B, F or G).
     """
-    m = as_matrix(matrix)
-    n = m.shape[0]
-    if n < 3:
-        raise SizeError(f"disc bound needs n >= 3, got n = {n}")
-    reach = np.abs(np.diagonal(m)) + row_gaps(sorted_columns(m, 0.0))
-    return max(0.0, float(reach.max()))
+    return second_type_discs_of_transpose(matrix).max_abs().value
 
 
 def tau1(matrix) -> float:
     """Half the maximum L1 distance between any two rows.
 
     Each block of rows is compared with the rows at or below it (the
-    distance is symmetric), so no temporary exceeds about
-    ``max(TAU1_BLOCK, n^2)`` entries.
+    distance is symmetric) in one buffer of about ``max(TAU1_BLOCK, n^2)``
+    entries, reused by every block: a fresh temporary per block costs a
+    page fault per 4 KiB whenever it lands above the allocator's mmap
+    threshold.
     """
     m = as_matrix(matrix)
     n = m.shape[0]
     if n < 2:
         return 0.0
-    rows = max(1, TAU1_BLOCK // (n * n))
-    best = max(np.abs(m[i:i + rows, None, :] - m[None, i:, :]).sum(axis=2).max()
-               for i in range(0, n, rows))
-    return float(best / 2.0)
+    rows = min(n, max(1, TAU1_BLOCK // (n * n)))
+    buf = np.empty((rows, n, n))
 
+    def block(i):
+        d = buf[:min(rows, n - i), :n - i]
+        np.subtract(m[i:i + rows, None, :], m[None, i:, :], out=d)
+        return np.abs(d, out=d).sum(axis=2).max()
 
-def column_gap(matrix) -> np.ndarray:
-    """Per-column statistic: sort all n entries descending, subtract the
-    bottom block from the top block (middle skipped for odd n).  Unlike the
-    second-type radius the diagonal entry participates and no 0 is inserted.
-    """
-    return row_gaps(sorted_columns(as_matrix(matrix)))
+    return float(max(block(i) for i in range(0, n, rows)) / 2.0)
 
 
 def tau_inf(matrix) -> float:
-    """Largest column gap; equals the infinity semi-norm of a constant
-    row-sum matrix."""
+    """Largest column gap: the top-half sum minus the bottom-half sum of a
+    column's n entries, diagonal included and no 0 inserted.  Equals the
+    infinity semi-norm of a constant row-sum matrix."""
     m = as_matrix(matrix)
     if m.shape[0] < 2:
         return 0.0
-    return float(column_gap(m).max())
+    return float(row_gaps(sorted_columns(m)).max())
 
 
 def _tau(matrix, kind: SemiNorm) -> float:
@@ -110,12 +110,16 @@ def _tau(matrix, kind: SemiNorm) -> float:
 
 
 def _power(matrix: np.ndarray, k: int):
-    """Yield M, M^2, ..., M^k: one product per step, one power held."""
+    """Yield M, then ``M^j - e (row 0 of M^j)`` for j = 2..k: one product
+    per step, one power held.  Row 0 is zeroed once, in place, and every
+    later product keeps it zero."""
     p = matrix
     for step in range(k):
         if step:
             with np.errstate(over="ignore", invalid="ignore"):
                 p = p @ matrix
+                if step == 1:
+                    p -= p[0]
         if not np.all(np.isfinite(p)) or np.abs(p).max() > POWER_LIMIT:
             raise OverflowError(f"matrix power exceeded {POWER_LIMIT:g}")
         yield p
@@ -182,15 +186,13 @@ def prepared_reports(sim: SimilarityResult, ks: tuple[int, ...] = (1,),
     det_ks = sorted(set(ks) | {n - 1}) if include_det else []
     taus = _taus(b, set(ks) | set(det_ks), kinds)
     for kind in kinds:
-        label = "tau1" if kind is SemiNorm.L1 else "tauinf"
         for k in ks:
             reports.append(BoundReport(
-                f"{label}_k{k}", float(taus[k, kind] ** (1.0 / k)),
+                f"tau{kind.value}_k{k}", float(taus[k, kind] ** (1.0 / k)),
                 f"tau_{kind.value}(B^k)^(1/k)", k=k))
     for kind in kinds:
-        label = "tau1" if kind is SemiNorm.L1 else "tauinf"
         for k in det_ks:
             reports.append(BoundReport(
-                f"det_{label}_k{k}", _det(sim.row_sum, taus[k, kind], n, k),
+                f"det_tau{kind.value}_k{k}", _det(sim.row_sum, taus[k, kind], n, k),
                 f"|lambda| * tau_{kind.value}(B^k)^((n-1)/k)", k=k))
     return reports

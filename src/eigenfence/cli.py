@@ -4,7 +4,8 @@ Subcommands: locate, refine, bound, obr, render, eig, validate.  All take
 the JSON problem format (matrix plus optional eigenpair); ``eig`` also
 accepts the plain-text matrix form.  Exit codes: 0 success, 1 math-module
 failure, 2 parse/validation failure (including n < 3, a ``--tol`` that
-is not a positive number, an input that cannot be read or is not UTF-8, and
+is not a positive number, a ``bound --k`` below 1, a ``render`` with no
+layer and no ``--eigs``, an input that cannot be read or is not UTF-8, and
 an ``--out`` that cannot be written).
 """
 
@@ -92,13 +93,10 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if args.k < 1:
+        raise InputError(f"--k must be a positive integer, got {args.k}")
     matrix, pair = _load_problem(args.problem)
-    if args.norm == "1":
-        kinds = (bounds.SemiNorm.L1,)
-    elif args.norm == "inf":
-        kinds = (bounds.SemiNorm.LINF,)
-    else:
-        kinds = (bounds.SemiNorm.L1, bounds.SemiNorm.LINF)
+    kinds = tuple(bounds.SemiNorm) if args.norm == "both" else (bounds.SemiNorm(args.norm),)
     ks = tuple(range(1, args.k + 1))
     reports = bounds.prepared_reports(_prepare(matrix, pair, args.tol), ks=ks, kinds=kinds,
                                       include_det=args.det)
@@ -123,6 +121,8 @@ def _cmd_render(args) -> int:
     for name in layer_names:
         if name not in build:
             raise InputError(f"unknown layer {name!r} (choose from {','.join(build)})")
+    if not layer_names and not args.eigs:
+        raise InputError("nothing to draw: --layers names no layer and --eigs is off")
     layers = [(*build[name](), 1.0) for name in layer_names]
     points = []
     if args.eigs:

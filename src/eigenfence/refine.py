@@ -6,8 +6,9 @@ matrix whose second-type region is contained in that of B^T and still
 holds every non-trivial eigenvalue.  Even sizes use one shifted matrix F;
 odd sizes use a pair F, G whose per-column disc intersections form the
 refined region, a :class:`~eigenfence.geometry.PairIntersectionUnion`.
-Every entry point here expects a constant row-sum matrix, checked once by
-:func:`row_sum_constant`.
+:func:`refinement` builds both parities from one sort of the columns and
+checks the constant row sum once, with :func:`row_sum_constant`;
+:func:`refine_even` and :func:`refine_odd` call it and insist on a parity.
 """
 
 from __future__ import annotations
@@ -76,20 +77,32 @@ def row_sum_constant(matrix) -> float:
     return lam
 
 
-def refine_even(matrix) -> EvenRefinement:
-    """Even-size refinement: subtract the (n/2)-th largest off-diagonal per column."""
+def refinement(matrix) -> EvenRefinement | OddRefinement:
+    """The refinement of a constant row-sum matrix for its parity: F for
+    even n, the pair F, G for odd n."""
     b = as_matrix(matrix)
     n = b.shape[0]
-    if n % 2:
-        raise OddSizeError(f"even-size refinement called with odd n = {n}")
-    if n < 4:
-        raise SizeError(f"even-size refinement needs n >= 4, got n = {n}")
+    if n < 3:
+        raise SizeError(f"refinement needs n >= 3, got n = {n}")
     row_sum_constant(b)
-    shifts = sorted_columns(b, -np.inf)[:, n // 2 - 1].copy()
-    f = b - shifts[None, :]
-    f.setflags(write=False)
-    shifts.setflags(write=False)
-    return EvenRefinement(F=f, shifts=shifts)
+    desc = sorted_columns(b, -np.inf)
+    if n % 2 == 0:
+        shifts = desc[:, n // 2 - 1].copy()
+        ref = EvenRefinement(F=b - shifts, shifts=shifts)
+    else:
+        f_shifts, g_shifts = -desc[:, (n - 1) // 2 - 1], -desc[:, (n + 1) // 2 - 1]
+        ref = OddRefinement(F=b + f_shifts, G=b + g_shifts, f_shifts=f_shifts, g_shifts=g_shifts)
+    for arr in vars(ref).values():
+        arr.setflags(write=False)
+    return ref
+
+
+def refine_even(matrix) -> EvenRefinement:
+    """Even-size refinement: subtract the (n/2)-th largest off-diagonal per column."""
+    ref = refinement(matrix)
+    if not isinstance(ref, EvenRefinement):
+        raise OddSizeError(f"even-size refinement called with odd n = {ref.F.shape[0]}")
+    return ref
 
 
 def refine_odd(matrix) -> OddRefinement:
@@ -99,28 +112,10 @@ def refine_odd(matrix) -> OddRefinement:
     and G the negated ((n+1)/2)-th largest ("k-th largest" counts
     multiplicity).
     """
-    b = as_matrix(matrix)
-    n = b.shape[0]
-    if n % 2 == 0:
-        raise EvenSizeError(f"odd-size refinement called with even n = {n}")
-    if n < 3:
-        raise SizeError(f"odd-size refinement needs n >= 3, got n = {n}")
-    row_sum_constant(b)
-    desc = sorted_columns(b, -np.inf)
-    f_shifts = -desc[:, (n - 1) // 2 - 1]
-    g_shifts = -desc[:, (n + 1) // 2 - 1]
-    f = b + f_shifts[None, :]
-    g = b + g_shifts[None, :]
-    for arr in (f, g, f_shifts, g_shifts):
-        arr.setflags(write=False)
-    return OddRefinement(F=f, G=g, f_shifts=f_shifts, g_shifts=g_shifts)
-
-
-def refinement(matrix) -> EvenRefinement | OddRefinement:
-    """The refinement of a constant row-sum matrix for its parity: F for
-    even n, the pair F, G for odd n."""
-    b = as_matrix(matrix)
-    return refine_even(b) if b.shape[0] % 2 == 0 else refine_odd(b)
+    ref = refinement(matrix)
+    if not isinstance(ref, OddRefinement):
+        raise EvenSizeError(f"odd-size refinement called with even n = {ref.F.shape[0]}")
+    return ref
 
 
 def refined_region(matrix):

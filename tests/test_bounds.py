@@ -151,8 +151,8 @@ def test_powered_soundness_random():
 
 
 def test_powered_overflow_guard():
-    m = np.full((3, 3), 1e200)
-    m[:, -1] = 1.0 - m[:, :-1].sum(axis=1)
+    # row sums 2e200 and a remaining eigenvalue 2e200, whose square is out of range
+    m = 1e200 * np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]])
     with pytest.raises(OverflowError):
         powered_bound(m, 4, SemiNorm.L1)
 

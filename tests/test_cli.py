@@ -256,9 +256,46 @@ def test_problem_not_utf8_is_an_input_error(tmp_path, capsys):
 
 def test_math_error_exit_code(tmp_path, capsys):
     from eigenfence import Eigenpair
-    huge = np.full((3, 3), 1e200)
-    path = write_problem(tmp_path / "huge.json", huge, Eigenpair(3e200, np.ones(3)))
-    assert main(["bound", "--k", "2", path]) == 1  # B^2 overflows
+    # row sums 2e200 and a remaining eigenvalue 2e200, so even the shifted B^2 overflows
+    huge = 1e200 * np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]])
+    path = write_problem(tmp_path / "huge.json", huge, Eigenpair(2e200, np.ones(3)))
+    assert main(["bound", "--k", "2", path]) == 1
+    assert "matrix power exceeded" in capsys.readouterr().err
+
+
+def test_det_bound_at_n160_stays_in_range(tmp_path, capsys):
+    # lambda ~ 80: B^159 exceeds the 1e300 guard, the row-shifted powers stay below it
+    from eigenfence import Eigenpair
+    a = np.random.default_rng(0).random((160, 160))
+    w, vecs = np.linalg.eig(a)
+    i = int(np.argmax(w.real))
+    v = vecs[:, i].real
+    v = v / v[np.argmax(np.abs(v))]
+    path = write_problem(tmp_path / "big.json", a, Eigenpair(float(w[i].real), v))
+    assert main(["bound", "--k", "2", "--det", path]) == 0
+    reports = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)}
+    _, logdet = np.linalg.slogdet(a)
+    dets = [value for name, value in reports.items() if name.startswith("det_")]
+    assert len(dets) == 6 and all(np.isfinite(dets))
+    assert all(np.log(value) >= logdet for value in dets)
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_bound_k_must_be_positive(perron6, capsys, k):
+    assert main(["bound", perron6, "--k", k]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: --k must be a positive integer")
+
+
+def test_render_with_nothing_to_draw_is_an_input_error(perron6, capsys):
+    assert main(["render", perron6, "--out", "-", "--layers", ","]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "nothing to draw" in out.err
+    assert main(["render", perron6, "--out", "-", "--layers", "", "--eigs"]) == 0
+    svg = capsys.readouterr().out
+    assert svg.count("<g ") == 0 and 'fill="#000000"' in svg
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -322,10 +359,10 @@ def test_each_command_prepares_once(shear4, monkeypatch, capsys):
     from eigenfence import core, refine, similarity
     checks = count_calls(monkeypatch, core, "check_eigenpair")
     shears = count_calls(monkeypatch, similarity, "desingularize")
-    evens = count_calls(monkeypatch, refine, "refine_even")
+    refinements = count_calls(monkeypatch, refine, "refinement")
     assert main(["render", shear4, "--out", "-", "--layers", "classic,second,refined"]) == 0
     assert (len(checks), len(shears)) == (1, 1)
     assert capsys.readouterr().err.count("note: eigenvector has 2 zero component(s)") == 1
-    evens.clear()
+    refinements.clear()
     assert main(["refine", shear4]) == 0
-    assert len(evens) == 1
+    assert len(refinements) == 1
