@@ -11,14 +11,16 @@ refinements F, G):
 * powered bounds ``tau_p(B^k) ** (1/k)``, which tighten as k grows;
 * a determinant bound ``|lambda| * tau_p(B^k) ** ((n-1)/k)``.
 
-Costs: the disc bounds and ``tau_inf`` sort the columns once, in
-``O(n^2 log n)`` time and ``O(n^2)`` memory; ``tau1`` compares all row
-pairs in ``O(n^3)`` time over row blocks, so its memory stays ``O(n^2)``;
-a powered bound adds ``k - 1`` matrix products, ``O(k n^3)`` time, and
-:func:`standard_reports` walks B, B^2, ... once for all its powers.  The
-walk subtracts row 0 from each power from B^2 on, a column shift the
-semi-norms do not see, which removes the ``lambda^k`` part; only its
-rounding, about ``1e-16 lambda^k``, is left to grow.
+Costs: the disc bound of B and ``tau_inf`` each sort the columns once,
+and the disc bounds of F and G share the one sort of B behind the
+refinement, in ``O(n^2 log n)`` time and ``O(n^2)`` memory; ``tau1``
+compares all row pairs in ``O(n^3)`` time over row blocks, so its memory
+stays ``O(n^2)``; a powered bound adds ``k - 1`` matrix products,
+``O(k n^3)`` time, and :func:`standard_reports` walks B, B^2, ... once
+for all its powers.  The walk subtracts row 0 from each power from B^2
+on, a column shift the semi-norms do not see, which removes the
+``lambda^k`` part; only its rounding, about ``1e-16 lambda^k``, is left
+to grow.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ POWER_LIMIT = 1e300
 #: Entries per row-pair temporary in :func:`tau1` (512 KiB of float64);
 #: a single row against all others is the smallest block.
 TAU1_BLOCK = 1 << 16
+
+#: Byte alignment of the :func:`tau1` buffer: one cache line, so that no
+#: vector store into it straddles two lines.
+CACHE_LINE = 64
 
 
 class SemiNorm(enum.Enum):
@@ -78,14 +84,20 @@ def tau1(matrix) -> float:
     distance is symmetric) in one buffer of about ``max(TAU1_BLOCK, n^2)``
     entries, reused by every block: a fresh temporary per block costs a
     page fault per 4 KiB whenever it lands above the allocator's mmap
-    threshold.
+    threshold.  The buffer starts on a cache line: ``malloc`` only
+    promises 16 bytes, and with 64-byte vector stores a misaligned buffer
+    made each ``tau1`` about 20% slower, at random from one process to
+    the next.
     """
     m = as_matrix(matrix)
     n = m.shape[0]
     if n < 2:
         return 0.0
     rows = min(n, max(1, TAU1_BLOCK // (n * n)))
-    buf = np.empty((rows, n, n))
+    size = rows * n * n
+    raw = np.empty(size + CACHE_LINE // 8)
+    start = -raw.ctypes.data % CACHE_LINE // 8
+    buf = raw[start:start + size].reshape(rows, n, n)
 
     def block(i):
         d = buf[:min(rows, n - i), :n - i]
@@ -177,7 +189,7 @@ def prepared_reports(sim: SimilarityResult, ks: tuple[int, ...] = (1,),
     b = sim.B
     n = b.shape[0]
     reports = [BoundReport("m_B", bound_from_discs(b), "second_type_discs(B)")]
-    reach = {name: bound_from_discs(m) for name, m in refinement(b).matrices.items()}
+    reach = {name: d.max_abs().value for name, d in refinement(b).discs.items()}
     reports += [BoundReport(f"m_{name}", value, f"second_type_discs({name})")
                 for name, value in reach.items()]
     if len(reach) == 2:

@@ -84,7 +84,10 @@ class Eigenpair:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
+        v = np.asarray(self.vector)
+        if v.dtype.kind == "c":
+            raise InvalidEigenpairError("eigenvector must be real, got complex entries")
+        v = v.astype(float)
         if v.ndim != 1 or v.size == 0:
             raise DimensionError("eigenvector must be a non-empty 1-D vector")
         if not np.all(np.isfinite(v)):
@@ -93,7 +96,6 @@ class Eigenpair:
             raise InvalidEigenpairError("eigenvalue is not finite")
         if not np.any(v != 0.0):
             raise InvalidEigenpairError("eigenvector must not be the zero vector")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "value", float(self.value))
@@ -104,13 +106,18 @@ class Eigenpair:
 
 
 def as_matrix(obj) -> np.ndarray:
-    """Validate ``obj`` as a dense square real matrix and return a float64 copy.
+    """Validate ``obj`` as a dense square real matrix and return it as float64.
 
-    Raises DimensionError for non-square input and ParseError for
-    non-finite entries.
+    A float64 ndarray comes back as itself, not a copy, so callers must
+    not write into the result (no function of this package does, nor
+    keeps it).  Raises DimensionError for non-square input and ParseError
+    for complex or non-finite entries.
     """
     try:
-        a = np.array(obj, dtype=float)
+        a = np.asarray(obj)
+        if a.dtype.kind == "c":
+            raise ParseError("matrix entries must be real, got complex entries")
+        a = a.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"not a numeric matrix: {exc}") from exc
     if a.ndim != 2:

@@ -6,7 +6,9 @@ order and subtract the bottom-half sum from the top-half sum (the middle
 element is skipped when the count is odd).  The radius is nonnegative by
 construction because the top half dominates the bottom half.  All radii
 of a matrix come from one sort of its columns (:func:`sorted_columns`):
-``O(n^2 log n)`` time and ``O(n^2)`` memory.  The discs are returned as a
+``O(n^2 log n)`` time and ``O(n^2)`` memory.  The refined discs of F and
+G need no sort of their own: :mod:`eigenfence.refine` reads them from
+the one sort of B behind the shifts.  The discs are returned as a
 :class:`~eigenfence.geometry.DiscUnion`, whose membership, box and JSON
 live in :mod:`eigenfence.geometry` with the other region kinds.
 """

@@ -9,24 +9,50 @@ refined region, a :class:`~eigenfence.geometry.PairIntersectionUnion`.
 :func:`refinement` builds both parities from one sort of the columns and
 checks the constant row sum once, with :func:`row_sum_constant`;
 :func:`refine_even` and :func:`refine_odd` call it and insist on a parity.
+
+That one sort of B also gives the second-type discs of F and G.  A column
+shift keeps the order of a column's entries, and each shift cancels one
+of the column's off-diagonal order statistics, which then stands in for
+the mandated 0.  So column j of F (or G), sorted with its 0, is row j of
+B's sort plus the shift, and the radii are sums over two slices of it:
+the same floats in the same order as sorting F or G, so a refinement and
+its region cost one column sort.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .core import EvenSizeError, NotConstantRowSumError, OddSizeError, SizeError, as_matrix
-from .discs import second_type_discs_of_transpose, sorted_columns
+from .discs import sorted_columns
 from .geometry import DiscUnion, PairIntersectionUnion
 
 #: Relative tolerance on the spread of the row sums of a constant row-sum matrix.
 ROW_SUM_TOL = 1e-9
 
 
+class _Shifted:
+    """What both refinements share: the second-type discs of each shifted
+    matrix, read from the sort of B's columns that :func:`refinement`
+    leaves in ``_desc``.  That sort is not a dataclass field, so the fields
+    stay the shifted matrices and their shifts."""
+
+    @cached_property
+    def discs(self) -> Mapping[str, DiscUnion]:
+        """Second-type disc union of M^T for each shifted matrix M, by name:
+        :func:`~eigenfence.discs.second_type_discs_of_transpose` of M,
+        without sorting M.  Built on first use and read-only."""
+        return MappingProxyType({name: _shifted_discs(self.matrices[name], self._desc, off)
+                                 for name, off in self._offsets.items()})
+
+
 @dataclass(frozen=True)
-class EvenRefinement:
+class EvenRefinement(_Shifted):
     """Shifted matrix F = B - e * shifts^T for even n."""
 
     F: np.ndarray
@@ -36,13 +62,17 @@ class EvenRefinement:
     def matrices(self) -> dict[str, np.ndarray]:
         return {"F": self.F}
 
+    @property
+    def _offsets(self) -> dict[str, np.ndarray]:
+        return {"F": -self.shifts}
+
     def region(self) -> DiscUnion:
         """Refined region: the second-type disc union of F^T."""
-        return second_type_discs_of_transpose(self.F)
+        return self.discs["F"]
 
 
 @dataclass(frozen=True)
-class OddRefinement:
+class OddRefinement(_Shifted):
     """Shifted pair F = B + e * f_shifts^T, G = B + e * g_shifts^T for odd n."""
 
     F: np.ndarray
@@ -54,11 +84,13 @@ class OddRefinement:
     def matrices(self) -> dict[str, np.ndarray]:
         return {"F": self.F, "G": self.G}
 
+    @property
+    def _offsets(self) -> dict[str, np.ndarray]:
+        return {"F": self.f_shifts, "G": self.g_shifts}
+
     def region(self) -> PairIntersectionUnion:
         """Union over columns of (disc from F column j) ∩ (disc from G column j)."""
-        f_discs = second_type_discs_of_transpose(self.F).discs
-        g_discs = second_type_discs_of_transpose(self.G).discs
-        return PairIntersectionUnion(np.stack((f_discs, g_discs), axis=1))
+        return PairIntersectionUnion(np.stack([d.discs for d in self.discs.values()], axis=1))
 
 
 def row_sum_constant(matrix) -> float:
@@ -77,23 +109,50 @@ def row_sum_constant(matrix) -> float:
     return lam
 
 
+def _shifted_discs(shifted: np.ndarray, desc: np.ndarray, off: np.ndarray) -> DiscUnion:
+    """Second-type discs of the transpose of ``shifted = B + e * off^T``.
+
+    ``desc`` is B's columns from ``sorted_columns(B, -inf)``, and ``off_j``
+    is minus an off-diagonal order statistic of column j: the ``(n/2)``-th
+    largest for even n, the ``((n-1)/2)``-th or ``((n+1)/2)``-th for odd n.
+    Row j of ``desc + off`` holds column j of the shifted matrix in order,
+    the diagonal (``-inf``) last and the cancelled entry as an exact 0, so
+    with the mandated 0 that entry appears twice: the top half is the
+    leading ``h = n // 2`` entries and the bottom half the ``h`` entries
+    from ``(n - 1) // 2``.  The add runs on the ascending, C-contiguous
+    buffer behind ``desc`` and the sums through its reversed view, as
+    :func:`~eigenfence.discs.row_gaps` sums a sort of the shifted matrix.
+    """
+    n = desc.shape[1]
+    h, lo = n // 2, (n - 1) // 2
+    rows = (desc[:, ::-1] + off[:, None])[:, ::-1]
+    radii = rows[:, :h].sum(axis=1) - rows[:, lo:lo + h].sum(axis=1)
+    return DiscUnion(np.column_stack((np.diagonal(shifted), radii)))
+
+
 def refinement(matrix) -> EvenRefinement | OddRefinement:
     """The refinement of a constant row-sum matrix for its parity: F for
-    even n, the pair F, G for odd n."""
+    even n, the pair F, G for odd n.
+
+    The one column sort here serves the shifts and, through the
+    refinement's ``discs`` and :meth:`region`, the refined discs too.
+    """
     b = as_matrix(matrix)
     n = b.shape[0]
     if n < 3:
         raise SizeError(f"refinement needs n >= 3, got n = {n}")
     row_sum_constant(b)
     desc = sorted_columns(b, -np.inf)
+    h = n // 2
     if n % 2 == 0:
-        shifts = desc[:, n // 2 - 1].copy()
+        shifts = desc[:, h - 1].copy()
         ref = EvenRefinement(F=b - shifts, shifts=shifts)
     else:
-        f_shifts, g_shifts = -desc[:, (n - 1) // 2 - 1], -desc[:, (n + 1) // 2 - 1]
+        f_shifts, g_shifts = -desc[:, h - 1], -desc[:, h]
         ref = OddRefinement(F=b + f_shifts, G=b + g_shifts, f_shifts=f_shifts, g_shifts=g_shifts)
     for arr in vars(ref).values():
         arr.setflags(write=False)
+    object.__setattr__(ref, "_desc", desc)
     return ref
 
 

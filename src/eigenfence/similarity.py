@@ -57,7 +57,8 @@ class SimilarityResult:
 
 
 def _scaled(matrix: np.ndarray, value: float, v: np.ndarray, k: int = 0) -> SimilarityResult:
-    b = matrix * (v[None, :] / v[:, None])
+    b = v[None, :] / v[:, None]
+    b *= matrix
     return SimilarityResult(B=_frozen(b), row_sum=value, scaling=_frozen(v.copy()), k=k)
 
 
@@ -109,11 +110,11 @@ def desingularize(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Desingul
         raise NoZeroError("eigenvector has no zero components; use diag_similar")
 
     order = np.concatenate([np.nonzero(zero)[0], np.nonzero(~zero)[0]])
-    m = a[np.ix_(order, order)]
+    c = a[np.ix_(order, order)]
 
-    # right-multiply by S^-1: column k minus the sum of the k zero-block columns
-    c = m.copy()
-    c[:, k] -= m[:, :k].sum(axis=1)
+    # right-multiply by S^-1: column k minus the sum of the k zero-block
+    # columns, in place (the gather is already a copy of A)
+    c[:, k] -= c[:, :k].sum(axis=1)
     # left-multiply by S: add row k into each of the first k rows
     c[:k, :] += c[k, :][None, :]
 

@@ -93,6 +93,31 @@ def test_as_matrix_rejects_vector():
         as_matrix([1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("complex_matrix", [
+    np.array([[1 + 2j, 0], [0, 1]]),
+    np.array([[1 + 0j, 0], [0, 1]]),
+    [[1 + 2j, 0], [0, 1]],
+], ids=["array", "array-zero-imag", "list"])
+def test_as_matrix_rejects_complex(complex_matrix):
+    with pytest.raises(ParseError):
+        as_matrix(complex_matrix)
+
+
+@pytest.mark.parametrize("complex_vector", [np.array([1 + 2j, 1.0]), [1 + 2j, 1.0]],
+                         ids=["array", "list"])
+def test_eigenpair_rejects_complex_vector(complex_vector):
+    with pytest.raises(InvalidEigenpairError):
+        Eigenpair(1.0, complex_vector)
+
+
+def test_as_matrix_returns_float64_input_itself():
+    m = np.arange(9.0).reshape(3, 3)
+    assert as_matrix(m) is m
+    ints = as_matrix(np.arange(9).reshape(3, 3))
+    assert ints.dtype == np.float64
+    np.testing.assert_array_equal(ints, m)
+
+
 def test_eigenpair_rejects_zero_vector():
     with pytest.raises(InvalidEigenpairError):
         Eigenpair(1.0, np.zeros(3))

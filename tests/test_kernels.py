@@ -14,17 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenfence import bounds, refine_even, refine_odd, second_type_radius
+from eigenfence import bounds, refine_even, refine_odd, refinement, second_type_radius
 from eigenfence.discs import row_gaps, second_type_discs_of_transpose, sorted_columns
+from eigenfence.similarity import SimilarityResult
 
 ENTRIES = st.one_of(st.integers(-5, 5).map(float),
                     st.floats(-100, 100, allow_subnormal=False))
 
+#: ENTRIES plus signed zeros, which tie with the mandated 0 of a radius.
+ZEROS_TOO = st.one_of(ENTRIES, st.sampled_from([0.0, -0.0]))
+
 
 @st.composite
-def matrices(draw, parity):
+def matrices(draw, parity, entries=ENTRIES):
     n = draw(st.sampled_from([n for n in range(3, 13) if n % 2 == parity]))
-    values = draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))
+    values = draw(st.lists(entries, min_size=n * n, max_size=n * n))
     return np.array(values).reshape(n, n)
 
 
@@ -81,6 +85,23 @@ def test_refinement_shifts_match_kth_largest_offdiag(parity, data):
 
 
 @pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_refined_discs_match_sorting_the_shifted_matrices(parity, data):
+    """The refined discs, read from B's sort, equal the second-type discs
+    of F (and G) sorted on their own, and so do the disc bounds."""
+    b = row_sum_matrix(data.draw(matrices(parity, ZEROS_TOO)))
+    ref = refinement(b)
+    tables = [second_type_discs_of_transpose(m).discs for m in ref.matrices.values()]
+    got = ref.region().table
+    assert got.tolist() == (tables[0] if parity == 0 else np.stack(tables, axis=1)).tolist()
+    sim = SimilarityResult(B=b, row_sum=float(b[0].sum()), scaling=np.ones(len(b)))
+    reach = {r.name: r.value for r in bounds.prepared_reports(sim, kinds=())}
+    for name, m in ref.matrices.items():
+        assert reach[f"m_{name}"] == bounds.bound_from_discs(m)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_column_gap_matches_per_column(parity, data):
@@ -109,6 +130,20 @@ def test_tau1_blocked_at_larger_n(n):
     m = np.random.default_rng(n).standard_normal((n, n))
     assert bounds.TAU1_BLOCK // (n * n) < n   # more than one block
     assert bounds.tau1(m) == tau1_pairwise(m)
+
+
+def test_tau1_buffer_starts_on_a_cache_line(monkeypatch):
+    offsets = []
+    subtract = np.subtract
+
+    def spy(a, b, out):
+        offsets.append(out.ctypes.data % bounds.CACHE_LINE)
+        return subtract(a, b, out=out)
+
+    monkeypatch.setattr(np, "subtract", spy)
+    for n in (3, 10, 64, 160, 256):
+        bounds.tau1(np.random.default_rng(n).random((n, n)))
+    assert offsets and set(offsets) == {0}
 
 
 def test_tau1_memory_stays_quadratic():

@@ -194,6 +194,22 @@ def test_refinement_carries_its_region():
     assert odd.region().to_json() == refined_region(cases.PERRON7_B).to_json()
 
 
+@pytest.mark.parametrize("b", [cases.PERRON6_B, cases.PERRON7_B], ids=["even", "odd"])
+def test_refined_region_sorts_the_columns_once(b, monkeypatch):
+    from eigenfence import discs, refine
+    calls = []
+    sort = discs.sorted_columns
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sort(*args, **kwargs)
+
+    for module in (discs, refine):
+        monkeypatch.setattr(module, "sorted_columns", counted)
+    refined_region(b)
+    assert len(calls) == 1
+
+
 def test_random_membership_even_and_odd():
     rng = np.random.default_rng(5)
     for _ in range(15):
