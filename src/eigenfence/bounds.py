@@ -26,6 +26,7 @@ to grow.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,17 @@ def _taus(matrix: np.ndarray, ks: set[int], kinds) -> dict:
             for k, p in enumerate(powers, start=1) if k in ks for kind in kinds}
 
 
-def _det(value: float, tau: float, n: int, k: int) -> float:
-    return float(abs(value) * tau ** ((n - 1) / k))
+def _det(value: float, tau: float, n: int, k: int, kind: SemiNorm) -> float:
+    """``|lambda| * tau ** ((n-1)/k)``; OverflowError when that is above the
+    float range, whether the power or the product overflows (JSON has no inf)."""
+    try:
+        det = abs(value) * tau ** ((n - 1) / k)
+    except OverflowError:  # float ** raises; float * silently gives inf
+        det = math.inf
+    if not math.isfinite(det):
+        raise OverflowError(
+            f"det_tau{kind.value}_k{k}: the det bound at k = {k} is above the float range")
+    return det
 
 
 def powered_bound(matrix, k: int, kind: SemiNorm) -> float:
@@ -166,7 +176,7 @@ def det_bound(matrix, pair: Eigenpair, k: int, kind: SemiNorm,
     as conjugating A^k and avoids one similarity per power.
     """
     b = prepare(matrix, pair, tol).B
-    return _det(pair.value, _taus(b, {k}, (kind,))[k, kind], b.shape[0], k)
+    return _det(pair.value, _taus(b, {k}, (kind,))[k, kind], b.shape[0], k, kind)
 
 
 def standard_reports(matrix, pair: Eigenpair, ks: tuple[int, ...] = (1,),
@@ -205,6 +215,6 @@ def prepared_reports(sim: SimilarityResult, ks: tuple[int, ...] = (1,),
     for kind in kinds:
         for k in det_ks:
             reports.append(BoundReport(
-                f"det_tau{kind.value}_k{k}", _det(sim.row_sum, taus[k, kind], n, k),
+                f"det_tau{kind.value}_k{k}", _det(sim.row_sum, taus[k, kind], n, k, kind),
                 f"|lambda| * tau_{kind.value}(B^k)^((n-1)/k)", k=k))
     return reports

@@ -3,10 +3,11 @@
 Subcommands: locate, refine, bound, obr, render, eig, validate.  All take
 the JSON problem format (matrix plus optional eigenpair); ``eig`` also
 accepts the plain-text matrix form.  Exit codes: 0 success, 1 math-module
-failure, 2 parse/validation failure (including n < 3, a ``--tol`` that
-is not a positive number, a ``bound --k`` below 1, a ``render`` with no
-layer and no ``--eigs``, an input that cannot be read or is not UTF-8, and
-an ``--out`` that cannot be written).
+failure (including a det bound above the float range), 2 parse/validation
+failure (including n < 3, a ``--tol`` that is not a finite positive number,
+an eigenpair whose residual is not finite, a ``bound --k`` below 1, a
+``render`` with no layer and no ``--eigs``, an input that cannot be read or
+is not UTF-8, and an ``--out`` that cannot be written).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import bounds, cassini, discs, oracle, refine, render, similarity
@@ -213,20 +215,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: One parser per process: nothing in it depends on the call, and argparse
+#: looks up ``sys.stdout``/``sys.stderr`` only when it prints.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        if not args.tol > 0:  # NaN too: no residual exceeds it, so every pair would pass
+        # NaN or inf: no residual exceeds it, so every pair would pass
+        if not 0 < args.tol < math.inf:
             raise InputError(f"--tol must be a positive number, got {args.tol!r}")
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:  # an input that cannot be read, an --out that cannot be written
+    # OSError: an input that cannot be read, an --out that cannot be written
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EigenfenceError, OverflowError) as exc:

@@ -216,17 +216,24 @@ def check_eigenpair(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> float:
     """Scale-aware residual of a claimed eigenpair.
 
     Returns ``max_i |(Av - lambda v)_i| / (1 + max_i |v_i|)``.  The caller
-    treats the pair as valid iff the residual is at most ``tol``.
+    treats the pair as valid iff the residual is at most ``tol``.  Raises
+    InvalidEigenpairError when ``Av`` or ``lambda v`` overflows and so the
+    residual is not finite: no tolerance could judge it (NaN compares
+    false with every ``tol``).
     """
     a = as_matrix(matrix)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if pair.n != a.shape[0]:
         raise DimensionError(
             f"eigenvector length {pair.n} does not match matrix size {a.shape[0]}")
     v = pair.vector
-    residual = np.abs(a @ v - pair.value * v).max()
-    return float(residual / (1.0 + np.abs(v).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.abs(a @ v - pair.value * v).max() / (1.0 + np.abs(v).max()))
+    if not np.isfinite(residual):
+        raise InvalidEigenpairError(
+            "eigenpair residual is not finite: A v or lambda v overflows")
+    return residual
 
 
 def require_eigenpair(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> None:

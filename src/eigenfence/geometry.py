@@ -349,12 +349,6 @@ def max_abs(region) -> MaxAbs:
     return region.max_abs()
 
 
-def boundary_points(region, angles: int = 256) -> np.ndarray:
-    """Representative boundary samples of a region's primitive shapes, all
-    inside the region (see each kind's ``boundary_points``)."""
-    return region.boundary_points(angles)
-
-
 def sampled_subset(region_a, region_b, resolution: int = 64) -> SubsetCheck:
     """Sampled test of ``region_a ⊆ region_b``.
 
@@ -364,7 +358,7 @@ def sampled_subset(region_a, region_b, resolution: int = 64) -> SubsetCheck:
     """
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
-    candidates = [boundary_points(region_a, 4 * resolution)]
+    candidates = [region_a.boundary_points(4 * resolution)]
     x0, x1, y0, y1 = region_a.bounding_box()
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)

@@ -1,11 +1,22 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cases
-from eigenfence import SemiNorm, det_bound, standard_reports
+from eigenfence import (
+    Eigenpair,
+    InvalidEigenpairError,
+    SemiNorm,
+    check_eigenpair,
+    cli,
+    det_bound,
+    standard_reports,
+)
 from eigenfence.cli import main
+
+PROBLEMS = sorted((Path(__file__).parent.parent / "demos" / "problems").glob("*.json"))
 
 
 def write_problem(path, matrix, pair=None):
@@ -334,7 +345,7 @@ def test_shear_pair_checked_once(tmp_path, capsys):
     assert reports["det_tau1_k2"] >= abs(np.linalg.det(RECHECK_A)) * (1 - 1e-9)
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["validate", "locate"])
 def test_bad_tolerance_is_an_input_error(perron6, capsys, tol, command):
     assert main(["--tol", tol, command, perron6]) == 2
@@ -366,3 +377,118 @@ def test_each_command_prepares_once(shear4, monkeypatch, capsys):
     refinements.clear()
     assert main(["refine", shear4]) == 0
     assert len(refinements) == 1
+
+
+def strict_json(text):
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``,
+    which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"stdout holds {name}, which is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the run
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.stem)
+def test_stdout_is_strict_json(capsys, problem):
+    for command in (["validate"], ["locate", "--classic"], ["refine"],
+                    ["bound", "--k", "3", "--det"], ["obr"]):
+        assert main([command[0], str(problem), *command[1:]]) == 0
+        out = capsys.readouterr()
+        strict_json(out.out)
+        assert "Warning" not in out.err and "Traceback" not in out.err
+
+
+def test_parser_is_built_once(perron6, monkeypatch, capsys):
+    def fails():
+        raise AssertionError("main built a parser")
+    monkeypatch.setattr(cli, "build_parser", fails)
+    assert main(["validate", perron6]) == 0
+    assert main(["locate", perron6]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# |lambda| * tau1(B) ** 2 = 1e150 * 1e160 is above the float range
+DET_OVERFLOW_A = np.array([[1e150, 0, 0], [1e150, 1e80, 0], [1e150, 0, 2e80]])
+DET_OVERFLOW_PAIR = Eigenpair(1e150, np.ones(3))
+
+
+@pytest.mark.filterwarnings("error")
+def test_det_bound_above_float_range_is_a_math_error(tmp_path, capsys):
+    path = write_problem(tmp_path / "det.json", DET_OVERFLOW_A, DET_OVERFLOW_PAIR)
+    assert main(["validate", path]) == 0
+    assert strict_json(capsys.readouterr().out)["residual"] == 0.0
+    for options in ([], ["--k", "2"]):
+        assert main(["bound", path, "--det", *options]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: det_tau1_k1: the det bound at k = 1")
+        assert out.err.count("\n") == 1
+    with pytest.raises(OverflowError, match="det_tau1_k1: the det bound at k = 1"):
+        standard_reports(DET_OVERFLOW_A, DET_OVERFLOW_PAIR, include_det=True)
+    with pytest.raises(OverflowError, match="det_tauinf_k2: the det bound at k = 2"):
+        det_bound(DET_OVERFLOW_A, DET_OVERFLOW_PAIR, 2, SemiNorm.LINF)
+    # without --det every bound is finite
+    assert main(["bound", path]) == 0
+    strict_json(capsys.readouterr().out)
+
+
+def test_infinite_tolerance_does_not_pass_a_bad_pair(tmp_path, capsys):
+    a = np.array([[1.0, 2, 3], [4, 5, 6], [7, 8, 10]])
+    path = write_problem(tmp_path / "bad.json", a, Eigenpair(100.0, np.ones(3)))
+    assert check_eigenpair(a, Eigenpair(100.0, np.ones(3))) == 47.0
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        check_eigenpair(a, Eigenpair(100.0, np.ones(3)), tol=np.inf)
+    for command in ("validate", "locate", "obr"):
+        assert main(["--tol", "inf", command, path]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --tol must be a positive number, got inf\n"
+
+
+# A v and lambda v overflow: inf - inf gives a NaN residual, and an inf
+# entry of A v beside a finite lambda v an infinite one
+NONFINITE_RESIDUAL = {
+    "nan": (np.diag([1e200, 2e200, 3e200]), Eigenpair(7e200, np.full(3, 1e200))),
+    "inf": (np.array([[1e308, 1e308, 1e308], [0, 1, 0], [0, 0, 1]]),
+            Eigenpair(1.0, np.ones(3))),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(NONFINITE_RESIDUAL))
+def test_nonfinite_residual_is_refused_by_every_command(tmp_path, capsys, case):
+    a, pair = NONFINITE_RESIDUAL[case]
+    with pytest.raises(InvalidEigenpairError, match="residual is not finite"):
+        check_eigenpair(a, pair)
+    with pytest.raises(InvalidEigenpairError, match="residual is not finite"):
+        standard_reports(a, pair)
+    path = write_problem(tmp_path / f"{case}.json", a, pair)
+    for command in (["validate"], ["locate"], ["refine"], ["bound", "--det"], ["obr"],
+                    ["render", "--out", "-"]):
+        assert main([command[0], path, *command[1:]]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: eigenpair residual is not finite: A v or lambda v overflows\n"
+
+
+def gate_defect_problem(tmp_path):
+    """ROADMAP item 1: a pair whose residual 1.25e-11 passes ``validate``
+    but whose B has rows summing to 5 +- 2.5e-4 (the defect is divided by
+    v_5 = 1e-7)."""
+    v = np.array([1.0, 1, 1, 1, 1e-7])
+    b0 = np.random.default_rng(0).random((5, 5))
+    b0 *= 5.0 / b0.sum(axis=1)[:, None]
+    a = v[:, None] * b0 / v[None, :]
+    a[4, 0] += 2.5e-11
+    return write_problem(tmp_path / "gate.json", a, Eigenpair(5.0, v))
+
+
+def test_gate_defect_pair_validates(tmp_path, capsys):
+    assert main(["validate", gate_defect_problem(tmp_path)]) == 0
+    assert strict_json(capsys.readouterr().out)["valid"] is True
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("command", ["refine", "bound", "obr"])
+def test_gate_defect_pair_passes_every_command(tmp_path, capsys, command):
+    assert main([command, gate_defect_problem(tmp_path)]) == 0

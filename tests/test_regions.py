@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from eigenfence import (CassiniUnion, DiscUnion, PairIntersectionUnion, RegionIntersection,
                         max_abs, obr_intersection, obr_set, region_from_json)
 from eigenfence import geometry
-from eigenfence.geometry import MEMBERSHIP_EPS, boundary_points
+from eigenfence.geometry import MEMBERSHIP_EPS
 
 # -- scalar reference: one primitive at a time --------------------------------
 
@@ -166,7 +166,7 @@ def test_array_regions_match_scalar_reference(kind, block, data):
             assert np.array_equal(hit, ref_contains(region, z))
             assert np.array_equal(region.contains_points(z.reshape(1, -1)), hit.reshape(1, -1))
             assert bool(region.contains_points(z[-1])) == hit[-1]
-            assert np.array_equal(boundary_points(region, 16), ref_boundary_points(region, 16))
+            assert np.array_equal(region.boundary_points(16), ref_boundary_points(region, 16))
     assert region.bounding_box() == ref_bounding_box(region)
     assert max_abs(region).value == ref_max_abs(region)
     assert np.array_equal(region_from_json(region.to_json()).table, region.table)
