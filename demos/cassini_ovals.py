@@ -27,7 +27,7 @@ for c1, c2, bound in ovals.ovals.tolist():
 
 both = ef.RegionIntersection((ef.obr_set(odd.G), ef.obr_set(odd.G.T)))
 for z in (0.0, -2.0, 0.5, -1.0, 1j):
-    print(f"  {z} member: {ef.contains(both, z)}")
+    print(f"  {z} member: {both.contains_points(z)}")
 print("the remaining eigenvalues 0 and -2 are the only members")
 
 # ---- a constant row-sum 3x3: the four-way intersection --------------------
@@ -39,13 +39,13 @@ region = ef.cassini_intersection_region(A2, pair2)
 print("\nfour-way oval intersection for the row-sum matrix:")
 print("  parts:", len(region.parts))
 for z in (-6.0, 5.0):
-    print(f"  remaining eigenvalue {z:+g} inside:", ef.contains(region, z))
-print("  known eigenvalue 24 inside:", ef.contains(region, 24.0))
-print("  conservative modulus cap:", round(ef.max_abs(region).value, 3))
+    print(f"  remaining eigenvalue {z:+g} inside:", region.contains_points(z))
+print("  known eigenvalue 24 inside:", region.contains_points(24.0))
+print("  conservative modulus cap:", round(region.max_abs().value, 3))
 
 # Brauer's guarantee holds for any matrix and its plain oval set
 rng = np.random.default_rng(1)
 M = rng.integers(-5, 6, size=(5, 5)).astype(float)
 union = ef.obr_set(M)
 print("\nrandom 5x5: every eigenvalue inside its own oval union:",
-      all(ef.contains(union, z) for z in ef.eigenvalues(M).values))
+      all(union.contains_points(z) for z in ef.eigenvalues(M).values))

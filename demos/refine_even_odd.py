@@ -33,7 +33,7 @@ print("refined discs:", [tuple(d) for d in fine.discs.tolist()])
 print("refined region inside the original:",
       ef.sampled_subset(fine, coarse, resolution=128).is_subset)
 for z in ef.nontrivial_values(ef.eigenvalues(A6), 24.0):
-    assert ef.contains(fine, z)
+    assert fine.contains_points(z)
 print("all five remaining eigenvalues stay inside the refined region")
 
 # ---- odd case: a 7x7 with Perron pair (15, (3,2,1,1,1,1,1)) ----------------
@@ -62,5 +62,5 @@ coarse7 = ef.second_type_discs_of_transpose(B7)
 print("region inside the unrefined one:",
       ef.sampled_subset(region, coarse7).is_subset)
 for z in ef.nontrivial_values(ef.eigenvalues(A7), 15.0):
-    assert ef.contains(region, z)
+    assert region.contains_points(z)
 print("all six remaining eigenvalues inside the pairwise-intersection region")

@@ -23,24 +23,27 @@ F = ef.refine_even(B).F
 print("B =\n", B)
 print("F =\n", F)
 
-print("\ndisc bound from B :", ef.bound_from_discs(B))
-print("disc bound from F :", ef.bound_from_discs(F), " (|lambda_2| is 6: tight)")
+print("\ndisc bound from B :", ef.second_type_discs_of_transpose(B).max_abs().value)
+print("disc bound from F :", ef.second_type_discs_of_transpose(F).max_abs().value,
+      " (|lambda_2| is 6: tight)")
 
+# F has the eigenpair (row sum, ones), on which the similarity step returns
+# F itself: the tau rows of its report are the powered bounds of F
+f_pair = ef.Eigenpair(F[0].sum(), np.ones(len(F)))
+table = {r.name: r.value for r in ef.standard_reports(F, f_pair, ks=(1, 2, 3))}
 print("\nsemi-norm power table for F:")
 print("  k | tau_inf(F^k)^(1/k) | tau_1(F^k)^(1/k)")
 for k in (1, 2, 3):
-    ti = ef.powered_bound(F, k, ef.SemiNorm.LINF)
-    t1 = ef.powered_bound(F, k, ef.SemiNorm.L1)
-    print(f"  {k} | {ti:18.4f} | {t1:16.4f}")
+    print(f"  {k} | {table[f'tauinf_k{k}']:18.4f} | {table[f'tau1_k{k}']:16.4f}")
 
 spectrum = ef.eigenvalues(A)
 largest_rest = max(abs(z) for z in ef.nontrivial_values(spectrum, 24.0))
 print("largest remaining |eigenvalue|:", round(largest_rest, 6))
 
 det = ef.determinant(A)
-for k in (1, 3):
-    cap = ef.det_bound(A, pair, k, ef.SemiNorm.LINF)
-    print(f"determinant bound (k={k}): |det| = {abs(det):g} <= {cap:g}")
+for r in ef.standard_reports(A, pair, kinds=(ef.SemiNorm.LINF,), include_det=True):
+    if r.name.startswith("det_"):
+        print(f"determinant bound (k={r.k}): |det| = {abs(det):g} <= {r.value:g}")
 
 # the full report the CLI emits, as plain objects
 print("\nstandard report:")

@@ -35,7 +35,7 @@ print("\nspectrum of A:", np.round(ef.eigenvalues(A).values.real, 6))
 print("spectrum of C:", np.round(ef.eigenvalues(d.C).values.real, 6))
 for z in (-1.0, 1.0, 2.0):
     print(f"  remaining eigenvalue {z:+g} inside refined region:",
-          ef.contains(region, z))
+          region.contains_points(z))
 
 # the interleaved case: zeros move first but keep their relative order
 M = np.array([[2.0, 1, 1], [0, 3, 0], [1, 1, 2]])

@@ -27,7 +27,6 @@ from .core import (
     ZeroComponentError,
     as_matrix,
     check_eigenpair,
-    format_matrix,
     parse_matrix,
     parse_problem,
 )
@@ -36,10 +35,9 @@ from .similarity import (
     SimilarityResult,
     desingularize,
     diag_similar,
-    eigenpair_region,
     prepare,
 )
-from .discs import classic_discs, second_type_discs_of_transpose, second_type_radius
+from .discs import classic_discs, second_type_discs_of_transpose
 from .refine import (
     EvenRefinement,
     OddRefinement,
@@ -52,9 +50,6 @@ from .cassini import cassini_intersection_region, obr_intersection, obr_set
 from .bounds import (
     BoundReport,
     SemiNorm,
-    bound_from_discs,
-    det_bound,
-    powered_bound,
     standard_reports,
     tau1,
     tau_inf,
@@ -66,7 +61,6 @@ from .geometry import (
     PairIntersectionUnion,
     RegionIntersection,
     SubsetCheck,
-    contains,
     max_abs,
     region_from_json,
     region_to_json,

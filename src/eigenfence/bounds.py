@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Eigenpair, as_matrix
 from .discs import row_gaps, second_type_discs_of_transpose, sorted_columns
-from .refine import refinement, row_sum_constant
+from .refine import refinement
 from .similarity import SimilarityResult, prepare
 
 #: Entry magnitude above which matrix powering stops with OverflowError.
@@ -67,15 +67,6 @@ class BoundReport:
 
     def to_json(self) -> dict:
         return {"name": self.name, "value": self.value, "source": self.source, "k": self.k}
-
-
-def bound_from_discs(matrix) -> float:
-    """``max_i |m_ii| + r_i`` with r_i the second-type radius of column i:
-    the farthest reach from the origin of the second-type disc union.
-
-    Meaningful when M is a constant row-sum matrix (B, F or G).
-    """
-    return second_type_discs_of_transpose(matrix).max_abs().value
 
 
 def tau1(matrix) -> float:
@@ -160,25 +151,6 @@ def _det(value: float, tau: float, n: int, k: int, kind: SemiNorm) -> float:
     return det
 
 
-def powered_bound(matrix, k: int, kind: SemiNorm) -> float:
-    """``tau_kind(M^k) ** (1/k)`` for a constant row-sum matrix M."""
-    m = as_matrix(matrix)
-    row_sum_constant(m)
-    return float(_taus(m, {k}, (kind,))[k, kind] ** (1.0 / k))
-
-
-def det_bound(matrix, pair: Eigenpair, k: int, kind: SemiNorm,
-              tol: float = DEFAULT_TOL) -> float:
-    """Upper bound ``|lambda| * tau_kind(B^k) ** ((n-1)/k)`` on |det A|.
-
-    B is the constant row-sum matrix similar to A from
-    :func:`~eigenfence.similarity.prepare`; powering B directly is the same
-    as conjugating A^k and avoids one similarity per power.
-    """
-    b = prepare(matrix, pair, tol).B
-    return _det(pair.value, _taus(b, {k}, (kind,))[k, kind], b.shape[0], k, kind)
-
-
 def standard_reports(matrix, pair: Eigenpair, ks: tuple[int, ...] = (1,),
                      kinds: tuple[SemiNorm, ...] = (SemiNorm.L1, SemiNorm.LINF),
                      include_det: bool = False,
@@ -198,7 +170,8 @@ def prepared_reports(sim: SimilarityResult, ks: tuple[int, ...] = (1,),
     """:func:`standard_reports` of an already prepared B."""
     b = sim.B
     n = b.shape[0]
-    reports = [BoundReport("m_B", bound_from_discs(b), "second_type_discs(B)")]
+    reports = [BoundReport("m_B", second_type_discs_of_transpose(b).max_abs().value,
+                           "second_type_discs(B)")]
     reach = {name: d.max_abs().value for name, d in refinement(b).discs.items()}
     reports += [BoundReport(f"m_{name}", value, f"second_type_discs({name})")
                 for name, value in reach.items()]

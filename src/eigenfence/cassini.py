@@ -20,15 +20,21 @@ from .similarity import prepare
 
 
 def obr_set(matrix) -> CassiniUnion:
-    """Ostrowski-Brauer set of M: one oval per index pair i < j, in order."""
+    """Ostrowski-Brauer set of M: one oval per index pair i < j, in order;
+    OverflowError when an R_i or an oval bound R_i R_j is above the float range."""
     m = as_matrix(matrix)
     n = m.shape[0]
     if n < 2:
         raise SizeError(f"Ostrowski-Brauer set needs n >= 2, got n = {n}")
     d = np.diagonal(m)
-    deleted = np.abs(m).sum(axis=1) - np.abs(d)
     i, j = np.triu_indices(n, 1)
-    return CassiniUnion(np.column_stack((d[i], d[j], deleted[i] * deleted[j])))
+    try:
+        with np.errstate(over="raise"):
+            deleted = np.abs(m).sum(axis=1) - np.abs(d)
+            bound = deleted[i] * deleted[j]
+    except FloatingPointError:
+        raise OverflowError("Ostrowski-Brauer oval bound R_i R_j above the float range") from None
+    return CassiniUnion(np.column_stack((d[i], d[j], bound)))
 
 
 def cassini_intersection_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL):

@@ -132,7 +132,7 @@ def as_matrix(obj) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Parsing / formatting
+# Parsing
 # ---------------------------------------------------------------------------
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -142,8 +142,6 @@ def parse_matrix(text: str) -> np.ndarray:
     input starts with ``{`` it is treated as the JSON problem format and
     only the matrix part is returned.
     """
-    if not isinstance(text, str):
-        text = text.read()
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty matrix input")
@@ -172,8 +170,6 @@ def parse_problem(text: str) -> tuple[np.ndarray, Eigenpair | None]:
     Schema: ``{"matrix": [[...], ...], "eigenvalue": x, "eigenvector": [...]}``
     where the eigenpair fields are optional (but must appear together).
     """
-    if not isinstance(text, str):
-        text = text.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -196,16 +192,6 @@ def parse_problem(text: str) -> tuple[np.ndarray, Eigenpair | None]:
         raise DimensionError(
             f"eigenvector length {pair.n} does not match matrix size {matrix.shape[0]}")
     return matrix, pair
-
-
-def format_matrix(matrix) -> str:
-    """Render a matrix in the plain-text form accepted by :func:`parse_matrix`.
-
-    Round-trips exactly: ``parse_matrix(format_matrix(M))`` reproduces M
-    entry for entry (repr of a float is shortest-round-trip).
-    """
-    a = as_matrix(matrix)
-    return "\n".join(" ".join(repr(x) for x in row) for row in a.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -46,20 +46,6 @@ def row_gaps(desc: np.ndarray) -> np.ndarray:
     return desc[:, :half].sum(axis=1) - desc[:, half + n % 2:].sum(axis=1)
 
 
-def second_type_radius(values) -> float:
-    """Second-type radius of a list of n-1 off-diagonal entries.
-
-    The mandated 0 is inserted here so callers cannot forget it.  Requires
-    at least two values (n >= 3); the result is always >= 0.  This is the
-    one-column reference; whole matrices go through :func:`sorted_columns`.
-    """
-    vals = np.asarray(values, dtype=float).ravel()
-    if vals.size < 2:
-        raise SizeError(f"need at least 2 off-diagonal entries (n >= 3), got {vals.size}")
-    desc = np.sort(np.append(vals, 0.0))[::-1]
-    return float(row_gaps(desc[None, :])[0])
-
-
 def second_type_discs_of_transpose(matrix) -> DiscUnion:
     """Second-type discs of M^T: centers m_ii, radii from the columns of M."""
     m = as_matrix(matrix)

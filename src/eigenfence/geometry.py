@@ -333,11 +333,6 @@ class RegionIntersection:
         return cls(tuple(region_from_json(p) for p in doc["parts"]))
 
 
-def contains(region, z) -> bool:
-    """Scalar membership test (with the per-shape relative slack)."""
-    return bool(region.contains_points(np.asarray(z, dtype=complex)))
-
-
 def max_abs(region) -> MaxAbs:
     """Largest modulus over the region.
 

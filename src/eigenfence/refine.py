@@ -136,6 +136,7 @@ def refinement(matrix) -> EvenRefinement | OddRefinement:
 
     The one column sort here serves the shifts and, through the
     refinement's ``discs`` and :meth:`region`, the refined discs too.
+    Raises OverflowError when a shifted entry is above the float range.
     """
     b = as_matrix(matrix)
     n = b.shape[0]
@@ -144,12 +145,17 @@ def refinement(matrix) -> EvenRefinement | OddRefinement:
     row_sum_constant(b)
     desc = sorted_columns(b, -np.inf)
     h = n // 2
-    if n % 2 == 0:
-        shifts = desc[:, h - 1].copy()
-        ref = EvenRefinement(F=b - shifts, shifts=shifts)
-    else:
-        f_shifts, g_shifts = -desc[:, h - 1], -desc[:, h]
-        ref = OddRefinement(F=b + f_shifts, G=b + g_shifts, f_shifts=f_shifts, g_shifts=g_shifts)
+    try:
+        with np.errstate(over="raise"):
+            if n % 2 == 0:
+                shifts = desc[:, h - 1].copy()
+                ref = EvenRefinement(F=b - shifts, shifts=shifts)
+            else:
+                f_shifts, g_shifts = -desc[:, h - 1], -desc[:, h]
+                ref = OddRefinement(F=b + f_shifts, G=b + g_shifts,
+                                    f_shifts=f_shifts, g_shifts=g_shifts)
+    except FloatingPointError:
+        raise OverflowError("refinement: an entry of F or G is above the float range") from None
     for arr in vars(ref).values():
         arr.setflags(write=False)
     object.__setattr__(ref, "_desc", desc)

@@ -17,13 +17,12 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     Eigenpair,
+    InputError,
     NoZeroError,
     ZeroComponentError,
     as_matrix,
     require_eigenpair,
 )
-from .discs import second_type_discs_of_transpose
-from .geometry import DiscUnion
 
 #: Relative threshold under which an eigenvector component counts as zero.
 ZERO_TOL_FACTOR = 1e-12
@@ -58,7 +57,13 @@ class SimilarityResult:
 
 def _scaled(matrix: np.ndarray, value: float, v: np.ndarray, k: int = 0) -> SimilarityResult:
     b = v[None, :] / v[:, None]
-    b *= matrix
+    try:
+        with np.errstate(over="raise"):
+            b *= matrix
+    except FloatingPointError:
+        size = np.abs(v)
+        raise InputError(f"B = S^-1 A S is above the float range: max|v|/min|v| = "
+                         f"{size.max() / size.min():.3e} is too large for A") from None
     return SimilarityResult(B=_frozen(b), row_sum=value, scaling=_frozen(v.copy()), k=k)
 
 
@@ -128,14 +133,10 @@ def prepare(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> SimilarityResu
     """The constant row-sum matrix B similar to A, with row sums ``pair.value``:
     :func:`diag_similar`, or :func:`desingularize` first when v has zero
     components.  The pair is checked against ``tol`` once, on A; the
-    sheared pair ``(C, w)`` is not checked again."""
+    sheared pair ``(C, w)`` is not checked again.  Raises InputError when
+    an entry of B is above the float range."""
     if not zero_mask(pair.vector).any():
         return diag_similar(matrix, pair, tol)
     d = desingularize(matrix, pair, tol)
     return _scaled(d.C, pair.value, d.w, d.k)
 
-
-def eigenpair_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> DiscUnion:
-    """Inclusion region for every eigenvalue of A other than the known one:
-    the second-type discs of the transpose of B from :func:`prepare`."""
-    return second_type_discs_of_transpose(prepare(matrix, pair, tol).B)

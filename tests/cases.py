@@ -9,6 +9,16 @@ import numpy as np
 
 from eigenfence import Eigenpair
 
+
+def second_type_radius(values) -> float:
+    """Second-type radius of one column's n-1 off-diagonal entries, the
+    reference for the whole-matrix kernel: append the mandated 0, sort in
+    non-increasing order and subtract the bottom-half sum from the top-half
+    sum, skipping the middle entry when the count is odd."""
+    desc = np.sort(np.append(np.asarray(values, dtype=float), 0.0))[::-1]
+    half = desc.size // 2
+    return float(desc[:half].sum() - desc[half + desc.size % 2:].sum())
+
 # -- 6x6 nonnegative irreducible, known Perron pair -------------------------
 
 PERRON6_A = np.array([

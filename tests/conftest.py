@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 
+from eigenfence import DEFAULT_TOL, Eigenpair, standard_reports
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 
@@ -59,3 +61,30 @@ def random_row_sum_matrix(rng, n, row_sum=None, lo=-9, hi=9):
     m = rng.integers(lo, hi + 1, size=(n, n)).astype(float)
     m[:, -1] = row_sum - m[:, :-1].sum(axis=1)
     return m, float(row_sum)
+
+
+# ---------------------------------------------------------------------------
+# single bound values, read from the one report builder
+# ---------------------------------------------------------------------------
+
+def row_sum_reports(matrix, **options) -> dict:
+    """``standard_reports`` values by name for a constant row-sum matrix M.
+
+    M has the eigenpair (row sum, ones), on which ``prepare`` returns M
+    itself, so every row is a bound of M: ``m_B`` its disc bound and
+    ``tau*_k*`` its powered bounds.
+    """
+    m = np.asarray(matrix, dtype=float)
+    pair = Eigenpair(float(m.sum(axis=1).mean()), np.ones(len(m)))
+    return {r.name: r.value for r in standard_reports(m, pair, **options)}
+
+
+def powered(matrix, k, kind) -> float:
+    """``tau_kind(M^k) ** (1/k)`` for a constant row-sum matrix M."""
+    return row_sum_reports(matrix, ks=(k,), kinds=(kind,))[f"tau{kind.value}_k{k}"]
+
+
+def det_report(matrix, pair, k, kind, tol=DEFAULT_TOL) -> float:
+    """The ``det_tau*_k*`` report of ``(A, pair)``: ``|lambda| tau_kind(B^k) ** ((n-1)/k)``."""
+    reports = standard_reports(matrix, pair, ks=(k,), kinds=(kind,), include_det=True, tol=tol)
+    return next(r.value for r in reports if r.name == f"det_tau{kind.value}_k{k}")

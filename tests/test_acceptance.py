@@ -13,25 +13,21 @@ import numpy as np
 import pytest
 
 import cases
-from conftest import random_row_sum_matrix, tau_vertex_oracle
+from conftest import det_report, powered, random_row_sum_matrix, row_sum_reports, tau_vertex_oracle
 from eigenfence import (
     DiscUnion,
     Eigenpair,
     PairIntersectionUnion,
     RegionIntersection,
     SemiNorm,
-    bound_from_discs,
     classic_discs,
-    contains,
     desingularize,
-    det_bound,
     determinant,
     diag_similar,
-    eigenpair_region,
     eigenvalues,
     nontrivial_values,
     obr_set,
-    powered_bound,
+    prepare,
     refine_even,
     refine_odd,
     refined_region,
@@ -64,15 +60,15 @@ def test_perron6_similarity_and_disc_lists():
 # -- gate 2: 6x6 membership ---------------------------------------------------
 
 def test_perron6_membership():
-    region = eigenpair_region(cases.PERRON6_A, cases.PERRON6_PAIR)
+    region = second_type_discs_of_transpose(prepare(cases.PERRON6_A, cases.PERRON6_PAIR).B)
     others = nontrivial_values(eigenvalues(cases.PERRON6_A), 24.0)
     reference = sorted(map(complex, cases.PERRON6_OTHERS), key=lambda z: (z.real, z.imag))
     got = sorted(map(complex, others), key=lambda z: (z.real, z.imag))
     for g, q in zip(got, reference):
         assert abs(g - q) <= 0.01
     for z in others:
-        assert contains(region, z)
-    assert not contains(region, 24.0)
+        assert region.contains_points(z)
+    assert not region.contains_points(24.0)
 
 
 # -- gate 3: singular 6x6 -------------------------------------------------------
@@ -85,18 +81,18 @@ def test_singular6_reproduction_and_membership():
     others = nontrivial_values(eigenvalues(cases.SINGULAR6_A), 0.0)
     assert len(others) == 5
     for z in others:
-        assert contains(region, z)
+        assert region.contains_points(z)
 
 
 # -- gate 4: second-type region can escape the classic one ----------------------
 
 def test_stretch3_region_escapes_classic():
-    region = eigenpair_region(cases.STRETCH3_A, cases.STRETCH3_PAIR)
+    region = second_type_discs_of_transpose(prepare(cases.STRETCH3_A, cases.STRETCH3_PAIR).B)
     classic = classic_discs(cases.STRETCH3_A, "columns")
     check = sampled_subset(region, classic)
     assert not check.is_subset
     assert check.witness is not None
-    assert contains(region, check.witness) and not contains(classic, check.witness)
+    assert region.contains_points(check.witness) and not classic.contains_points(check.witness)
 
 
 # -- gate 5: even-size refinement -----------------------------------------------
@@ -123,7 +119,7 @@ def test_perron7_odd_refinement():
 
     region = refined_region(cases.PERRON7_B)
     for z in nontrivial_values(eigenvalues(cases.PERRON7_A), 15.0):
-        assert contains(region, z)
+        assert region.contains_points(z)
 
     hull = DiscUnion([cases.PERRON7_HULL_DISC])
     for pair in region.pairs:
@@ -145,44 +141,48 @@ def test_shear4_desingularization():
 
     region = second_type_discs_of_transpose(ref.F)
     for z in (-1.0, 1.0, 2.0):
-        assert contains(region, z)
+        assert region.contains_points(z)
     # the known eigenvalue itself happens to fall inside here; informative only
-    print(f"known eigenvalue 0 inside refined region: {contains(region, 0.0)}")
+    print(f"known eigenvalue 0 inside refined region: {region.contains_points(0.0)}")
 
 
 # -- gate 8: headline bound values --------------------------------------------------
 
-def test_bound_values():
-    assert bound_from_discs(cases.PERRON4_B) == 14.0
-    assert bound_from_discs(cases.PERRON4_F) == 6.0
+def disc_bound(m):
+    return second_type_discs_of_transpose(m).max_abs().value
 
-    assert bound_from_discs(cases.NEG7_B) == 42.0
+
+def test_bound_values():
+    assert disc_bound(cases.PERRON4_B) == 14.0
+    assert disc_bound(cases.PERRON4_F) == 6.0
+
+    assert disc_bound(cases.NEG7_B) == 42.0
     assert np.abs(cases.NEG7_B).sum(axis=0).max() == 48.0
     assert np.abs(cases.NEG7_B).sum(axis=1).max() == 48.0
     assert np.abs(cases.NEG7_A).sum(axis=0).max() == 78.0
     assert np.abs(cases.NEG7_A).sum(axis=1).max() == 87.0
 
     g = cases.ROWSUM3_G
-    assert bound_from_discs(g) == 14.0
-    assert min(bound_from_discs(cases.ROWSUM3_F), bound_from_discs(g)) == 14.0
+    assert disc_bound(g) == 14.0
+    assert min(disc_bound(cases.ROWSUM3_F), disc_bound(g)) == 14.0
     assert tau_inf(g) == 12.0 == tau_vertex_oracle(g, "inf")
 
     # quadratic infinity bound: tau_inf(G^2) is 40 by direct evaluation and
     # by the vertex oracle, so the bound is sqrt(40) ~ 6.3246
     g2 = g @ g
     assert tau_inf(g2) == 40.0 == tau_vertex_oracle(g2, "inf")
-    assert powered_bound(g, 2, SemiNorm.LINF) == pytest.approx(np.sqrt(40.0), abs=1e-12)
+    assert powered(g, 2, SemiNorm.LINF) == pytest.approx(np.sqrt(40.0), abs=1e-12)
 
     # L1 semi-norm of G: the row pair (9,0,0)/(0,-3,12) differs by 24 in L1,
     # hence 12; re-proved by the vertex oracle
     assert tau1(g) == 12.0 == tau_vertex_oracle(g, 1)
 
     # every remaining-eigenvalue bound here must dominate |λ₂| = 6
-    for value in (14.0, tau_inf(g), tau1(g), powered_bound(g, 2, SemiNorm.LINF)):
+    for value in (14.0, tau_inf(g), tau1(g), powered(g, 2, SemiNorm.LINF)):
         assert value >= 6.0
     # alternative bound families give 11.36 and 12 on this matrix;
     # the k = 2 power bound beats both
-    assert powered_bound(g, 2, SemiNorm.LINF) < 11.36 < 12.0
+    assert powered(g, 2, SemiNorm.LINF) < 11.36 < 12.0
 
 
 # -- gate 9: semi-norm power tables ---------------------------------------------------
@@ -198,7 +198,7 @@ def test_seminorm_tables():
         (3, SemiNorm.L1): 6.54,
     }
     for (k, kind), want in expected_f.items():
-        got = powered_bound(f, k, kind)
+        got = powered(f, k, kind)
         assert got == pytest.approx(want, abs=0.01), (k, kind)
         p = np.linalg.matrix_power(f, k)
         assert got == pytest.approx(
@@ -215,7 +215,7 @@ def test_seminorm_tables():
         (5, SemiNorm.L1): 2.34,
     }
     for (k, kind), want in expected_g.items():
-        got = powered_bound(g, k, kind)
+        got = powered(g, k, kind)
         assert got == pytest.approx(want, abs=0.01), (k, kind)
         p = np.linalg.matrix_power(g, k)
         assert got == pytest.approx(
@@ -236,8 +236,8 @@ def test_cassini_degeneration_grid():
     targets = np.array([0.0, -2.0])
     for z in members:
         assert np.abs(z - targets).min() <= 1e-6
-    assert contains(region, 0.0)
-    assert contains(region, -2.0)
+    assert region.contains_points(0.0)
+    assert region.contains_points(-2.0)
 
 
 # -- gate 11: randomized property suite --------------------------------------------------
@@ -299,9 +299,10 @@ def test_property_powered_bound_soundness():
             n = 3 + seed % 6
             b, lam = random_row_sum_matrix(rng, n)
             mods = np.abs(nontrivial_values(eigenvalues(b), lam))
+            reports = row_sum_reports(b, ks=tuple(range(1, 7)))
             for k in range(1, 7):
                 for kind in (SemiNorm.L1, SemiNorm.LINF):
-                    assert np.all(mods <= powered_bound(b, k, kind) + 1e-7)
+                    assert np.all(mods <= reports[f"tau{kind.value}_k{k}"] + 1e-7)
 
 
 def test_property_refinement_subsets():
@@ -324,9 +325,9 @@ def test_property_det_bounds():
             b, lam, a, v = _planted_problem(rng, n)
             target = abs(determinant(b))
             for k in (1, n - 1):
-                assert det_bound(b, Eigenpair(lam, np.ones(n)), k, SemiNorm.L1) >= target - 1e-7
-                assert det_bound(a, Eigenpair(lam, v), k, SemiNorm.LINF,
-                                 tol=1e-7) >= abs(determinant(a)) - 1e-6 * (1 + target)
+                assert det_report(b, Eigenpair(lam, np.ones(n)), k, SemiNorm.L1) >= target - 1e-7
+                assert det_report(a, Eigenpair(lam, v), k, SemiNorm.LINF,
+                                  tol=1e-7) >= abs(determinant(a)) - 1e-6 * (1 + target)
 
 
 def test_property_brauer_containment():

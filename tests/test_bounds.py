@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 import cases
-from conftest import random_row_sum_matrix, tau_vertex_oracle
+from conftest import det_report, powered, random_row_sum_matrix, row_sum_reports, tau_vertex_oracle
 from eigenfence import (
     Eigenpair,
     SemiNorm,
-    bound_from_discs,
-    det_bound,
     determinant,
     diag_similar,
     eigenvalues,
     max_abs,
     nontrivial_values,
-    powered_bound,
+    prepare,
     refine_even,
     refine_odd,
     second_type_discs_of_transpose,
@@ -28,22 +26,24 @@ from eigenfence import (
 # ---------------------------------------------------------------------------
 
 def test_disc_bound_worked_values():
-    assert bound_from_discs(cases.PERRON4_B) == 14.0
-    assert bound_from_discs(cases.PERRON4_F) == 6.0
-    assert bound_from_discs(cases.NEG7_B) == 42.0
-    assert bound_from_discs(cases.ROWSUM3_G) == 14.0
+    for m, reach in ((cases.PERRON4_B, 14.0), (cases.PERRON4_F, 6.0),
+                     (cases.NEG7_B, 42.0), (cases.ROWSUM3_G, 14.0)):
+        assert second_type_discs_of_transpose(m).max_abs().value == reach
+        assert row_sum_reports(m, kinds=())["m_B"] == reach
 
 
 def test_disc_bound_needs_n3():
     from eigenfence import SizeError
     with pytest.raises(SizeError):
-        bound_from_discs(np.eye(2))
+        standard_reports(np.eye(2), Eigenpair(1.0, np.ones(2)))
 
 
 def test_disc_bound_matches_region_reach():
-    for m in (cases.PERRON4_B, cases.PERRON6_B, cases.NEG7_B):
-        region = second_type_discs_of_transpose(m)
-        assert bound_from_discs(m) == max_abs(region).value
+    for a, pair in ((cases.PERRON4_A, cases.PERRON4_PAIR), (cases.PERRON6_A, cases.PERRON6_PAIR),
+                    (cases.NEG7_A, cases.NEG7_PAIR)):
+        region = second_type_discs_of_transpose(prepare(a, pair).B)
+        reports = {r.name: r.value for r in standard_reports(a, pair, kinds=())}
+        assert reports["m_B"] == max_abs(region).value
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +122,19 @@ def test_shift_equalities_on_refinements():
 
 def test_powered_reduces_to_plain_at_k1():
     b = cases.PERRON4_F
-    assert powered_bound(b, 1, SemiNorm.L1) == tau1(b)
-    assert powered_bound(b, 1, SemiNorm.LINF) == tau_inf(b)
+    assert powered(b, 1, SemiNorm.L1) == tau1(b)
+    assert powered(b, 1, SemiNorm.LINF) == tau_inf(b)
 
 
 def test_powered_worked_values():
     f = cases.PERRON4_F
-    assert powered_bound(f, 2, SemiNorm.L1) == pytest.approx(6.93, abs=0.01)
-    assert powered_bound(f, 3, SemiNorm.L1) == pytest.approx(6.54, abs=0.01)
-    assert powered_bound(f, 3, SemiNorm.LINF) == pytest.approx(6.0, abs=1e-12)
+    assert powered(f, 2, SemiNorm.L1) == pytest.approx(6.93, abs=0.01)
+    assert powered(f, 3, SemiNorm.L1) == pytest.approx(6.54, abs=0.01)
+    assert powered(f, 3, SemiNorm.LINF) == pytest.approx(6.0, abs=1e-12)
     g = cases.SHEAR4_F
-    assert powered_bound(g, 2, SemiNorm.LINF) == pytest.approx(3.16, abs=0.01)
-    assert powered_bound(g, 5, SemiNorm.L1) == pytest.approx(2.34, abs=0.01)
-    assert powered_bound(cases.ROWSUM3_G, 2, SemiNorm.LINF) == pytest.approx(
+    assert powered(g, 2, SemiNorm.LINF) == pytest.approx(3.16, abs=0.01)
+    assert powered(g, 5, SemiNorm.L1) == pytest.approx(2.34, abs=0.01)
+    assert powered(cases.ROWSUM3_G, 2, SemiNorm.LINF) == pytest.approx(
         np.sqrt(40.0), abs=1e-12)
 
 
@@ -144,9 +144,10 @@ def test_powered_soundness_random():
         n = int(rng.integers(3, 9))
         b, lam = random_row_sum_matrix(rng, n)
         others = nontrivial_values(eigenvalues(b), lam)
+        reports = row_sum_reports(b, ks=tuple(range(1, 7)))
         for k in range(1, 7):
             for kind in (SemiNorm.L1, SemiNorm.LINF):
-                bound = powered_bound(b, k, kind)
+                bound = reports[f"tau{kind.value}_k{k}"]
                 assert np.all(np.abs(others) <= bound + 1e-7), (b, k, kind)
 
 
@@ -154,15 +155,15 @@ def test_powered_overflow_guard():
     # row sums 2e200 and a remaining eigenvalue 2e200, whose square is out of range
     m = 1e200 * np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]])
     with pytest.raises(OverflowError):
-        powered_bound(m, 4, SemiNorm.L1)
+        powered(m, 4, SemiNorm.L1)
 
 
 def test_powered_convergence_trend():
     # the high-power bound closes most of the gap to the true magnitude
     for f, target, kmax in ((cases.PERRON4_F, 6.0, 3), (cases.SHEAR4_F, 2.0, 5)):
         for kind in (SemiNorm.L1, SemiNorm.LINF):
-            last = powered_bound(f, kmax, kind)
-            first = powered_bound(f, 1, kind)
+            last = powered(f, kmax, kind)
+            first = powered(f, 1, kind)
             assert target - 1e-9 <= last <= first
             assert last <= 1.3 * target
 
@@ -172,15 +173,15 @@ def test_powered_convergence_trend():
 # ---------------------------------------------------------------------------
 
 def test_det_bound_zero_eigenvalue():
-    assert det_bound(cases.SINGULAR6_A, cases.SINGULAR6_PAIR, 1, SemiNorm.L1) == 0.0
+    assert det_report(cases.SINGULAR6_A, cases.SINGULAR6_PAIR, 1, SemiNorm.L1) == 0.0
     assert determinant(cases.SINGULAR6_A) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_det_bound_dominates_determinant():
-    value = det_bound(cases.PERRON4_A, cases.PERRON4_PAIR, 1, SemiNorm.LINF)
+    value = det_report(cases.PERRON4_A, cases.PERRON4_PAIR, 1, SemiNorm.LINF)
     assert value == pytest.approx(24.0 * 6.0 ** 3, abs=1e-9)
     assert value >= abs(determinant(cases.PERRON4_A))
-    deep = det_bound(cases.PERRON6_A, cases.PERRON6_PAIR, 5, SemiNorm.L1)
+    deep = det_report(cases.PERRON6_A, cases.PERRON6_PAIR, 5, SemiNorm.L1)
     assert deep >= abs(determinant(cases.PERRON6_A))
 
 
@@ -193,7 +194,7 @@ def test_det_bound_random():
         target = abs(determinant(b))
         for k in (1, n - 1):
             for kind in (SemiNorm.L1, SemiNorm.LINF):
-                assert det_bound(b, pair, k, kind) >= target - 1e-7
+                assert det_report(b, pair, k, kind) >= target - 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +234,11 @@ def test_reports_walk_one_power_ladder(monkeypatch):
     ks = tuple(range(1, 41))
     reports = standard_reports(a, pair, ks=ks, include_det=True)
     assert sum(k - 1 for k in calls) <= max(set(ks) | {a.shape[0] - 1}) - 1
-    # every value is bit-identical to the one-report functions
+    # every value is bit-identical to a walk for its power alone
     b = diag_similar(a, pair).B
     for r in reports:
         kind = SemiNorm.L1 if "tau1" in r.name else SemiNorm.LINF
         if r.name.startswith("det_"):
-            assert r.value == det_bound(a, pair, r.k, kind)
+            assert r.value == det_report(a, pair, r.k, kind)
         elif r.k is not None:
-            assert r.value == powered_bound(b, r.k, kind)
+            assert r.value == powered(b, r.k, kind)

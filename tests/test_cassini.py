@@ -6,7 +6,6 @@ from conftest import random_row_sum_matrix
 from eigenfence import (
     SizeError,
     cassini_intersection_region,
-    contains,
     eigenvalues,
     nontrivial_values,
     obr_set,
@@ -23,24 +22,24 @@ def test_oval_count_and_values():
 
 def test_degenerate_set_is_two_points():
     union = obr_set(cases.CHAIN3_DEGENERATE)
-    assert contains(union, 0.0)
-    assert contains(union, -2.0)
+    assert union.contains_points(0.0)
+    assert union.contains_points(-2.0)
     for z in (0.5, -1.0, -2.5, 1j):
-        assert not contains(union, z)
+        assert not union.contains_points(z)
 
 
 def test_diagonal_matrix_degenerates_to_spectrum():
     union = obr_set(np.diag([1.0, 2.0, 3.0]))
     for z in (1.0, 2.0, 3.0):
-        assert contains(union, z)
+        assert union.contains_points(z)
     for z in (1.5, 2.5, 0.0, 4.0):
-        assert not contains(union, z)
+        assert not union.contains_points(z)
 
 
 def test_rowsum3_refined_set_membership():
     union = obr_set(cases.ROWSUM3_G)
-    assert contains(union, -6.0)
-    assert contains(union, 5.0)
+    assert union.contains_points(-6.0)
+    assert union.contains_points(5.0)
 
 
 def test_needs_two_rows():
@@ -81,27 +80,27 @@ def test_rank_one_update_shares_eigenvalues():
 def test_intersection_region_rowsum3():
     region = cassini_intersection_region(cases.ROWSUM3_A, cases.ROWSUM3_PAIR)
     assert len(region.parts) == 4
-    assert contains(region, -6.0)
-    assert contains(region, 5.0)
+    assert region.contains_points(-6.0)
+    assert region.contains_points(5.0)
 
 
 def test_intersection_region_chain3():
     region = cassini_intersection_region(cases.CHAIN3_A, cases.CHAIN3_PAIR)
-    assert contains(region, 0.0)
-    assert contains(region, -2.0)
+    assert region.contains_points(0.0)
+    assert region.contains_points(-2.0)
 
 
 def test_intersection_region_even_case():
     region = cassini_intersection_region(cases.PERRON4_A, cases.PERRON4_PAIR)
     assert len(region.parts) == 2
-    assert contains(region, -6.0)
-    assert contains(region, -2.0)
+    assert region.contains_points(-6.0)
+    assert region.contains_points(-2.0)
 
 
 def test_intersection_region_desingularizes():
     region = cassini_intersection_region(cases.SHEAR4_A, cases.SHEAR4_PAIR)
     for z in (-1.0, 1.0, 2.0):
-        assert contains(region, z)
+        assert region.contains_points(z)
 
 
 def test_intersection_region_random_soundness():
@@ -112,4 +111,4 @@ def test_intersection_region_random_soundness():
         from eigenfence import Eigenpair
         region = cassini_intersection_region(b, Eigenpair(lam, np.ones(n)))
         for z in nontrivial_values(eigenvalues(b), lam):
-            assert contains(region, z), (b, lam, z)
+            assert region.contains_points(z), (b, lam, z)

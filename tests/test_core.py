@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import cases
 from eigenfence import (
@@ -13,7 +11,6 @@ from eigenfence import (
     ParseError,
     as_matrix,
     check_eigenpair,
-    format_matrix,
     parse_matrix,
     parse_problem,
 )
@@ -73,19 +70,6 @@ def test_parse_problem_pair_optional_but_joint():
 def test_problem_vector_length_mismatch():
     with pytest.raises(DimensionError):
         parse_problem('{"matrix": [[1, 0], [0, 1]], "eigenvalue": 1, "eigenvector": [1, 2, 3]}')
-
-
-def test_format_round_trip_integers():
-    np.testing.assert_array_equal(
-        parse_matrix(format_matrix(cases.PERRON6_A)), cases.PERRON6_A)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
-                min_size=3, max_size=3))
-def test_format_round_trip_floats(rows):
-    m = as_matrix(rows)
-    np.testing.assert_array_equal(parse_matrix(format_matrix(m)), m)
 
 
 def test_as_matrix_rejects_vector():

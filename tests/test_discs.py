@@ -7,12 +7,10 @@ import cases
 from eigenfence import (
     SizeError,
     classic_discs,
-    contains,
-    eigenpair_region,
     eigenvalues,
     nontrivial_values,
+    prepare,
     second_type_discs_of_transpose,
-    second_type_radius,
 )
 
 
@@ -24,25 +22,33 @@ def disc_list(union):
 # radius formula
 # ---------------------------------------------------------------------------
 
+def kernel_radius(values) -> float:
+    """Radius of column 0 of the second-type discs of a matrix whose
+    column 0 holds ``values`` below its diagonal (every other entry is 1)."""
+    m = np.ones((len(values) + 1,) * 2)
+    m[1:, 0] = values
+    return float(second_type_discs_of_transpose(m).discs[0, 1])
+
+
 def test_radius_even_count():
     # column 1 off-diagonals of the 6x6 worked matrix
-    assert second_type_radius([4, 2, 0, 8, 2]) == 12.0
+    assert kernel_radius([4, 2, 0, 8, 2]) == 12.0
 
 
 def test_radius_odd_count():
     # sorted with the inserted 0: (6,6,3,3,0,0,0) -> (6+6+3) - (0+0+0)
-    assert second_type_radius([3, 0, 6, 3, 6, 0]) == 15.0
+    assert kernel_radius([3, 0, 6, 3, 6, 0]) == 15.0
 
 
 def test_radius_constant_even():
     # all equal c, n even: (n/2)c - (n/2 - 1)c = c
     for n in (4, 6, 8):
-        assert second_type_radius([3.0] * (n - 1)) == 3.0
+        assert kernel_radius([3.0] * (n - 1)) == 3.0
 
 
 def test_radius_too_short():
     with pytest.raises(SizeError):
-        second_type_radius([1.0])
+        kernel_radius([1.0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -50,19 +56,20 @@ def test_radius_too_short():
 def test_radius_permutation_invariant(values, rnd):
     shuffled = list(values)
     rnd.shuffle(shuffled)
-    assert second_type_radius(shuffled) == second_type_radius(values)
+    assert kernel_radius(shuffled) == kernel_radius(values)
+    assert kernel_radius(values) == cases.second_type_radius(values)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-100, 100), min_size=2, max_size=9))
 def test_radius_nonnegative(values):
-    assert second_type_radius(values) >= 0.0
+    assert kernel_radius(values) >= 0.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0, 100), min_size=2, max_size=9))
 def test_radius_at_most_classic_for_nonnegative(values):
-    assert second_type_radius(values) <= sum(values) + 1e-9
+    assert kernel_radius(values) <= sum(values) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +120,27 @@ def test_classic_discs_bad_axis():
 # ---------------------------------------------------------------------------
 
 def test_region_worked_6x6():
-    region = eigenpair_region(cases.PERRON6_A, cases.PERRON6_PAIR)
+    region = second_type_discs_of_transpose(prepare(cases.PERRON6_A, cases.PERRON6_PAIR).B)
     assert disc_list(region) == cases.PERRON6_SECOND_DISCS
 
 
 def test_region_contains_every_other_eigenvalue():
-    region = eigenpair_region(cases.PERRON6_A, cases.PERRON6_PAIR)
+    region = second_type_discs_of_transpose(prepare(cases.PERRON6_A, cases.PERRON6_PAIR).B)
     others = nontrivial_values(eigenvalues(cases.PERRON6_A), 24.0)
     for z in others:
-        assert contains(region, z)
-    assert not contains(region, 24.0)
+        assert region.contains_points(z)
+    assert not region.contains_points(24.0)
 
 
 def test_region_singular_case():
-    region = eigenpair_region(cases.SINGULAR6_A, cases.SINGULAR6_PAIR)
+    region = second_type_discs_of_transpose(prepare(cases.SINGULAR6_A, cases.SINGULAR6_PAIR).B)
     assert disc_list(region) == cases.SINGULAR6_SECOND_DISCS
     for z in nontrivial_values(eigenvalues(cases.SINGULAR6_A), 0.0):
-        assert contains(region, z)
+        assert region.contains_points(z)
 
 
 def test_region_not_inside_classic_for_stretch3():
-    region = eigenpair_region(cases.STRETCH3_A, cases.STRETCH3_PAIR)
+    region = second_type_discs_of_transpose(prepare(cases.STRETCH3_A, cases.STRETCH3_PAIR).B)
     assert disc_list(region) == [(9, 8), (5, 1), (1, 5)]
     # reaches 17, beyond anything the classic column region can cover
     classic = classic_discs(cases.STRETCH3_A, "columns")
@@ -142,15 +149,15 @@ def test_region_not_inside_classic_for_stretch3():
 
 
 def test_region_desingularizes_transparently():
-    region = eigenpair_region(cases.SHEAR4_A, cases.SHEAR4_PAIR)
+    region = second_type_discs_of_transpose(prepare(cases.SHEAR4_A, cases.SHEAR4_PAIR).B)
     discs = disc_list(second_type_discs_of_transpose(cases.SHEAR4_C))
     assert disc_list(region) == discs
     for z in (-1.0, 1.0, 2.0):
-        assert contains(region, z)
+        assert region.contains_points(z)
 
 
 def test_membership_margin_on_worked_eigenvalues():
-    region = eigenpair_region(cases.PERRON6_A, cases.PERRON6_PAIR)
+    region = second_type_discs_of_transpose(prepare(cases.PERRON6_A, cases.PERRON6_PAIR).B)
     for z in nontrivial_values(eigenvalues(cases.PERRON6_A), 24.0):
         margin = min(abs(z - c) - r for c, r in region.discs.tolist())
         assert margin <= 1e-7

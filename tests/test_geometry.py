@@ -8,10 +8,9 @@ from eigenfence import (
     PairIntersectionUnion,
     RegionIntersection,
     classic_discs,
-    contains,
-    eigenpair_region,
     max_abs,
     obr_set,
+    prepare,
     refined_region,
     region_from_json,
     region_to_json,
@@ -26,14 +25,15 @@ def worked_region():
 
 def test_contains_inside_and_outside():
     region = worked_region()
-    assert contains(region, 7.76)
-    assert contains(region, complex(2.65, 1.34))
-    assert not contains(region, 24.0)
+    assert region.contains_points(7.76)
+    assert region.contains_points(complex(2.65, 1.34))
+    assert not region.contains_points(24.0)
 
 
 def test_contains_point_disc():
-    assert contains(DiscUnion([[0.0, 0.0]]), 0.0)
-    assert not contains(DiscUnion([[0.0, 0.0]]), 1e-6)
+    point = DiscUnion([[0.0, 0.0]])
+    assert point.contains_points(0.0)
+    assert not point.contains_points(1e-6)
 
 
 def test_disc_rejects_negative_radius():
@@ -45,16 +45,16 @@ def test_union_monotone():
     region = worked_region()
     for c, r in region.discs.tolist():
         z = complex(c + r / 2, 0.0)
-        assert contains(region, z)
+        assert region.contains_points(z)
 
 
 def test_intersection_monotone():
     region = RegionIntersection((worked_region(), classic_discs(cases.PERRON6_A, "columns")))
     zs = [0.0, 5.0, 7.76, 15.0, 25.0, 2 + 2j]
     for z in zs:
-        if contains(region, z):
+        if region.contains_points(z):
             for part in region.parts:
-                assert contains(part, z)
+                assert part.contains_points(z)
 
 
 class Spy:
@@ -82,7 +82,7 @@ def test_intersection_tests_each_part_on_survivors_only():
     assert np.array_equal(spies[2].seen[0], z[hits[0] & hits[1]])
     assert 0 < hit.sum() < spies[2].seen[0].size < spies[1].seen[0].size < z.size
     region = RegionIntersection(parts)
-    assert contains(region, 0.5) and not contains(region, -1.4)
+    assert region.contains_points(0.5) and not region.contains_points(-1.4)
 
 
 def test_max_abs_disc_union_exact():
@@ -126,13 +126,13 @@ def test_sampled_subset_reflexive():
 
 
 def test_sampled_subset_detects_escape():
-    region = eigenpair_region(cases.STRETCH3_A, cases.STRETCH3_PAIR)
+    region = second_type_discs_of_transpose(prepare(cases.STRETCH3_A, cases.STRETCH3_PAIR).B)
     classic = classic_discs(cases.STRETCH3_A, "columns")
     check = sampled_subset(region, classic)
     assert not check.is_subset
     assert check.witness is not None
-    assert contains(region, check.witness)
-    assert not contains(classic, check.witness)
+    assert region.contains_points(check.witness)
+    assert not classic.contains_points(check.witness)
 
 
 def test_sampled_subset_nested_discs():

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenfence import bounds, refine_even, refine_odd, refinement, second_type_radius
+import cases
+from eigenfence import bounds, refine_even, refine_odd, refinement
 from eigenfence.discs import row_gaps, second_type_discs_of_transpose, sorted_columns
 from eigenfence.similarity import SimilarityResult
 
@@ -58,12 +59,11 @@ def test_second_type_radii_match_per_column(parity, data):
     radii = row_gaps(sorted_columns(m, 0.0))
     for j in range(n):
         off = np.delete(m[:, j], j)
-        assert radii[j] == second_type_radius(off)
-        assert radii[j] == gap_1d(np.sort(np.append(off, 0.0))[::-1])
+        assert radii[j] == cases.second_type_radius(off)
     region = second_type_discs_of_transpose(m)
     assert [tuple(d) for d in region.discs.tolist()] == list(zip(np.diagonal(m), radii))
     reach = max(0.0, *(abs(m[j, j]) + radii[j] for j in range(n)))
-    assert bounds.bound_from_discs(m) == reach
+    assert region.max_abs().value == reach
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -98,7 +98,7 @@ def test_refined_discs_match_sorting_the_shifted_matrices(parity, data):
     sim = SimilarityResult(B=b, row_sum=float(b[0].sum()), scaling=np.ones(len(b)))
     reach = {r.name: r.value for r in bounds.prepared_reports(sim, kinds=())}
     for name, m in ref.matrices.items():
-        assert reach[f"m_{name}"] == bounds.bound_from_discs(m)
+        assert reach[f"m_{name}"] == second_type_discs_of_transpose(m).max_abs().value
 
 
 @pytest.mark.parametrize("parity", [0, 1])

@@ -42,7 +42,8 @@ ON_A = {
     "tau_inf": lambda a, pair: bounds.tau_inf(a),
     "standard_reports": lambda a, pair: bounds.standard_reports(a, pair, ks=(1, 2),
                                                                 include_det=True),
-    "det_bound": lambda a, pair: bounds.det_bound(a, pair, 2, bounds.SemiNorm.LINF),
+    "det_report": lambda a, pair: bounds.standard_reports(
+        a, pair, ks=(2,), kinds=(bounds.SemiNorm.LINF,), include_det=True),
     "check_eigenpair": check_eigenpair,
 }
 

@@ -8,7 +8,6 @@ from eigenfence import (
     NotConstantRowSumError,
     OddSizeError,
     RegionIntersection,
-    contains,
     diag_similar,
     eigenvalues,
     nontrivial_values,
@@ -132,13 +131,13 @@ def test_region_odd_single_disc_hull():
 def test_region_odd_membership_7x7():
     region = refined_region(cases.PERRON7_B)
     for z in nontrivial_values(eigenvalues(cases.PERRON7_A), 15.0):
-        assert contains(region, z)
+        assert region.contains_points(z)
 
 
 def test_region_odd_zero_matrix_is_origin():
     region = refined_region(np.zeros((3, 3)))
-    assert contains(region, 0.0)
-    assert not contains(region, 0.5)
+    assert region.contains_points(0.0)
+    assert not region.contains_points(0.5)
 
 
 def test_subset_even_refinement():
@@ -217,4 +216,4 @@ def test_random_membership_even_and_odd():
         b, lam = random_row_sum_matrix(rng, n)
         region = refined_region(b)
         for z in nontrivial_values(eigenvalues(b), lam):
-            assert contains(region, z), (b, z)
+            assert region.contains_points(z), (b, z)
