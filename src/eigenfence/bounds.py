@@ -20,7 +20,10 @@ stays ``O(n^2)``; a powered bound adds ``k - 1`` matrix products,
 for all its powers.  The walk subtracts row 0 from each power from B^2
 on, a column shift the semi-norms do not see, which removes the
 ``lambda^k`` part; only its rounding, about ``1e-16 lambda^k``, is left
-to grow.
+to grow.  Each power is walked at unit scale, its exponent kept apart,
+so no product overflows, no limit constant is needed and a power-of-two
+scale of A passes through exactly; only a bound value above the float
+range is refused.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ from .core import DEFAULT_TOL, Eigenpair, as_matrix
 from .discs import row_gaps, second_type_discs_of_transpose, sorted_columns
 from .refine import refinement
 from .similarity import SimilarityResult, prepare
-
-#: Entry magnitude above which matrix powering stops with OverflowError.
-POWER_LIMIT = 1e300
 
 #: Entries per row-pair temporary in :func:`tau1` (512 KiB of float64);
 #: a single row against all others is the smallest block.
@@ -113,42 +113,42 @@ def _tau(matrix, kind: SemiNorm) -> float:
     return tau1(matrix) if kind is SemiNorm.L1 else tau_inf(matrix)
 
 
+def _unit(p: np.ndarray, out=None):
+    """``(P, s)`` with ``p = ldexp(P, s)`` and ``max|P|`` in [0.5, 1), or 0."""
+    s = math.frexp(max(p.max(), -p.min()))[1]
+    return np.ldexp(p, -s, out=out), s
+
+
 def _power(matrix: np.ndarray, k: int):
-    """Yield M, then ``M^j - e (row 0 of M^j)`` for j = 2..k: one product
-    per step, one power held.  Row 0 is zeroed once, in place, and every
-    later product keeps it zero."""
-    p = matrix
-    for step in range(k):
-        if step:
-            with np.errstate(over="ignore", invalid="ignore"):
-                p = p @ matrix
-                if step == 1:
-                    p -= p[0]
-        if not np.all(np.isfinite(p)) or np.abs(p).max() > POWER_LIMIT:
-            raise OverflowError(f"matrix power exceeded {POWER_LIMIT:g}")
-        yield p
+    """Yield ``(P, x)`` with ``ldexp(P, x)`` equal to M, then to
+    ``M^j - e (row 0 of M^j)`` for j = 2..k: one product per step, one
+    power held, and every P at unit scale, so no product overflows.  Row 0
+    is zeroed once, in place, and every later product keeps it zero."""
+    unit, shift = _unit(matrix)
+    p, x = unit, shift
+    for step in range(1, k + 1):
+        if step > 1:
+            p = p @ unit
+            if step == 2:
+                p -= p[0]
+            p, s = _unit(p, out=p)
+            x += shift + s
+        yield p, x
 
 
-def _taus(matrix: np.ndarray, ks: set[int], kinds) -> dict:
-    """``tau_kind(M^k)`` per k in ``ks`` and kind, from one walk over powers."""
+def _roots(matrix: np.ndarray, ks: set[int], kinds) -> dict:
+    """``tau_kind(M^k) ** (1/k)`` per k in ``ks`` and kind, from one walk over
+    powers: ``ldexp(t ** (1/k) * 2 ** (r/k), q)`` for ``t = tau_kind(P)`` and
+    ``x = q k + r``, ``0 <= r < k``; inf only above the float range."""
     if min(ks, default=1) < 1:
         raise ValueError(f"power k must be >= 1, got {min(ks)}")
-    powers = _power(matrix, max(ks)) if ks else ()
-    return {(k, kind): _tau(p, kind)
-            for k, p in enumerate(powers, start=1) if k in ks for kind in kinds}
-
-
-def _det(value: float, tau: float, n: int, k: int, kind: SemiNorm) -> float:
-    """``|lambda| * tau ** ((n-1)/k)``; OverflowError when that is above the
-    float range, whether the power or the product overflows (JSON has no inf)."""
-    try:
-        det = abs(value) * tau ** ((n - 1) / k)
-    except OverflowError:  # float ** raises; float * silently gives inf
-        det = math.inf
-    if not math.isfinite(det):
-        raise OverflowError(
-            f"det_tau{kind.value}_k{k}: the det bound at k = {k} is above the float range")
-    return det
+    roots = {}
+    for k, (p, x) in enumerate(_power(matrix, max(ks)) if ks else (), start=1):
+        if k in ks:
+            q, r = divmod(x, k)
+            roots |= {(k, kind): np.ldexp(_tau(p, kind) ** (1.0 / k) * 2.0 ** (r / k), q)
+                      for kind in kinds}
+    return roots
 
 
 def standard_reports(matrix, pair: Eigenpair, ks: tuple[int, ...] = (1,),
@@ -164,6 +164,7 @@ def standard_reports(matrix, pair: Eigenpair, ks: tuple[int, ...] = (1,),
     return prepared_reports(prepare(matrix, pair, tol), ks, kinds, include_det)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def prepared_reports(sim: SimilarityResult, ks: tuple[int, ...] = (1,),
                      kinds: tuple[SemiNorm, ...] = (SemiNorm.L1, SemiNorm.LINF),
                      include_det: bool = False) -> list[BoundReport]:
@@ -179,15 +180,14 @@ def prepared_reports(sim: SimilarityResult, ks: tuple[int, ...] = (1,),
         reports.append(BoundReport("m_FG", min(reach.values()),
                                    "min(second_type_discs(F), second_type_discs(G))"))
     det_ks = sorted(set(ks) | {n - 1}) if include_det else []
-    taus = _taus(b, set(ks) | set(det_ks), kinds)
-    for kind in kinds:
-        for k in ks:
-            reports.append(BoundReport(
-                f"tau{kind.value}_k{k}", float(taus[k, kind] ** (1.0 / k)),
-                f"tau_{kind.value}(B^k)^(1/k)", k=k))
-    for kind in kinds:
-        for k in det_ks:
-            reports.append(BoundReport(
-                f"det_tau{kind.value}_k{k}", _det(sim.row_sum, taus[k, kind], n, k, kind),
-                f"|lambda| * tau_{kind.value}(B^k)^((n-1)/k)", k=k))
+    roots = _roots(b, set(ks) | set(det_ks), kinds)
+    rows = [(f"tau{kind.value}_k{k}", roots[k, kind], f"tau_{kind.value}(B^k)^(1/k)", k, "powered")
+            for kind in kinds for k in ks]
+    rows += [(f"det_tau{kind.value}_k{k}", abs(sim.row_sum) * roots[k, kind] ** (n - 1),
+              f"|lambda| * tau_{kind.value}(B^k)^((n-1)/k)", k, "det")
+             for kind in kinds for k in det_ks]
+    for name, value, source, k, what in rows:
+        if not math.isfinite(value):   # JSON has no inf
+            raise OverflowError(f"{name}: the {what} bound at k = {k} is above the float range")
+        reports.append(BoundReport(name, float(value), source, k=k))
     return reports

@@ -19,21 +19,18 @@ from .refine import refinement
 from .similarity import prepare
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def obr_set(matrix) -> CassiniUnion:
     """Ostrowski-Brauer set of M: one oval per index pair i < j, in order;
-    OverflowError when an R_i or an oval bound R_i R_j is above the float range."""
+    the oval table refuses an R_i or an oval bound R_i R_j above the float range."""
     m = as_matrix(matrix)
     n = m.shape[0]
     if n < 2:
         raise SizeError(f"Ostrowski-Brauer set needs n >= 2, got n = {n}")
     d = np.diagonal(m)
     i, j = np.triu_indices(n, 1)
-    try:
-        with np.errstate(over="raise"):
-            deleted = np.abs(m).sum(axis=1) - np.abs(d)
-            bound = deleted[i] * deleted[j]
-    except FloatingPointError:
-        raise OverflowError("Ostrowski-Brauer oval bound R_i R_j above the float range") from None
+    deleted = np.abs(m).sum(axis=1) - np.abs(d)
+    bound = np.fmin(deleted[i] * deleted[j], np.inf)   # an overflowed R_i times 0: inf, not NaN
     return CassiniUnion(np.column_stack((d[i], d[j], bound)))
 
 

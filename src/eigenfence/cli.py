@@ -3,12 +3,13 @@
 Subcommands: locate, refine, bound, obr, render, eig, validate.  All take
 the JSON problem format (matrix plus optional eigenpair); ``eig`` also
 accepts the plain-text matrix form.  Exit codes: 0 success, 1 math-module
-failure (including a det bound, refinement entry or oval bound above the
-float range), 2 parse/validation failure (including n < 3, a ``--tol`` that
-is not a finite positive number, an eigenpair whose residual is not finite
-or whose v puts B above the float range, a ``bound --k`` below 1, a
-``render`` with no layer and no ``--eigs``, an input that cannot be read or
-is not UTF-8, and an ``--out`` that cannot be written).
+failure (including a bound value, a refinement entry or a region above
+the float range), 2 parse/validation failure (including n < 3, a
+``--tol`` that is not a finite positive number, an eigenpair whose
+residual is not finite or that puts B above the float range, a
+``bound --k`` below 1, a ``render`` with no layer and no ``--eigs``, an
+input that cannot be read or is not UTF-8, and an ``--out`` that cannot
+be written).
 """
 
 from __future__ import annotations

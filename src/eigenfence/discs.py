@@ -38,12 +38,14 @@ def sorted_columns(matrix, diag: float | None = None) -> np.ndarray:
     return t[:, ::-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def row_gaps(desc: np.ndarray) -> np.ndarray:
     """Top-half sum minus bottom-half sum of each non-increasing row (the
-    middle entry is skipped when the row length is odd)."""
+    middle entry is skipped when the row length is odd); inf where a sum
+    is above the float range (``fmin`` turns inf - inf into inf)."""
     n = desc.shape[1]
     half = n // 2
-    return desc[:, :half].sum(axis=1) - desc[:, half + n % 2:].sum(axis=1)
+    return np.fmin(desc[:, :half].sum(axis=1) - desc[:, half + n % 2:].sum(axis=1), np.inf)
 
 
 def second_type_discs_of_transpose(matrix) -> DiscUnion:
@@ -55,6 +57,7 @@ def second_type_discs_of_transpose(matrix) -> DiscUnion:
     return DiscUnion(np.column_stack((np.diagonal(m), row_gaps(sorted_columns(m, 0.0)))))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def classic_discs(matrix, axis: str = "rows") -> DiscUnion:
     """Classic Gershgorin discs along rows or columns of M.
 

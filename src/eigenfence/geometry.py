@@ -4,9 +4,10 @@ A region is a :class:`DiscUnion` (an ``(n, 2)`` array of [center, radius]),
 a :class:`PairIntersectionUnion` (``(n, 2, 2)``: two discs per column), a
 :class:`CassiniUnion` (``(m, 3)`` of [c1, c2, bound]) or a
 :class:`RegionIntersection` of regions.  The three table kinds share one
-base: it validates the table and owns membership, the bounding box, the
-extremal modulus, boundary samples and JSON, while each kind supplies only
-its formulas.  Membership tests blocks of points against a chunk of
+base: it validates the table (OverflowError for a row whose entries or
+reach are above the float range) and owns membership, the bounding box,
+the extremal modulus, boundary samples and JSON, while each kind supplies
+only its formulas.  Membership tests blocks of points against a chunk of
 primitives at once, in blocks of fixed size, with one relative slack for
 every kind (:func:`_within`).  It takes at most ``O(points * primitives)``
 time: an oval chunk computes one distance per distinct focus, and a point
@@ -88,12 +89,15 @@ class _Union:
     _keys: tuple[str, ...]
     _exact = False
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         table, what = np.array(getattr(self, self._field), dtype=float), type(self).__name__
         if table.shape[1:] != self._shape or len(table) == 0:
             raise ValueError(f"a {what} needs one or more rows of shape {self._shape}")
         if not np.all(table[..., -1] >= 0.0):
             raise ValueError(f"{what} radii and bounds must be nonnegative")
+        if not (np.isfinite(table).all() and np.isfinite(self._reach(table)).all()):
+            raise OverflowError(f"{what}: an entry or a reach is above the float range")
         table.setflags(write=False)
         object.__setattr__(self, self._field, table)
 

@@ -109,6 +109,7 @@ def row_sum_constant(matrix) -> float:
     return lam
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _shifted_discs(shifted: np.ndarray, desc: np.ndarray, off: np.ndarray) -> DiscUnion:
     """Second-type discs of the transpose of ``shifted = B + e * off^T``.
 
@@ -122,6 +123,7 @@ def _shifted_discs(shifted: np.ndarray, desc: np.ndarray, off: np.ndarray) -> Di
     from ``(n - 1) // 2``.  The add runs on the ascending, C-contiguous
     buffer behind ``desc`` and the sums through its reversed view, as
     :func:`~eigenfence.discs.row_gaps` sums a sort of the shifted matrix.
+    Its top half is >= 0 and its bottom half <= 0: an overflow gives inf, not NaN.
     """
     n = desc.shape[1]
     h, lo = n // 2, (n - 1) // 2
@@ -130,6 +132,7 @@ def _shifted_discs(shifted: np.ndarray, desc: np.ndarray, off: np.ndarray) -> Di
     return DiscUnion(np.column_stack((np.diagonal(shifted), radii)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def refinement(matrix) -> EvenRefinement | OddRefinement:
     """The refinement of a constant row-sum matrix for its parity: F for
     even n, the pair F, G for odd n.
@@ -145,17 +148,14 @@ def refinement(matrix) -> EvenRefinement | OddRefinement:
     row_sum_constant(b)
     desc = sorted_columns(b, -np.inf)
     h = n // 2
-    try:
-        with np.errstate(over="raise"):
-            if n % 2 == 0:
-                shifts = desc[:, h - 1].copy()
-                ref = EvenRefinement(F=b - shifts, shifts=shifts)
-            else:
-                f_shifts, g_shifts = -desc[:, h - 1], -desc[:, h]
-                ref = OddRefinement(F=b + f_shifts, G=b + g_shifts,
-                                    f_shifts=f_shifts, g_shifts=g_shifts)
-    except FloatingPointError:
-        raise OverflowError("refinement: an entry of F or G is above the float range") from None
+    if n % 2 == 0:
+        shifts = desc[:, h - 1].copy()
+        ref = EvenRefinement(F=b - shifts, shifts=shifts)
+    else:
+        f_shifts, g_shifts = -desc[:, h - 1], -desc[:, h]
+        ref = OddRefinement(F=b + f_shifts, G=b + g_shifts, f_shifts=f_shifts, g_shifts=g_shifts)
+    if not all(np.isfinite(m).all() for m in ref.matrices.values()):
+        raise OverflowError("refinement: an entry of F or G is above the float range")
     for arr in vars(ref).values():
         arr.setflags(write=False)
     object.__setattr__(ref, "_desc", desc)

@@ -55,15 +55,17 @@ class SimilarityResult:
     k: int = 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _scaled(matrix: np.ndarray, value: float, v: np.ndarray, k: int = 0) -> SimilarityResult:
+    """``B = S^-1 M S`` for ``S = diag(v)`` and M = A, or the sheared C when k > 0;
+    InputError when an entry of B (or already of C) is above the float range."""
     b = v[None, :] / v[:, None]
-    try:
-        with np.errstate(over="raise"):
-            b *= matrix
-    except FloatingPointError:
+    b *= matrix
+    if not np.isfinite(b).all():
         size = np.abs(v)
-        raise InputError(f"B = S^-1 A S is above the float range: max|v|/min|v| = "
-                         f"{size.max() / size.min():.3e} is too large for A") from None
+        why = (f"C, A desingularized for {k} zero component(s) of v, is too large" if k
+               else f"max|v|/min|v| = {size.max() / size.min():.3e} is too large for A")
+        raise InputError(f"B = S^-1 {'C' if k else 'A'} S is above the float range: {why}")
     return SimilarityResult(B=_frozen(b), row_sum=value, scaling=_frozen(v.copy()), k=k)
 
 
@@ -97,6 +99,7 @@ def diag_similar(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Similarit
     return _scaled(a, pair.value, pair.vector)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def desingularize(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Desingularization:
     """Remove zero components from the eigenvector by a similarity transform.
 
@@ -104,7 +107,8 @@ def desingularize(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Desingul
     shear (identity plus ones in the first k rows of column k) produces
     ``C = S P A P^T S^-1`` with eigenvector ``w = S P v`` free of zeros.
     The shear inverse is the same matrix with the ones negated, so C is
-    assembled by row/column updates only.
+    assembled by row/column updates only; :func:`prepare` refuses an
+    entry of C above the float range.
     """
     a = as_matrix(matrix)
     require_eigenpair(a, pair, tol)

@@ -152,10 +152,15 @@ def test_powered_soundness_random():
 
 
 def test_powered_overflow_guard():
-    # row sums 2e200 and a remaining eigenvalue 2e200, whose square is out of range
+    # row sums 2e200 and a remaining eigenvalue 2e200, whose square is out of
+    # range: the powers are walked at unit scale, so every bound is finite
     m = 1e200 * np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]])
-    with pytest.raises(OverflowError):
-        powered(m, 4, SemiNorm.L1)
+    for k in (2, 4):
+        for kind in (SemiNorm.L1, SemiNorm.LINF):
+            assert 2e200 <= powered(m, k, kind) < np.inf
+    # the disc of B at 1e308 really is out of range: 1e308 + 1e308
+    with pytest.raises(OverflowError, match="DiscUnion: an entry or a reach is above"):
+        powered([[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 0.0]], 2, SemiNorm.L1)
 
 
 def test_powered_convergence_trend():

@@ -112,3 +112,12 @@ def test_intersection_region_random_soundness():
         region = cassini_intersection_region(b, Eigenpair(lam, np.ones(n)))
         for z in nontrivial_values(eigenvalues(b), lam):
             assert region.contains_points(z), (b, lam, z)
+
+
+def test_overflowed_deleted_sum_is_a_range_error():
+    # R_1 overflows and R_0 = R_2 = R_3 = 0: inf * 0 would be a NaN oval bound,
+    # which the table refuses as a ValueError
+    m = np.zeros((4, 4))
+    m[1] = [1e308, -1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError, match="CassiniUnion: an entry or a reach is above"):
+        obr_set(m)

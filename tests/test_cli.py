@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -265,11 +266,17 @@ def test_problem_not_utf8_is_an_input_error(tmp_path, capsys):
 
 def test_math_error_exit_code(tmp_path, capsys):
     from eigenfence import Eigenpair
-    # row sums 2e200 and a remaining eigenvalue 2e200, so even the shifted B^2 overflows
+    # row sums 2e200 and a remaining eigenvalue 2e200: B^2 is 4e400, but every bound is in range
     huge = 1e200 * np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]])
     path = write_problem(tmp_path / "huge.json", huge, Eigenpair(2e200, np.ones(3)))
-    assert main(["bound", "--k", "2", path]) == 1
-    assert "matrix power exceeded" in capsys.readouterr().err
+    assert main(["bound", "--k", "2", path]) == 0
+    reports = {r["name"]: r["value"] for r in strict_json(capsys.readouterr().out)}
+    assert 2e200 <= reports["tau1_k2"] < np.inf and 2e200 <= reports["tauinf_k2"] < np.inf
+    # a disc of B really is out of range: 1e308 + 1e308
+    assert main(["bound", "--k", "2", str(NEAR_RANGE / "near_float_max.json")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: DiscUnion: an entry or a reach is above the float range\n"
 
 
 def test_det_bound_at_n160_stays_in_range(tmp_path, capsys):
@@ -396,36 +403,72 @@ def test_stdout_is_strict_json(capsys, problem):
         assert "Warning" not in out.err and "Traceback" not in out.err
 
 
-#: Problems that validate but whose B, refinement or oval bounds leave the
-#: float range (ROADMAP item 8).
+#: Problems that validate but whose B, regions or bounds leave the float
+#: range (ROADMAP item 8).
 NEAR_RANGE = Path(__file__).parent / "problems"
 
 
-def assert_json_or_refused(code, out):
-    """Exit 0 with strict JSON, or exit 1/2 with nothing on stdout and one
-    ``error:`` line on stderr; never a traceback or a warning."""
-    if code == 0:
-        strict_json(out.out)
-    else:
-        assert code in (1, 2) and out.out == "" and out.err.startswith("error: ")
+def json_or_refused(capsys, command, problem):
+    """Run ``command`` on ``problem``: exit 0 with strict JSON on stdout (an
+    empty stdout for ``render``, which writes to ``--out``), or exit 1/2
+    with nothing on stdout and one ``error:`` line on stderr; never a
+    traceback or a warning.  Returns the JSON, or None."""
+    code = main([command[0], str(problem), *command[1:]])
+    out = capsys.readouterr()
     assert "Warning" not in out.err and "Traceback" not in out.err
+    if code:
+        assert code in (1, 2) and out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        return None
+    if command[0] == "render":
+        assert out.out == ""
+        return None
+    return strict_json(out.out)
+
+
+def every_command(tmp_path):
+    return (["locate"], ["locate", "--classic"], ["refine"], ["obr"],
+            ["bound", "--k", "3"], ["bound", "--k", "3", "--det"],
+            ["render", "--layers", "classic,second,refined", "--out", str(tmp_path / "out.svg")])
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("problem", sorted(NEAR_RANGE.glob("*.json")), ids=lambda p: p.stem)
-def test_near_float_range_is_json_or_an_error_line(capsys, problem):
+def test_near_float_range_is_json_or_an_error_line(tmp_path, capsys, problem):
     assert main(["validate", str(problem)]) == 0
     capsys.readouterr()
-    for command in ("locate", "refine", "obr"):
-        assert_json_or_refused(main([command, str(problem)]), capsys.readouterr())
+    for command in every_command(tmp_path):
+        json_or_refused(capsys, command, problem)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+def floats(doc) -> list:
+    """Every float of a JSON document, in document order."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for item in doc for x in floats(item)]
+    return [doc] if isinstance(doc, float) else []
+
+
 @pytest.mark.filterwarnings("error")
-def test_bound_near_float_max_is_json_or_an_error_line(capsys):
-    # the disc bound of B adds |b_jj| = 1e308 to a radius of 1e308 in _reach
-    code = main(["bound", "--k", "2", str(NEAR_RANGE / "near_float_max.json")])
-    assert_json_or_refused(code, capsys.readouterr())
+@pytest.mark.parametrize("e", [-1000, -600, -60, 60, 600, 1000])
+def test_power_of_two_scale_passes_through_exactly(tmp_path, capsys, e):
+    # ROADMAP items 7 and 8: the obr bounds (2^(2e)) and det values (2^(ne)) are left out
+    pair = cases.PERRON6_PAIR
+    plain = write_problem(tmp_path / "plain.json", cases.PERRON6_A, pair)
+    scaled = write_problem(tmp_path / "scaled.json", np.ldexp(cases.PERRON6_A, e),
+                           Eigenpair(math.ldexp(pair.value, e), pair.vector))
+    assert main(["validate", scaled]) == 0
+    capsys.readouterr()
+    for command in every_command(tmp_path):
+        json_or_refused(capsys, command, scaled)
+    for command in (["locate", "--classic"], ["refine"]):
+        want = [math.ldexp(x, e) for x in floats(json_or_refused(capsys, command, plain))]
+        assert floats(json_or_refused(capsys, command, scaled)) == want
+    values = [{r["name"]: r["value"] for r in json_or_refused(capsys, ["bound", "--k", "3"], p)}
+              for p in (plain, scaled)]
+    assert len(values[0]) == 8
+    assert values[1] == {name: math.ldexp(x, e) for name, x in values[0].items()}
 
 
 def test_parser_is_built_once(perron6, monkeypatch, capsys):

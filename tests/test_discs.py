@@ -161,3 +161,14 @@ def test_membership_margin_on_worked_eigenvalues():
     for z in nontrivial_values(eigenvalues(cases.PERRON6_A), 24.0):
         margin = min(abs(z - c) - r for c, r in region.discs.tolist())
         assert margin <= 1e-7
+
+
+def test_overflowed_half_sums_are_a_range_error():
+    # column 0 holds six 1e308: both half sums overflow, and inf - inf would
+    # be a NaN radius, which the table refuses as a ValueError
+    m = np.zeros((7, 7))
+    m[1:, 0] = 1e308
+    np.fill_diagonal(m[1:, 1:], -1e308)
+    for matrix in (m, -m):
+        with pytest.raises(OverflowError, match="DiscUnion: an entry or a reach is above"):
+            second_type_discs_of_transpose(matrix)
