@@ -17,13 +17,13 @@ refinement, in ``O(n^2 log n)`` time and ``O(n^2)`` memory; ``tau1``
 compares all row pairs in ``O(n^3)`` time over row blocks, so its memory
 stays ``O(n^2)``; a powered bound adds ``k - 1`` matrix products,
 ``O(k n^3)`` time, and :func:`standard_reports` walks B, B^2, ... once
-for all its powers.  The walk subtracts row 0 from each power from B^2
-on, a column shift the semi-norms do not see, which removes the
-``lambda^k`` part; only its rounding, about ``1e-16 lambda^k``, is left
-to grow.  Each power is walked at unit scale, its exponent kept apart,
-so no product overflows, no limit constant is needed and a power-of-two
-scale of A passes through exactly; only a bound value above the float
-range is refused.
+for all its powers.  The walk subtracts row 0 from B before the first
+product, a column shift the semi-norms do not see, so no product forms
+the ``lambda^k`` part; only rounding, about ``1e-16 lambda^k``, is left
+to grow.  From B^2 on, each power is walked at unit scale, its exponent
+kept apart, so no product overflows and a power-of-two scale of A passes
+through exactly; k >= 2 refuses a B that unit scale would change (its
+entries span more than the float range), and any bound above it.
 """
 
 from __future__ import annotations
@@ -120,19 +120,24 @@ def _unit(p: np.ndarray, out=None):
 
 
 def _power(matrix: np.ndarray, k: int):
-    """Yield ``(P, x)`` with ``ldexp(P, x)`` equal to M, then to
+    """Yield ``(M, 0)``, then ``(P, x)`` with ``ldexp(P, x)`` equal to
     ``M^j - e (row 0 of M^j)`` for j = 2..k: one product per step, one
     power held, and every P at unit scale, so no product overflows.  Row 0
-    is zeroed once, in place, and every later product keeps it zero."""
+    is subtracted once, from M, so no product forms the ``lambda^j`` part,
+    and a remaining part far below it is not flushed.  An M that unit scale
+    would change (an entry flushed) raises OverflowError."""
+    yield matrix, 0
+    if k < 2:
+        return
     unit, shift = _unit(matrix)
-    p, x = unit, shift
-    for step in range(1, k + 1):
-        if step > 1:
-            p = p @ unit
-            if step == 2:
-                p -= p[0]
-            p, s = _unit(p, out=p)
-            x += shift + s
+    if shift > 0 and not np.array_equal(np.ldexp(unit, shift), matrix):
+        raise OverflowError("powers of B: the entries of B span more than the float range")
+    p, x = _unit(unit - unit[0])
+    x += shift
+    for _ in range(2, k + 1):
+        p = p @ unit
+        p, s = _unit(p, out=p)
+        x += shift + s
         yield p, x
 
 

@@ -22,7 +22,7 @@ from .similarity import prepare
 @np.errstate(over="ignore", invalid="ignore")
 def obr_set(matrix) -> CassiniUnion:
     """Ostrowski-Brauer set of M: one oval per index pair i < j, in order;
-    the oval table refuses an R_i or an oval bound R_i R_j above the float range."""
+    the oval table refuses an oval bound R_i R_j above the float range."""
     m = as_matrix(matrix)
     n = m.shape[0]
     if n < 2:
@@ -30,8 +30,11 @@ def obr_set(matrix) -> CassiniUnion:
     d = np.diagonal(m)
     i, j = np.triu_indices(n, 1)
     deleted = np.abs(m).sum(axis=1) - np.abs(d)
-    bound = np.fmin(deleted[i] * deleted[j], np.inf)   # an overflowed R_i times 0: inf, not NaN
-    return CassiniUnion(np.column_stack((d[i], d[j], bound)))
+    if not np.isfinite(deleted).all():   # |m_ii| + R_i overflows; half of it fits if R_i does
+        half = np.abs(m / 2).sum(axis=1) - np.abs(d) / 2
+        deleted = np.where(np.isfinite(deleted), deleted, 2 * half)
+    bound = np.fmax(deleted[i] * deleted[j], 0.0)   # an inf R_i times R_j = 0: 0, not NaN
+    return CassiniUnion._named("Ostrowski-Brauer ovals", np.column_stack((d[i], d[j], bound)))
 
 
 def cassini_intersection_region(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL):

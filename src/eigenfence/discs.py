@@ -41,11 +41,16 @@ def sorted_columns(matrix, diag: float | None = None) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def row_gaps(desc: np.ndarray) -> np.ndarray:
     """Top-half sum minus bottom-half sum of each non-increasing row (the
-    middle entry is skipped when the row length is odd); inf where a sum
-    is above the float range (``fmin`` turns inf - inf into inf)."""
+    middle entry is skipped when the row length is odd).  A row whose half
+    sums overflow is summed again as paired differences, each >= 0, so its
+    gap is inf only when the gap itself is above the float range."""
     n = desc.shape[1]
-    half = n // 2
-    return np.fmin(desc[:, :half].sum(axis=1) - desc[:, half + n % 2:].sum(axis=1), np.inf)
+    top, bottom = desc[:, :n // 2], desc[:, n // 2 + n % 2:]
+    gaps = top.sum(axis=1) - bottom.sum(axis=1)
+    bad = ~np.isfinite(gaps)
+    if bad.any():
+        gaps[bad] = (top[bad] - bottom[bad]).sum(axis=1)
+    return gaps
 
 
 def second_type_discs_of_transpose(matrix) -> DiscUnion:
@@ -54,7 +59,8 @@ def second_type_discs_of_transpose(matrix) -> DiscUnion:
     n = m.shape[0]
     if n < 3:
         raise SizeError(f"second-type discs need n >= 3, got n = {n}")
-    return DiscUnion(np.column_stack((np.diagonal(m), row_gaps(sorted_columns(m, 0.0)))))
+    radii = row_gaps(sorted_columns(m, 0.0))
+    return DiscUnion._named("second-type discs", np.column_stack((np.diagonal(m), radii)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -70,4 +76,4 @@ def classic_discs(matrix, axis: str = "rows") -> DiscUnion:
     n = m.shape[0]
     lines = m if axis == "rows" else m.T
     off = np.abs(lines[~np.eye(n, dtype=bool)]).reshape(n, n - 1)
-    return DiscUnion(np.column_stack((np.diagonal(m), off.sum(axis=1))))
+    return DiscUnion._named("classic discs", np.column_stack((np.diagonal(m), off.sum(axis=1))))

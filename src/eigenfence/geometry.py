@@ -101,6 +101,14 @@ class _Union:
         table.setflags(write=False)
         object.__setattr__(self, self._field, table)
 
+    @classmethod
+    def _named(cls, quantity: str, table):
+        """``cls(table)``; a range refusal names ``quantity``."""
+        try:
+            return cls(table)
+        except OverflowError as exc:
+            raise OverflowError(f"{quantity}: {exc}") from None
+
     @property
     def table(self) -> np.ndarray:
         return getattr(self, self._field)

@@ -129,7 +129,7 @@ def _shifted_discs(shifted: np.ndarray, desc: np.ndarray, off: np.ndarray) -> Di
     h, lo = n // 2, (n - 1) // 2
     rows = (desc[:, ::-1] + off[:, None])[:, ::-1]
     radii = rows[:, :h].sum(axis=1) - rows[:, lo:lo + h].sum(axis=1)
-    return DiscUnion(np.column_stack((np.diagonal(shifted), radii)))
+    return DiscUnion._named("refined discs", np.column_stack((np.diagonal(shifted), radii)))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -159,8 +161,29 @@ def test_powered_overflow_guard():
         for kind in (SemiNorm.L1, SemiNorm.LINF):
             assert 2e200 <= powered(m, k, kind) < np.inf
     # the disc of B at 1e308 really is out of range: 1e308 + 1e308
-    with pytest.raises(OverflowError, match="DiscUnion: an entry or a reach is above"):
+    with pytest.raises(OverflowError, match="^second-type discs: DiscUnion: an entry or a reach"):
         powered([[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 0.0]], 2, SemiNorm.L1)
+
+
+def test_powers_refuse_a_matrix_inexact_at_unit_scale():
+    # other eigenvalues 0 and -1e-30: at unit scale (2^-997) the 1e-30 entries
+    # would flush to 0 and every powered bound would read 0
+    b = [[1e300, 1e-30, -1e-30], [1e300, -1e-30, 1e-30], [1e300, 0.0, 0.0]]
+    for kind in SemiNorm:
+        assert powered(b, 1, kind) == 2e-30
+        for k in (2, 3):
+            with pytest.raises(OverflowError, match="^powers of B: the entries of B span"):
+                powered(b, k, kind)
+
+
+def test_powers_keep_a_remaining_part_far_below_lambda():
+    # lambda = 1 and a remaining eigenvalue -2^-600: B^2 holds it as 2^-1200
+    # next to 1, below the float range, so row 0 goes before the first product
+    a = math.ldexp(1.0, -600)
+    b = [[1.0, a, -a], [1.0, -a, a], [1.0, 0.0, 0.0]]
+    for kind in SemiNorm:
+        for k in (1, 2, 3, 4):
+            assert powered(b, k, kind) >= a
 
 
 def test_powered_convergence_trend():

@@ -114,10 +114,15 @@ def test_intersection_region_random_soundness():
             assert region.contains_points(z), (b, lam, z)
 
 
-def test_overflowed_deleted_sum_is_a_range_error():
-    # R_1 overflows and R_0 = R_2 = R_3 = 0: inf * 0 would be a NaN oval bound,
-    # which the table refuses as a ValueError
+@pytest.mark.filterwarnings("error")
+def test_overflowed_row_sums_give_the_oval_bounds():
+    # |m_00| + R_0 overflows, but R_0 = 1e308 and R_0 R_1 are in range
+    union = obr_set([[1e308, 1e308, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert union.ovals[:, 2].tolist() == [1e308, 0.0, 0.0]
+    # R_1 = 3e308 overflows, but R_0 = R_2 = R_3 = 0 make every oval bound 0
     m = np.zeros((4, 4))
     m[1] = [1e308, -1e308, 1e308, -1e308]
-    with pytest.raises(OverflowError, match="CassiniUnion: an entry or a reach is above"):
-        obr_set(m)
+    assert obr_set(m).ovals[:, 2].tolist() == [0.0] * 6
+    # R_0 R_1 = 1e616 really is out of range
+    with pytest.raises(OverflowError, match="^Ostrowski-Brauer ovals: CassiniUnion: an entry"):
+        obr_set([[0.0, 1e308, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])

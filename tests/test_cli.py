@@ -276,7 +276,8 @@ def test_math_error_exit_code(tmp_path, capsys):
     assert main(["bound", "--k", "2", str(NEAR_RANGE / "near_float_max.json")]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: DiscUnion: an entry or a reach is above the float range\n"
+    assert out.err == ("error: second-type discs: DiscUnion: an entry or a reach is above "
+                       "the float range\n")
 
 
 def test_det_bound_at_n160_stays_in_range(tmp_path, capsys):
@@ -419,6 +420,8 @@ def json_or_refused(capsys, command, problem):
     if code:
         assert code in (1, 2) and out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        # the line names the region, not only its table kind
+        assert not out.err.startswith(("error: DiscUnion", "error: CassiniUnion"))
         return None
     if command[0] == "render":
         assert out.out == ""

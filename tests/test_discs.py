@@ -163,12 +163,17 @@ def test_membership_margin_on_worked_eigenvalues():
         assert margin <= 1e-7
 
 
-def test_overflowed_half_sums_are_a_range_error():
-    # column 0 holds six 1e308: both half sums overflow, and inf - inf would
-    # be a NaN radius, which the table refuses as a ValueError
+@pytest.mark.filterwarnings("error")
+def test_overflowed_half_sums_give_the_radius():
+    # column 0 holds six 1e308 and the mandated 0: both half sums overflow,
+    # but the radius 3e308 - 2e308 and its reach are in range
     m = np.zeros((7, 7))
     m[1:, 0] = 1e308
     np.fill_diagonal(m[1:, 1:], -1e308)
     for matrix in (m, -m):
-        with pytest.raises(OverflowError, match="DiscUnion: an entry or a reach is above"):
-            second_type_discs_of_transpose(matrix)
+        assert second_type_discs_of_transpose(matrix).discs[0].tolist() == [0.0, 1e308]
+    # two 1e308 of each sign: the radius 4e308 really is out of range
+    m = np.zeros((5, 5))
+    m[1:, 0] = [1e308, 1e308, -1e308, -1e308]
+    with pytest.raises(OverflowError, match="^second-type discs: DiscUnion: an entry or a reach"):
+        second_type_discs_of_transpose(m)
