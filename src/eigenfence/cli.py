@@ -10,13 +10,19 @@ residual is not finite or that puts B above the float range, a
 ``bound --k`` below 1, a ``render`` with no layer and no ``--eigs``, an
 input that cannot be read or is not UTF-8, and an ``--out`` that cannot
 be written).
+
+Every JSON command writes what ``json.dumps(doc, indent=2)`` would, byte
+for byte, through :func:`eigenfence.geometry.iterencode`: the commands put
+region objects and numpy arrays in the document, and their tables go to
+stdout a chunk of rows at a time, with no dict per row and no copy of the
+whole text.  Everything a command computes is built before the first byte
+is written, so a refusal prints nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 
@@ -29,6 +35,7 @@ from .core import (
     parse_matrix,
     parse_problem,
 )
+from .geometry import iterencode
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -66,7 +73,12 @@ def _prepare(matrix, pair, tol: float) -> similarity.SimilarityResult:
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    """Write ``json.dumps(doc, indent=2)`` and a newline to stdout, piece by
+    piece; regions and arrays in ``doc`` are written from their tables."""
+    write = sys.stdout.write
+    for piece in iterencode(doc):
+        write(piece)
+    write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -78,21 +90,20 @@ def _cmd_locate(args) -> int:
     region = discs.second_type_discs_of_transpose(_prepare(matrix, pair, args.tol).B)
     if args.classic:
         _emit({
-            "second_type": region.to_json(),
-            "classic_columns": discs.classic_discs(matrix, "columns").to_json(),
-            "classic_rows": discs.classic_discs(matrix, "rows").to_json(),
+            "second_type": region,
+            "classic_columns": discs.classic_discs(matrix, "columns"),
+            "classic_rows": discs.classic_discs(matrix, "rows"),
         })
     else:
-        _emit(region.to_json())
+        _emit(region)
     return EXIT_OK
 
 
 def _cmd_refine(args) -> int:
     matrix, pair = _load_problem(args.problem)
     ref = refine.refinement(_prepare(matrix, pair, args.tol).B)
-    _emit({"row_sum": pair.value,
-           **{f.name: getattr(ref, f.name).tolist() for f in dataclasses.fields(ref)},
-           "region": ref.region().to_json()})
+    _emit({"row_sum": pair.value, **{f.name: getattr(ref, f.name) for f in dataclasses.fields(ref)},
+           "region": ref.region()})
     return EXIT_OK
 
 
@@ -111,7 +122,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_obr(args) -> int:
     matrix, pair = _load_problem(args.problem)
-    _emit(cassini.obr_intersection(_prepare(matrix, pair, args.tol).B).to_json())
+    _emit(cassini.obr_intersection(_prepare(matrix, pair, args.tol).B))
     return EXIT_OK
 
 

@@ -5,9 +5,12 @@ a :class:`PairIntersectionUnion` (``(n, 2, 2)``: two discs per column), a
 :class:`CassiniUnion` (``(m, 3)`` of [c1, c2, bound]) or a
 :class:`RegionIntersection` of regions.  The three table kinds share one
 base: it validates the table (OverflowError for a row whose entries or
-reach are above the float range) and owns membership, the bounding box,
-the extremal modulus, boundary samples and JSON, while each kind supplies
-only its formulas.  Membership tests blocks of points against a chunk of
+reach, or a disc pair's either reach, are above the float range) and owns
+membership, the bounding box, the extremal modulus, boundary samples and
+JSON, while each kind supplies only its formulas.  JSON comes as dicts
+(``to_json``) or as the text ``json.dumps(..., indent=2)`` would write,
+formatted straight from the table (``iter_json``, and :func:`iterencode`
+for documents that hold regions and arrays).  Membership tests blocks of points against a chunk of
 primitives at once, in blocks of fixed size, with one relative slack for
 every kind (:func:`_within`).  It takes at most ``O(points * primitives)``
 time: an oval chunk computes one distance per distinct focus, and a point
@@ -21,7 +24,9 @@ eigenfence module.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +43,9 @@ MEMBERSHIP_BLOCK = 1 << 15
 #: Table rows per membership chunk; a larger table is sorted by half-height
 #: and its later chunks see only the points earlier chunks left undecided.
 MEMBERSHIP_CHUNK = 64
+
+#: Floats per ``%`` format when a float array is written as JSON text.
+JSON_CHUNK = 1 << 14
 
 
 class MaxAbs(NamedTuple):
@@ -96,10 +104,16 @@ class _Union:
             raise ValueError(f"a {what} needs one or more rows of shape {self._shape}")
         if not np.all(table[..., -1] >= 0.0):
             raise ValueError(f"{what} radii and bounds must be nonnegative")
-        if not (np.isfinite(table).all() and np.isfinite(self._reach(table)).all()):
+        if not (np.isfinite(table).all() and np.isfinite(self._reaches(table)).all()):
             raise OverflowError(f"{what}: an entry or a reach is above the float range")
         table.setflags(write=False)
         object.__setattr__(self, self._field, table)
+
+    @classmethod
+    def _reaches(cls, table):
+        """Every reach the range check covers: each row's :meth:`_reach`
+        unless the kind names more."""
+        return cls._reach(table)
 
     @classmethod
     def _named(cls, quantity: str, table):
@@ -177,6 +191,15 @@ class _Union:
         return {"kind": self._kind,
                 self._field: _records(self._keys, self.table.tolist(), len(self._shape) - 1)}
 
+    def iter_json(self, level: int = 0) -> Iterator[str]:
+        """The text of :meth:`to_json` as ``json.dumps(..., indent=2)`` writes
+        it, nested ``level`` deep, in pieces: the table goes a chunk of rows
+        per ``%`` format, with no dict per row."""
+        inner = "\n" + "  " * (level + 1)
+        yield f'{{{inner}"kind": "{self._kind}",{inner}"{self._field}": '
+        yield from _array_text(self.table, level + 1, self._keys)
+        yield "\n" + "  " * level + "}"
+
     @classmethod
     def from_json(cls, doc: dict):
         return cls(_rows(cls._keys, doc[cls._field], len(cls._shape) - 1))
@@ -217,7 +240,8 @@ class PairIntersectionUnion(_Union):
     """Union over columns j of the intersection of the two per-column discs;
     ``pairs`` is a read-only ``(n, 2, 2)`` array of [F disc, G disc] per
     column, each disc a [center, radius] row.  Each pair's extent and reach
-    are the tighter of its two discs'."""
+    are the tighter of its two discs', but the range check covers both
+    discs' reaches."""
 
     pairs: np.ndarray
 
@@ -237,6 +261,7 @@ class PairIntersectionUnion(_Union):
     def _reach(table):
         return DiscUnion._reach(table).min(axis=-1)
 
+    _reaches = staticmethod(DiscUnion._reach)
     _samples = staticmethod(DiscUnion._samples)
 
 
@@ -340,6 +365,10 @@ class RegionIntersection:
     def to_json(self) -> dict:
         return {"kind": self._kind, "parts": [p.to_json() for p in self.parts]}
 
+    def iter_json(self, level: int = 0) -> Iterator[str]:
+        """The text of :meth:`to_json`, as :meth:`_Union.iter_json` writes it."""
+        return _text({"kind": self._kind, "parts": self.parts}, level)
+
     @classmethod
     def from_json(cls, doc: dict):
         return cls(tuple(region_from_json(p) for p in doc["parts"]))
@@ -381,7 +410,7 @@ def sampled_subset(region_a, region_b, resolution: int = 64) -> SubsetCheck:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip
+# JSON round-trip and JSON text
 # ---------------------------------------------------------------------------
 
 _KINDS = (DiscUnion, PairIntersectionUnion, CassiniUnion, RegionIntersection)
@@ -398,3 +427,100 @@ def region_from_json(doc: dict):
         if cls._kind == kind:
             return cls.from_json(doc)
     raise ValueError(f"unknown region kind: {kind!r}")
+
+
+def iterencode(doc) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2)`` in pieces, for a ``doc`` of
+    dicts with string keys, lists, tuples, strings, ints, floats, booleans
+    and None.  ``doc`` may also hold regions, written as their
+    ``to_json()``, and numpy arrays, written as their ``tolist()``; both go
+    a chunk of rows per ``%`` format (``JSON_CHUNK`` floats), so no piece
+    grows with the table and no dict per row is built."""
+    return _text(doc, 0)
+
+
+def _text(doc, level: int) -> Iterator[str]:
+    """:func:`iterencode` of ``doc`` nested ``level`` deep."""
+    if isinstance(doc, str):
+        yield encode_basestring_ascii(doc)
+    elif doc is None:
+        yield "null"
+    elif doc is True:
+        yield "true"
+    elif doc is False:
+        yield "false"
+    elif isinstance(doc, int):
+        yield int.__repr__(doc)
+    elif isinstance(doc, float):
+        yield _float_text(doc)
+    elif isinstance(doc, (list, tuple, dict)):
+        brackets = "{}" if isinstance(doc, dict) else "[]"
+        if not doc:
+            yield brackets
+            return
+        sep = ",\n" + "  " * (level + 1)
+        if isinstance(doc, dict):
+            for i, (key, value) in enumerate(doc.items()):
+                yield (sep if i else "{" + sep[1:]) + encode_basestring_ascii(key) + ": "
+                yield from _text(value, level + 1)
+        else:
+            for i, value in enumerate(doc):
+                yield sep if i else "[" + sep[1:]
+                yield from _text(value, level + 1)
+        yield "\n" + "  " * level + brackets[1]
+    elif isinstance(doc, np.ndarray):
+        yield from _array_text(doc, level)
+    elif isinstance(doc, (_Union, RegionIntersection)):
+        yield from doc.iter_json(level)
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it."""
+    if x != x:
+        return "NaN"
+    if x == np.inf:
+        return "Infinity"
+    if x == -np.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _array_text(array: np.ndarray, level: int, keys: tuple[str, ...] = ()) -> Iterator[str]:
+    """:func:`_text` of ``array.tolist()``, its last axis as objects
+    with ``keys`` if given, one ``%`` format per chunk of rows."""
+    if (array.dtype.kind != "f" or array.ndim == 0 or array.size == 0
+            or not np.isfinite(array).all()):
+        # json's own spellings: empty containers, NaN/Infinity, ints and bools
+        rows = array.tolist()
+        yield from _text(_records(keys, rows, array.ndim - 2) if keys else rows, level)
+        return
+    array = np.ascontiguousarray(array, dtype=float)
+    sep = ",\n" + "  " * (level + 1)
+    row = _template(array.shape[1:], level + 1, keys)
+    step = min(len(array), max(1, JSON_CHUNK // array[0].size))
+    full = sep.join([row] * step)
+    yield "[" + sep[1:]
+    for i in range(0, len(array), step):
+        block = array[i:i + step]
+        text = full if len(block) == step else sep.join([row] * len(block))
+        # one repr per distinct float of the chunk (by bits: 0.0 is not -0.0)
+        bits, index = np.unique(block.view(np.int64), return_inverse=True)
+        reprs = list(map(float.__repr__, bits.view(float).tolist()))
+        yield (sep + text if i else text) % tuple(map(reprs.__getitem__, index.ravel().tolist()))
+    yield "\n" + "  " * level + "]"
+
+
+def _template(shape: tuple[int, ...], level: int, keys: tuple[str, ...]) -> str:
+    """The ``%`` template of one nonempty array element of ``shape`` nested
+    ``level`` deep, each float a ``%s`` for its ``float.__repr__``."""
+    if not shape:
+        return "%s"
+    sep = ",\n" + "  " * (level + 1)
+    if len(shape) == 1 and keys:
+        items = [encode_basestring_ascii(k) + ": %s" for k in keys]
+        brackets = "{}"
+    else:
+        items, brackets = [_template(shape[1:], level + 1, keys)] * shape[0], "[]"
+    return brackets[0] + sep[1:] + sep.join(items) + "\n" + "  " * level + brackets[1]

@@ -93,16 +93,28 @@ class OddRefinement(_Shifted):
         return PairIntersectionUnion(np.stack([d.discs for d in self.discs.values()], axis=1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def row_sum_constant(matrix) -> float:
     """The shared row sum of a constant row-sum matrix, already validated
     by :func:`~eigenfence.core.as_matrix`.
 
     Raises NotConstantRowSumError when the row sums deviate by more than
-    ``ROW_SUM_TOL * (1 + |mean sum|)``.
+    ``ROW_SUM_TOL * (1 + |mean sum|)``, and OverflowError when a row sum
+    is above the float range.  A partial sum that overflows does not
+    count: the sums are then taken again at half scale, which is exact
+    above the subnormal range, so only a row sum that is itself out of
+    range is refused.
     """
     sums = np.sum(matrix, axis=1)
+    if not np.isfinite(sums).all():
+        sums = np.sum(matrix / 2, axis=1)
+        if not (np.abs(sums) <= np.finfo(float).max / 2).all():
+            raise OverflowError("row sums: a row sum is above the float range")
+        sums *= 2
     lam = float(sums.mean())
-    spread = float(sums.max() - sums.min())
+    if not np.isfinite(lam):   # the sums fit, their total does not
+        lam = float((sums / len(sums)).sum())
+    spread = float(sums.max() - sums.min())   # inf only if far from constant
     if spread > ROW_SUM_TOL * (1.0 + abs(lam)):
         raise NotConstantRowSumError(
             f"row sums spread {spread:.3e} exceeds tolerance (mean sum {lam:g})")

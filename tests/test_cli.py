@@ -1,17 +1,26 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import cases
 from eigenfence import (
+    DEFAULT_TOL,
     Eigenpair,
     InvalidEigenpairError,
     SemiNorm,
+    cassini_intersection_region,
     check_eigenpair,
+    classic_discs,
     cli,
+    geometry,
+    prepare,
+    refinement,
+    second_type_discs_of_transpose,
     standard_reports,
 )
 from eigenfence.cli import main
@@ -569,3 +578,58 @@ def test_gate_defect_pair_validates(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["refine", "bound", "obr"])
 def test_gate_defect_pair_passes_every_command(tmp_path, capsys, command):
     assert main([command, gate_defect_problem(tmp_path)]) == 0
+
+
+# -- stdout is json.dumps(..., indent=2) of the library's documents ------------
+
+def random_problem(path, n, zeros):
+    """A random A with an exact-up-to-rounding pair (lambda, v), ``zeros``
+    entries of v being 0 (the shear path): column j of a Gaussian matrix
+    is set so that A v = lambda v."""
+    rng = np.random.default_rng(1000 * n + zeros)
+    v = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    v[rng.choice(n, size=zeros, replace=False)] = 0.0
+    pair = Eigenpair(float(rng.uniform(1.0, 5.0)), v)
+    a = rng.standard_normal((n, n))
+    j = int(np.flatnonzero(v)[0])
+    a[:, j] += (pair.value * v - a @ v) / v[j]
+    return write_problem(path, a, pair), a, pair
+
+
+def library_docs(a, pair):
+    """What each command prints, built from the library's ``to_json``."""
+    b = prepare(a, pair).B
+    ref = refinement(b)
+    residual = check_eigenpair(a, pair, DEFAULT_TOL)
+    return {
+        ("locate",): second_type_discs_of_transpose(b).to_json(),
+        ("locate", "--classic"): {"second_type": second_type_discs_of_transpose(b).to_json(),
+                                  "classic_columns": classic_discs(a, "columns").to_json(),
+                                  "classic_rows": classic_discs(a, "rows").to_json()},
+        ("refine",): {"row_sum": pair.value,
+                      **{f.name: getattr(ref, f.name).tolist() for f in dataclasses.fields(ref)},
+                      "region": ref.region().to_json()},
+        ("obr",): cassini_intersection_region(a, pair).to_json(),
+        ("validate",): {"residual": residual, "tol": DEFAULT_TOL, "valid": residual <= DEFAULT_TOL},
+        ("bound", "--k", "3", "--det"): [
+            r.to_json() | {"improves_on_known": r.value < abs(pair.value)}
+            for r in standard_reports(a, pair, ks=(1, 2, 3), include_det=True)],
+    }
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_stdout_is_indent_2_json_of_the_library_docs(tmp_path, capsys, n):
+    for zeros in (0, max(1, n // 4)):   # the diagonal and the shear path
+        path, a, pair = random_problem(tmp_path / f"r{n}_{zeros}.json", n, zeros)
+        for command, doc in library_docs(a, pair).items():
+            assert main([command[0], path, *command[1:]]) == 0
+            assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n", command
+
+
+def test_region_tables_are_written_without_a_dict_per_row(capsys):
+    # to_json builds one dict per row; the CLI writes from the tables instead
+    with mock.patch.object(geometry._Union, "to_json", side_effect=AssertionError("to_json")):
+        for command in (["locate", "--classic"], ["refine"], ["obr"]):
+            for problem in PROBLEMS:
+                assert main([command[0], str(problem), *command[1:]]) == 0
+                assert strict_json(capsys.readouterr().out)

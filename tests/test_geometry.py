@@ -1,5 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cases
 from eigenfence import (
@@ -17,6 +23,7 @@ from eigenfence import (
     sampled_subset,
     second_type_discs_of_transpose,
 )
+from eigenfence.geometry import iterencode
 
 
 def worked_region():
@@ -174,3 +181,59 @@ def test_region_json_round_trip(region):
 def test_region_json_unknown_kind():
     with pytest.raises(ValueError):
         region_from_json({"kind": "pentagon"})
+
+
+def test_pair_table_checks_both_reaches():
+    # the smaller reach of the pair is 1; the other disc's is above the float range
+    with pytest.raises(OverflowError, match="^PairIntersectionUnion: an entry or a reach"):
+        PairIntersectionUnion([[[0, 1], [1e308, 1e308]]])
+    doc = {"kind": "pairwise_intersection_union",
+           "pairs": [[{"center": 0.0, "radius": 1.0}, {"center": 1e308, "radius": 1e308}]]}
+    with pytest.raises(OverflowError, match="^PairIntersectionUnion: an entry or a reach"):
+        region_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# JSON text: iterencode against json.dumps(..., indent=2)
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, 1.7976931348623157e308, 0.1, 1e16,
+               math.nan, math.inf, -math.inf]
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x7f%é€\U0001f600')))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT)
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+               elements=FLOATS),
+    hnp.arrays(st.sampled_from([np.int64, np.bool_, np.float32]),
+               hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)))
+DOCS = st.recursive(
+    st.one_of(SCALARS, ARRAYS),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=20)
+
+
+def plain(doc):
+    """``doc`` with every array replaced by its ``tolist()``."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [plain(v) for v in doc]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCS)
+def test_iterencode_matches_json_dumps(doc):
+    assert "".join(iterencode(doc)) == json.dumps(plain(doc), indent=2)
+
+
+def test_iterencode_refuses_what_json_refuses():
+    for doc in ({"z": 1j}, [np.float64(1.0), np.int64(2)], {"a": np.array([1j])}):
+        with pytest.raises(TypeError):
+            json.dumps(plain(doc), indent=2)
+        with pytest.raises(TypeError):
+            "".join(iterencode(doc))

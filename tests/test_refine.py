@@ -18,6 +18,7 @@ from eigenfence import (
     sampled_subset,
     second_type_discs_of_transpose,
 )
+from eigenfence.refine import row_sum_constant
 
 
 def test_even_worked_6x6():
@@ -51,6 +52,23 @@ def test_even_rejects_drifting_row_sums():
     m = np.array([[1.0, 2, 3, 4], [0, 0, 0, 0], [1, 1, 1, 1], [2, 2, 2, 2]])
     with pytest.raises(NotConstantRowSumError):
         refine_even(m)
+
+
+@pytest.mark.filterwarnings("error")
+def test_row_sums_whose_partial_sums_overflow():
+    # 1e308 + 1e308 overflows, but every row sums to 0: checked again at half scale
+    m = np.array([[1e308, 1e308, -1e308, -1e308]] * 4)
+    assert row_sum_constant(m) == 0.0
+    with pytest.raises(NotConstantRowSumError):
+        row_sum_constant(np.vstack([m[:3], [[1e308, 1e308, -1e308, -0.5e308]]]))
+    with pytest.raises(OverflowError, match="^row sums: a row sum is above the float range"):
+        row_sum_constant(np.array([[1e308, 1e308, 0.0, 0.0]] * 4))
+    # the sums fit, their total does not: the tolerance stays finite
+    big = np.array([[1e308, 0.7e308, 0.0, 0.0]] * 4)
+    assert row_sum_constant(big) == 1.7e308
+    big[3, 1] = 0.0
+    with pytest.raises(NotConstantRowSumError):
+        row_sum_constant(big)
 
 
 def test_odd_worked_7x7():

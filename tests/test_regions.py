@@ -5,6 +5,7 @@ primitives in Python; the blocked array kernel must agree with it exactly
 (``==``), at the real block and chunk sizes and at blocks and chunks of one.
 """
 
+import json
 import tracemalloc
 from unittest import mock
 
@@ -170,6 +171,21 @@ def test_array_regions_match_scalar_reference(kind, block, data):
     assert region.bounding_box() == ref_bounding_box(region)
     assert max_abs(region).value == ref_max_abs(region)
     assert np.array_equal(region_from_json(region.to_json()).table, region.table)
+
+
+@pytest.mark.parametrize("chunk", [geometry.JSON_CHUNK, 5, 1])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_region_text_matches_json_dumps(chunk, data):
+    # one, several and one-row chunks; the last chunk may be short
+    parts = [data.draw(regions(kind)) for kind in
+             data.draw(st.lists(st.sampled_from(["discs", "pairs", "ovals"]), min_size=1, max_size=3))]
+    doc = {"single": parts[0], "intersection": RegionIntersection(tuple(parts))}
+    want = json.dumps({k: r.to_json() for k, r in doc.items()}, indent=2)
+    with mock.patch.object(geometry, "JSON_CHUNK", chunk):
+        assert "".join(geometry.iterencode(doc)) == want
+        for region in doc.values():
+            assert "".join(geometry.iterencode(region)) == json.dumps(region.to_json(), indent=2)
 
 
 @pytest.mark.parametrize("table, shape", [
