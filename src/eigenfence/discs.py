@@ -20,6 +20,15 @@ import numpy as np
 from .core import SizeError, as_matrix
 from .geometry import DiscUnion
 
+#: Rows and columns per square tile of the transposed copy in
+#: :func:`sorted_columns`.  On x86-64, ``.T.copy()`` of a 1024x1024 array
+#: took 4.5-5.8 ms, as the power-of-two row stride makes its strided reads
+#: collide in the cache, against 1.9-2.4 ms in tiles of 256.  At the other
+#: sizes from 385 to 1025 these tiles stayed within 0.06 ms of it, where
+#: tiles of 64 and 128 lost up to 0.5 ms and tiles of 512 kept the stall at
+#: n = 1024 (the sweep is in ROADMAP item 6).
+TRANSPOSE_BLOCK = 256
+
 
 def sorted_columns(matrix, diag: float | None = None) -> np.ndarray:
     """Each column of M, sorted in non-increasing order, as a row.
@@ -30,8 +39,15 @@ def sorted_columns(matrix, diag: float | None = None) -> np.ndarray:
     n-1 entries of each row are the off-diagonal order statistics.  The
     result is a reversed view of a C-contiguous copy sorted along rows, so
     :func:`row_gaps` sums each column in the same order as a 1-D sum would.
+    The copy is the transpose built in square tiles of ``TRANSPOSE_BLOCK``
+    (one tile up to that size): it moves the same floats as ``M.T.copy()``,
+    without that copy's cache stall at a power-of-two row stride.
     """
-    t = np.asarray(matrix, dtype=float).T.copy()
+    m = np.asarray(matrix, dtype=float)
+    t, step = np.empty(m.shape[::-1]), TRANSPOSE_BLOCK
+    for i in range(0, m.shape[0], step):
+        for j in range(0, m.shape[1], step):
+            t[j:j + step, i:i + step] = m[i:i + step, j:j + step].T
     if diag is not None:
         np.fill_diagonal(t, diag)
     t.sort(axis=1)

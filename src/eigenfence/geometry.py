@@ -12,7 +12,7 @@ JSON, while each kind supplies only its formulas.  JSON comes as dicts
 formatted straight from the table (``iter_json``, and :func:`iterencode`
 for documents that hold regions and arrays).  Membership tests blocks of points against a chunk of
 primitives at once, in blocks of fixed size, with one relative slack for
-every kind (:func:`_within`).  It takes at most ``O(points * primitives)``
+every kind (:func:`_slack`).  It takes at most ``O(points * primitives)``
 time: an oval chunk computes one distance per distinct focus, and a point
 leaves the later chunks of a large table once one chunk accepts it.
 Intersections are never converted to explicit shapes; membership
@@ -58,9 +58,15 @@ class SubsetCheck(NamedTuple):
     witness: complex | None
 
 
-def _within(size, bound):
-    """``size <= bound`` up to the membership slack, relative to the bound."""
-    return size <= bound + MEMBERSHIP_EPS * (1.0 + bound)
+def _slack(table):
+    """``table`` with the membership slack added to each radius or bound
+    (its last column), relative to the bound: a point is inside when its
+    size is at most that.  The slack stops at the float max, so a size
+    that overflowed to inf is outside every row."""
+    out = table.copy()
+    bound = table[..., -1]
+    out[..., -1] = np.minimum(bound + MEMBERSHIP_EPS * (1.0 + bound), np.finfo(float).max)
+    return out
 
 
 def _records(keys: tuple[str, ...], rows: list, depth: int) -> list:
@@ -83,12 +89,13 @@ class _Union:
     A kind names its table field, row shape, JSON kind and record keys, and
     supplies its formulas as static functions of (a slice of) the table:
     ``_inside(z, table)`` maps p points and a table with an axis inserted
-    after the first to ``(m, p)`` booleans, ``_extents`` gives each row's
-    ``(x0, x1, half-height)``, ``_reach`` each row's largest modulus and
-    ``_samples`` points on each row's boundary (or the kind overrides
-    :meth:`boundary_points`).  ``_exact`` says whether that modulus is
-    attained.  Membership calls ``_tester(rows)`` once per chunk of rows; a
-    kind overrides it to share work between the rows of a chunk.
+    after the first, its bounds raised by :func:`_slack`, to ``(m, p)``
+    booleans, ``_extents`` gives each row's ``(x0, x1, half-height)``,
+    ``_reach`` each row's largest modulus and ``_samples`` points on each
+    row's boundary (or the kind overrides :meth:`boundary_points`).
+    ``_exact`` says whether that modulus is attained.  Membership calls
+    ``_tester(rows)`` once per chunk of rows; a kind overrides it to share
+    work between the rows of a chunk.
     """
 
     _field: str
@@ -130,11 +137,19 @@ class _Union:
     def __len__(self) -> int:
         return len(self.table)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def contains_points(self, z) -> np.ndarray:
         """Points of z in the union.  A table of more than ``MEMBERSHIP_CHUNK``
         rows is walked in chunks, largest half-height first, and each chunk
         tests only the points no earlier chunk accepted; membership is an OR
-        over rows, so the order cannot change the answer."""
+        over rows, so the order cannot change the answer.
+
+        A point and a center within the float range can be farther apart
+        than it: ``|z - c|`` then overflows to inf, and inf is outside
+        every table the range gate admits, as :func:`_slack` keeps each
+        threshold finite.  An oval's product is taken at a quarter of the
+        scale instead when a distance overflows (see
+        :meth:`CassiniUnion._tester`)."""
         z = np.asarray(z, dtype=complex)
         flat, table = z.ravel(), self.table
         if len(table) <= MEMBERSHIP_CHUNK:
@@ -167,7 +182,7 @@ class _Union:
     @classmethod
     def _tester(cls, rows):
         """The ``(m, p)`` membership booleans of ``rows``, as a function of p points."""
-        rows = rows[:, None]
+        rows = _slack(rows)[:, None]
         return lambda z: cls._inside(z, rows)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
@@ -218,7 +233,7 @@ class DiscUnion(_Union):
     @staticmethod
     def _inside(z, table):
         # complex centers: a float operand would be cast inside the broadcast loop
-        return _within(np.abs(z - table[..., 0].astype(complex)), table[..., 1])
+        return np.abs(z - table[..., 0].astype(complex)) <= table[..., 1]
 
     @staticmethod
     def _extents(table):
@@ -278,7 +293,7 @@ class CassiniUnion(_Union):
     @staticmethod
     def _inside(z, table):
         c1, c2 = table[..., 0].astype(complex), table[..., 1].astype(complex)
-        return _within(np.abs(z - c1) * np.abs(z - c2), table[..., 2])
+        return np.abs(z - c1) * np.abs(z - c2) <= table[..., 2]
 
     @staticmethod
     def _tester(rows):
@@ -287,11 +302,17 @@ class CassiniUnion(_Union):
         # 0.0 and -0.0, whose distances are equal)
         foci, index = np.unique(rows[:, :2], return_inverse=True)
         foci, (i1, i2) = foci.astype(complex)[:, None], index.reshape(-1, 2).T
-        bound = rows[:, 2, None]
+        bound = _slack(rows)[:, 2, None]
 
         def inside(z):
             d = np.abs(z - foci)
-            return _within(d[i1] * d[i2], bound)
+            if np.isfinite(d).all():
+                return d[i1] * d[i2] <= bound
+            # inf times a distance of 0 is NaN, and times one below 1 can be in
+            # range: at a quarter of the scale no distance overflows, and the
+            # product scales back exactly (z / 4 is exact above the subnormals)
+            d = np.abs(z / 4 - foci / 4)
+            return 16 * (d[i1] * d[i2]) <= bound
         return inside
 
     @staticmethod
@@ -309,6 +330,7 @@ class CassiniUnion(_Union):
         The bisection keeps only accepted points, so every sample belongs to
         its own oval."""
         ovals = self.ovals
+        slack = _slack(ovals)[:, None, None]
         c1, c2, b = (col[:, None, None] for col in ovals.T)
         reach = np.sqrt(b) + np.abs(c1 - c2) + 1.0
         theta = np.linspace(0.0, 2.0 * np.pi, angles // 2, endpoint=False)
@@ -318,7 +340,7 @@ class CassiniUnion(_Union):
         hi = np.broadcast_to(reach, lo.shape)
         for _ in range(40):
             mid = (lo + hi) / 2.0
-            inside = self._inside(focus + mid * directions, ovals[:, None, None])
+            inside = self._inside(focus + mid * directions, slack)
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
         return (focus + lo * directions).ravel()

@@ -152,6 +152,17 @@ def refinement(matrix) -> EvenRefinement | OddRefinement:
     The one column sort here serves the shifts and, through the
     refinement's ``discs`` and :meth:`region`, the refined discs too.
     Raises OverflowError when a shifted entry is above the float range.
+
+    That range check reads ``2n`` sums per shifted matrix, not its ``n^2``
+    entries.  Column j of F (or G) is column j of B plus ``off_j``, entry
+    by entry (``x - s`` and ``x + (-s)`` are the same IEEE operation).
+    Rounding is monotone, so every such sum lies between the sums of the
+    column's extremes, ``max(desc[j, 0], b_jj) + off_j`` and
+    ``min(desc[j, n-2], b_jj) + off_j``, where ``desc`` is the sort of
+    B's columns with the diagonal (``-inf``) last.  Both extremes are
+    entries of the column, and B and ``off`` are finite, so a sum is inf
+    only by overflow and never NaN: the column is finite if and only if
+    those two sums are.
     """
     b = as_matrix(matrix)
     n = b.shape[0]
@@ -166,7 +177,9 @@ def refinement(matrix) -> EvenRefinement | OddRefinement:
     else:
         f_shifts, g_shifts = -desc[:, h - 1], -desc[:, h]
         ref = OddRefinement(F=b + f_shifts, G=b + g_shifts, f_shifts=f_shifts, g_shifts=g_shifts)
-    if not all(np.isfinite(m).all() for m in ref.matrices.values()):
+    d = np.diagonal(b)
+    ends = np.maximum(desc[:, 0], d), np.minimum(desc[:, n - 2], d)
+    if not all(np.isfinite(end + off).all() for off in ref._offsets.values() for end in ends):
         raise OverflowError("refinement: an entry of F or G is above the float range")
     for arr in vars(ref).values():
         arr.setflags(write=False)

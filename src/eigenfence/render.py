@@ -10,6 +10,7 @@ byte-identical SVG documents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,24 @@ def _auto_box(scene: Scene) -> tuple[float, float, float, float]:
 
 
 def _squared(box: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """The square box with the center of ``box`` and its larger side.
+    Refuses a box that is empty or NaN, and one whose width, height or
+    square is above the float range (ends within the range can still be
+    farther apart than it).  The center is a sum of halves, which does not
+    overflow."""
     x0, x1, y0, y1 = box
-    if not all(np.isfinite(v) for v in box) or x1 <= x0 or y1 <= y0:
+    if not (x0 < x1 and y0 < y1):
         raise ViewportError(f"degenerate viewport {box}")
-    side = max(x1 - x0, y1 - y0)
-    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-    return (cx - side / 2.0, cx + side / 2.0, cy - side / 2.0, cy + side / 2.0)
+    width, height = x1 - x0, y1 - y0
+    side = max(width, height)
+    if side == math.inf:
+        which = "width" if width == side else "height"
+        raise ViewportError(f"viewport {which} is above the float range: {box}")
+    cx, cy = x0 / 2.0 + x1 / 2.0, y0 / 2.0 + y1 / 2.0
+    square = (cx - side / 2.0, cx + side / 2.0, cy - side / 2.0, cy + side / 2.0)
+    if not all(map(math.isfinite, square)):
+        raise ViewportError(f"viewport squared to side {side!r} is above the float range: {box}")
+    return square
 
 
 def _fmt(x: float) -> str:

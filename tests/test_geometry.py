@@ -193,6 +193,29 @@ def test_pair_table_checks_both_reaches():
         region_from_json(doc)
 
 
+FAR = 1e308
+
+
+@pytest.mark.parametrize("region, want", [
+    # |z - c| overflows to inf for the disc at the other end of the range
+    (DiscUnion([[FAR, 0], [-FAR, 0]]), [True, True, False, False, True, True]),
+    (PairIntersectionUnion([[[FAR, 0], [FAR, 1]], [[-FAR, 0], [-FAR, 0]]]),
+     [True, True, False, False, True, True]),
+    # the other focus is above the float range away: its distance overflows, and
+    # times 0 (a focus) or times 1e-300 (a product of 2e8) it must stay in range
+    (CassiniUnion([[FAR, -FAR, 1e9]]), [True, True, False, False, True, False]),
+    (CassiniUnion([[FAR, -FAR, 1.0]]), [True, True, False, False, False, False]),
+    # a threshold past the float max would let an overflowed |z| in
+    (DiscUnion([[0.0, np.finfo(float).max]]), [True, True, True, False, True, True]),
+])
+def test_membership_at_the_far_end_of_the_float_range(region, want):
+    z = [FAR, -FAR, 0.0, FAR + 1.5 * FAR * 1j, FAR + 1e-300j, FAR + 1e-290j]
+    assert region.contains_points(z).tolist() == want
+    # the chunked walk of a large table runs the same kernel
+    many = type(region)(np.concatenate([region.table] * 40))
+    assert many.contains_points(z).tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # JSON text: iterencode against json.dumps(..., indent=2)
 # ---------------------------------------------------------------------------

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 import cases
 from eigenfence import bounds, refine_even, refine_odd, refinement
-from eigenfence.discs import row_gaps, second_type_discs_of_transpose, sorted_columns
+from eigenfence.discs import (
+    TRANSPOSE_BLOCK,
+    row_gaps,
+    second_type_discs_of_transpose,
+    sorted_columns,
+)
 from eigenfence.similarity import SimilarityResult
 
 ENTRIES = st.one_of(st.integers(-5, 5).map(float),
@@ -48,6 +53,105 @@ def gap_1d(desc):
 
 def kth_largest_offdiag(m, j, k):
     return float(np.sort(np.delete(m[:, j], j))[::-1][k - 1])
+
+
+def sorted_columns_by_transposed_copy(m, diag):
+    """:func:`sorted_columns` as one whole-array transposed copy."""
+    t = np.asarray(m, dtype=float).T.copy()
+    if diag is not None:
+        np.fill_diagonal(t, diag)
+    t.sort(axis=1)
+    return t[:, ::-1]
+
+
+def ties_and_signed_zeros(n, seed=0):
+    rng = np.random.default_rng(seed)
+    m = np.where(rng.random((n, n)) < 0.5, rng.integers(-3, 4, (n, n)), rng.standard_normal((n, n)))
+    m[rng.random((n, n)) < 0.1] = -0.0
+    return m
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).view(np.int64).tolist() == \
+        np.ascontiguousarray(b).view(np.int64).tolist()
+
+
+T = TRANSPOSE_BLOCK
+
+
+@pytest.mark.parametrize("diag", [None, 0.0, -np.inf])
+@pytest.mark.parametrize("n", sorted({3, 4, T - 1, T, T + 1, 2 * T, 1024, 1025}))
+def test_sorted_columns_is_the_sort_of_the_transposed_copy(n, diag):
+    m = ties_and_signed_zeros(n, seed=n)
+    inputs = [m, np.asfortranarray(m), ties_and_signed_zeros(2 * n, seed=n)[::2, 1::2],
+              m.astype(np.int64)]
+    for matrix in inputs:
+        got = sorted_columns(matrix, diag)
+        assert same_bits(got, sorted_columns_by_transposed_copy(matrix, diag))
+        # a reversed view of a C-contiguous buffer, which row_gaps sums along rows
+        assert got[:, ::-1].flags.c_contiguous
+
+
+#: Entries of the far-range matrices are multiples of this: 255 of them is
+#: 1.79e308, just below the float max, and every sum of the entries of a row
+#: is exact at half scale, where no partial sum of 511 of them overflows.
+UNIT = 2.0 ** 1016
+
+
+@st.composite
+def far_range_row_sum_matrices(draw, parity):
+    """Constant row-sum matrices with entries up to +-1.79e308 (at the
+    largest unit): each row holds p and c - p, a pair q, -q and zeros in a
+    random order, so its sum is c exactly."""
+    n = draw(st.sampled_from([n for n in range(3, 10) if n % 2 == parity]))
+    c = draw(st.integers(-8, 8))
+    unit = draw(st.sampled_from([UNIT, UNIT / 2, UNIT / 64]))
+    rows = []
+    for _ in range(n):
+        p = draw(st.integers(max(0, c), 255 + min(0, c)))
+        row = [p, c - p]
+        if n > 3:
+            q = draw(st.integers(0, (511 - p - abs(c - p)) // 2))
+            row += [q, -q]
+        row += [0] * (n - len(row))
+        rows.append([row[i] for i in draw(st.permutations(range(n)))])
+    return np.array(rows, dtype=float) * unit
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_refinement_refuses_exactly_the_shifts_that_overflow(parity, data):
+    """The O(n) range check of :func:`refinement` refuses a B if and only if
+    an entry of F (or G) is not finite; otherwise F, G, the shifts and the
+    refined discs are the formulas on the whole matrices."""
+    b = data.draw(far_range_row_sum_matrices(parity))
+    n = len(b)
+    def kth(k):
+        return np.array([kth_largest_offdiag(b, j, k) for j in range(n)])
+    with np.errstate(over="ignore"):
+        if n % 2 == 0:
+            shifts = {"shifts": kth(n // 2)}
+            matrices = {"F": b - shifts["shifts"]}
+        else:
+            shifts = {"f_shifts": -kth((n - 1) // 2), "g_shifts": -kth((n + 1) // 2)}
+            matrices = {"F": b + shifts["f_shifts"], "G": b + shifts["g_shifts"]}
+    if not all(np.isfinite(m).all() for m in matrices.values()):
+        with pytest.raises(OverflowError, match="^refinement: "):
+            refinement(b)
+        return
+    ref = refinement(b)
+    for name, m in {**matrices, **shifts}.items():
+        assert same_bits(getattr(ref, name), m)
+    try:
+        want = {name: second_type_discs_of_transpose(m).discs for name, m in matrices.items()}
+    except OverflowError:
+        with pytest.raises(OverflowError, match="^refined discs: "):
+            ref.discs
+    else:
+        for name, table in want.items():
+            assert same_bits(ref.discs[name].discs, table)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
