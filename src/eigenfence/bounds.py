@@ -15,7 +15,10 @@ Costs: the disc bound of B and ``tau_inf`` each sort the columns once,
 and the disc bounds of F and G share the one sort of B behind the
 refinement, in ``O(n^2 log n)`` time and ``O(n^2)`` memory; ``tau1``
 compares all row pairs in ``O(n^3)`` time over row blocks, so its memory
-stays ``O(n^2)``; a powered bound adds ``k - 1`` matrix products,
+stays ``O(n^2)``: from ``TAU1_SCREEN`` rows on in float32, which moves half
+the bytes, and then in float64 only the pairs that float32 rounding cannot
+rule out (one pair on random matrices, every pair when all tie); a
+powered bound adds ``k - 1`` matrix products,
 ``O(k n^3)`` time, and :func:`standard_reports` walks B, B^2, ... once
 for all its powers.  The walk subtracts row 0 from B before the first
 product, a column shift the semi-norms do not see, so no product forms
@@ -43,6 +46,10 @@ from .similarity import SimilarityResult, prepare
 #: a single row against all others is the smallest block.
 TAU1_BLOCK = 1 << 16
 
+#: Smallest n at which :func:`tau1` screens its row pairs in float32 before
+#: summing the few that can hold the maximum in float64.
+TAU1_SCREEN = 48
+
 #: Byte alignment of the :func:`tau1` buffer: one cache line, so that no
 #: vector store into it straddles two lines.
 CACHE_LINE = 64
@@ -69,17 +76,59 @@ class BoundReport:
         return {"name": self.name, "value": self.value, "source": self.source, "k": self.k}
 
 
+@np.errstate(over="ignore")
 def tau1(matrix) -> float:
     """Half the maximum L1 distance between any two rows.
 
-    Each block of rows is compared with the rows at or below it (the
-    distance is symmetric) in one buffer of about ``max(TAU1_BLOCK, n^2)``
-    entries, reused by every block: a fresh temporary per block costs a
-    page fault per 4 KiB whenever it lands above the allocator's mmap
-    threshold.  The buffer starts on a cache line: ``malloc`` only
-    promises 16 bytes, and with 64-byte vector stores a misaligned buffer
-    made each ``tau1`` about 20% slower, at random from one process to
-    the next.
+    Every float64 distance is one pair's ``np.abs(m[i] - m[j]).sum()``,
+    numpy's pairwise sum over one contiguous row, taken for a block of
+    rows against a range of rows at a time in one buffer of about
+    ``max(TAU1_BLOCK, n^2)`` entries, reused by every block: a fresh
+    temporary per block costs a page fault per 4 KiB whenever it lands
+    above the allocator's mmap threshold.  The buffer starts on a cache
+    line: ``malloc`` only promises 16 bytes, and with 64-byte vector
+    stores a misaligned buffer made each ``tau1`` about 20% slower, at
+    random from one process to the next.  A block with a sum that
+    overflows is summed again at half scale (exact above the subnormals),
+    so the value is inf only when the semi-norm itself is above the float
+    range.
+
+    Below ``TAU1_SCREEN`` rows every pair is summed in float64.  From
+    there on a float32 screen, twice the rows per block in the same
+    buffer, finds the few pairs that can hold the maximum, and only those
+    are summed in float64: the result is the max of the same float64
+    sums, so it is bit-identical to summing them all.
+
+    *Screen.*  Let ``u = m 2^-s`` with ``max|u|`` in [0.5, 1), ``S_i =
+    sum_k |u_ik|`` and ``d_ij = sum_k |u_ik - u_jk| <= S_i + S_j``.  In
+    float32 (unit roundoff ``e = 2^-24``) ``u`` rounds to within
+    ``e|u| + 2^-126`` per entry, each difference to within ``e`` of itself
+    plus ``2^-126``, and the product with a vector of ones sums n terms in
+    some order, within ``gamma_(n-1) = (n-1)e / (1 - (n-1)e)`` of their
+    exact sum, plus ``2^-126`` per partial sum (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sections 2.2 and 3.1).
+    The ``2^-126`` terms cover float32 subnormals, flushed to zero or not.
+    So the screened distance ``D_ij`` obeys ``|D_ij - d_ij| <= (n+1) e (1
+    + 2^-10) (S_i + S_j) + 4n 2^-126`` for ``n < 2^14``.  The float64 sum
+    ``F_ij`` of the same pair is within ``gamma_n`` (unit roundoff
+    ``2^-53``) of the exact distance at m's scale, as gradual underflow
+    makes subnormal sums exact; at unit scale that is ``|F_ij 2^-s -
+    d_ij| <= 2^-39 (S_i + S_j) + n 2^-1073``, the last term for the
+    rounding of ``u``.  Hence ``|D_ij - F_ij 2^-s| <= E_ij = (n+4) 2^-23
+    (S_i + S_j) + n 2^-120``, about twice the sum of the two, and the
+    other half absorbs the float64 rounding of ``E_ij`` and of the test.
+
+    *Certificate.*  The pair with the largest ``D_ij`` is summed in float64
+    first, giving ``L``.  Every pair with ``F_ij >= L`` then has ``D_ij +
+    E_ij >= F_ij 2^-s >= L 2^-s``, so summing in float64 only the pairs
+    that pass ``D_ij + E_ij >= L 2^-s`` keeps every pair with the largest
+    float64 sum.  (``L`` is twice the leader's half-sum: halving rounds
+    only a sum below ``2^-1021``, a whole number of ``2^-1074``, and a
+    pair whose half-sum is larger than the leader's has a sum at least
+    twice the leader's half-sum.)  Each block of rows is summed against
+    the range of rows from its first to its last survivor, with no
+    gather, so a tie of all pairs (equal rows, ``np.eye``) costs the
+    screen plus the all-pairs loop.
     """
     m = as_matrix(matrix)
     n = m.shape[0]
@@ -88,15 +137,48 @@ def tau1(matrix) -> float:
     rows = min(n, max(1, TAU1_BLOCK // (n * n)))
     size = rows * n * n
     raw = np.empty(size + CACHE_LINE // 8)
-    start = -raw.ctypes.data % CACHE_LINE // 8
-    buf = raw[start:start + size].reshape(rows, n, n)
+    buf = raw[-raw.ctypes.data % CACHE_LINE // 8:][:size]
 
-    def block(i):
-        d = buf[:min(rows, n - i), :n - i]
-        np.subtract(m[i:i + rows, None, :], m[None, i:, :], out=d)
-        return np.abs(d, out=d).sum(axis=2).max()
+    def far(i, j, lo, hi):
+        """Half the largest float64 distance from rows i..j-1 to rows lo..hi-1."""
+        d = buf[:(j - i) * (hi - lo) * n].reshape(j - i, hi - lo, n)
+        np.subtract(m[i:j, None, :], m[None, lo:hi, :], out=d)
+        sums = np.abs(d, out=d).sum(axis=2)
+        top = sums.max()
+        if top < np.inf:
+            return top / 2.0
+        np.subtract(m[i:j, None, :] / 2, m[None, lo:hi, :] / 2, out=d)
+        return np.where(sums < np.inf, sums / 2.0, np.abs(d, out=d).sum(axis=2)).max()
 
-    return float(max(block(i) for i in range(0, n, rows)) / 2.0)
+    if n < TAU1_SCREEN:
+        return float(max(far(i, min(i + rows, n), i, n) for i in range(0, n, rows)))
+    unit, s = _unit(m)
+    err = (n + 4) * 2.0 ** -23 * np.abs(unit).sum(axis=1)
+    near = _screen(unit.astype(np.float32), buf.view(np.float32), min(n, 2 * rows))
+    li, lj = divmod(int(near.argmax()), n)
+    best = far(li, li + 1, lj, lj + 1)
+    keep = near + (err[:, None] + (err + n * 2.0 ** -120)) >= np.ldexp(best, 1 - s)
+    keep[li, lj] = False   # summed already
+    hit, starts = keep.any(axis=1), np.arange(0, n, rows)
+    lo = np.minimum.reduceat(np.where(hit, keep.argmax(axis=1), n), starts)
+    hi = np.maximum.reduceat(np.where(hit, n - keep[:, ::-1].argmax(axis=1), 0), starts)
+    for b in np.flatnonzero(lo < hi):
+        best = max(best, far(starts[b], min(starts[b] + rows, n), lo[b], hi[b]))
+    return float(best)
+
+
+def _screen(u: np.ndarray, buf: np.ndarray, rows: int) -> np.ndarray:
+    """Float32 L1 distances of the rows of u: row i against rows i and
+    below in blocks of ``rows`` rows, each block's distances one
+    matrix-vector product with a vector of ones; -inf below the blocks."""
+    n = len(u)
+    near = np.full((n, n), -np.inf, dtype=np.float32)
+    ones = np.ones(n, dtype=np.float32)
+    for i in range(0, n, rows):
+        d = buf[:min(rows, n - i) * (n - i) * n].reshape(-1, n - i, n)
+        np.subtract(u[i:i + rows, None, :], u[None, i:, :], out=d)
+        near[i:i + rows, i:] = (np.abs(d, out=d).reshape(-1, n) @ ones).reshape(-1, n - i)
+    return near
 
 
 def tau_inf(matrix) -> float:

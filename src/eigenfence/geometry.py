@@ -94,8 +94,8 @@ class _Union:
     ``_reach`` each row's largest modulus and ``_samples`` points on each
     row's boundary (or the kind overrides :meth:`boundary_points`).
     ``_exact`` says whether that modulus is attained.  Membership calls
-    ``_tester(rows)`` once per chunk of rows; a kind overrides it to share
-    work between the rows of a chunk.
+    ``_tester(rows)`` once per chunk of rows; a kind overrides it (and then
+    needs no ``_inside``) to share work between the rows of a chunk.
     """
 
     _field: str
@@ -291,15 +291,10 @@ class CassiniUnion(_Union):
     _field, _shape, _kind, _keys = "ovals", (3,), "cassini_union", ("c1", "c2", "bound")
 
     @staticmethod
-    def _inside(z, table):
-        c1, c2 = table[..., 0].astype(complex), table[..., 1].astype(complex)
-        return np.abs(z - c1) * np.abs(z - c2) <= table[..., 2]
-
-    @staticmethod
     def _tester(rows):
         # n foci serve up to n(n-1)/2 ovals: one distance per distinct focus,
-        # gathered per oval, is the product _inside computes (np.unique merges
-        # 0.0 and -0.0, whose distances are equal)
+        # gathered per oval, gives each oval's product |z - c1| |z - c2|
+        # (np.unique merges 0.0 and -0.0, whose distances are equal)
         foci, index = np.unique(rows[:, :2], return_inverse=True)
         foci, (i1, i2) = foci.astype(complex)[:, None], index.reshape(-1, 2).T
         bound = _slack(rows)[:, 2, None]
@@ -324,26 +319,30 @@ class CassiniUnion(_Union):
     def _reach(table):
         return np.maximum(np.abs(table[..., 0]), np.abs(table[..., 1])) + np.sqrt(table[..., 2])
 
+    @np.errstate(over="ignore")
     def boundary_points(self, angles: int = 256) -> np.ndarray:
         """Outermost membership crossings along rays from each focus, oval by
         oval (first focus, then second), by bisection on every ray at once.
         The bisection keeps only accepted points, so every sample belongs to
-        its own oval."""
-        ovals = self.ovals
-        slack = _slack(ovals)[:, None, None]
-        c1, c2, b = (col[:, None, None] for col in ovals.T)
-        reach = np.sqrt(b) + np.abs(c1 - c2) + 1.0
+        its own oval.  It runs at a quarter of the scale, as :meth:`_tester`
+        does: there no reach or distance overflows (a far product is inf,
+        outside), and the accepted points scale back exactly."""
+        bound = _slack(self.ovals)[:, 2, None, None] / 16   # exact: the slack keeps it >= 1e-9
+        c1, c2, b = (col[:, None, None] for col in self.ovals.T)
+        c1, c2 = (c1 / 4).astype(complex), (c2 / 4).astype(complex)
+        reach = np.sqrt(b) / 4 + np.abs(c1 - c2) + 0.25
         theta = np.linspace(0.0, 2.0 * np.pi, angles // 2, endpoint=False)
         directions = np.exp(1j * theta)
         focus = np.concatenate((c1, c2), axis=1)
-        lo = np.zeros((len(ovals), 2, theta.size))
+        lo = np.zeros((len(self.ovals), 2, theta.size))
         hi = np.broadcast_to(reach, lo.shape)
         for _ in range(40):
             mid = (lo + hi) / 2.0
-            inside = self._inside(focus + mid * directions, slack)
+            z = focus + mid * directions
+            inside = np.abs(z - c1) * np.abs(z - c2) <= bound
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
-        return (focus + lo * directions).ravel()
+        return (4 * (focus + lo * directions)).ravel()
 
 
 @dataclass(frozen=True)
@@ -418,8 +417,9 @@ def sampled_subset(region_a, region_b, resolution: int = 64) -> SubsetCheck:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
     candidates = [region_a.boundary_points(4 * resolution)]
     x0, x1, y0, y1 = region_a.bounding_box()
-    xs = np.linspace(x0, x1, resolution)
-    ys = np.linspace(y0, y1, resolution)
+    # at half scale the box's width stays in range; doubling back is exact
+    xs = 2 * np.linspace(x0 / 2, x1 / 2, resolution)
+    ys = 2 * np.linspace(y0 / 2, y1 / 2, resolution)
     gx, gy = np.meshgrid(xs, ys)
     grid = (gx + 1j * gy).ravel()
     candidates.append(grid[region_a.contains_points(grid)])

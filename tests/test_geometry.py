@@ -216,6 +216,21 @@ def test_membership_at_the_far_end_of_the_float_range(region, want):
     assert many.contains_points(z).tolist() == want
 
 
+@pytest.mark.parametrize("ovals", [
+    [[FAR, -FAR, 1e9]],
+    [[FAR, -FAR, 1.0], [0.0, 1.0, 4.0], [-FAR, 0.5 * FAR, 1e300]],
+])
+def test_oval_samples_at_the_far_end_of_the_float_range(ovals):
+    # the bisection's reach sqrt(b) + |c1 - c2| + 1 is above the float range;
+    # warnings are errors, so a single overflow fails the test
+    region = CassiniUnion(ovals)
+    points = region.boundary_points(16).reshape(len(ovals), -1)
+    assert np.isfinite(points).all()
+    for row, samples in zip(region.ovals, points):
+        assert CassiniUnion([row]).contains_points(samples).all()
+    assert sampled_subset(region, region).is_subset
+
+
 # ---------------------------------------------------------------------------
 # JSON text: iterencode against json.dumps(..., indent=2)
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ integers (many ties) with signed floats.
 """
 
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -219,6 +220,14 @@ def tau1_pairwise(m):
                for i, j in itertools.combinations(range(m.shape[0]), 2)) / 2.0
 
 
+def tau1_half_scale(m):
+    """tau1_pairwise with each pair summed at half scale, where no sum of a
+    finite matrix's rows overflows; the same value wherever neither sum
+    overflows and no entry is subnormal."""
+    return max(float(np.abs(m[i] / 2 - m[j] / 2).sum())
+               for i, j in itertools.combinations(range(m.shape[0]), 2))
+
+
 @pytest.mark.parametrize("block", [bounds.TAU1_BLOCK, 1, 300])
 @pytest.mark.parametrize("parity", [0, 1])
 @settings(max_examples=20, deadline=None)
@@ -229,6 +238,128 @@ def test_tau1_matches_pairwise_maximum(block, parity, data):
         assert bounds.tau1(m) == tau1_pairwise(m)
 
 
+@pytest.mark.parametrize("block", [bounds.TAU1_BLOCK, 1, 300])
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_tau1_screen_matches_pairwise_maximum(block, parity, data):
+    # a screen from n = 2 on puts these small matrices through it
+    m = data.draw(matrices(parity))
+    with mock.patch.object(bounds, "TAU1_BLOCK", block), mock.patch.object(bounds, "TAU1_SCREEN", 2):
+        assert bounds.tau1(m) == tau1_pairwise(m)
+
+
+def screen_sized(kind, n, seed, exponent):
+    rng = np.random.default_rng(seed)
+    m = {"positive": lambda: rng.random((n, n)) + 0.05,
+         "signed": lambda: rng.standard_normal((n, n)),
+         "integers": lambda: rng.integers(-5, 6, (n, n)).astype(float),
+         "power": lambda: np.linalg.matrix_power(rng.random((n, n)), 3)}[kind]()
+    return np.ldexp(m, exponent)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([bounds.TAU1_SCREEN - 1, bounds.TAU1_SCREEN, bounds.TAU1_SCREEN + 17]),
+       kind=st.sampled_from(["positive", "signed", "integers", "power"]),
+       seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-60, 60))
+def test_tau1_matches_pairwise_maximum_around_the_screen_size(n, kind, seed, exponent):
+    m = screen_sized(kind, n, seed, exponent)
+    assert bounds.tau1(m) == tau1_pairwise(m)
+
+
+def test_tau1_finds_the_maximum_one_ulp_above_the_screens_leader():
+    # rows 0-1 and 0-2 are 5 and 5 + 2^-50 apart in float64 (one ulp), but
+    # 1 + 2^-50 rounds to 1 in float32: the screen ties them and leads with
+    # 0-1, so only the float64 recheck of 0-2 finds the maximum
+    n = bounds.TAU1_SCREEN + 16
+    s = np.random.default_rng(5).uniform(0.0, 0.5, n)
+    s[:3] = 4.0, 1.0, 1.0 + 2.0 ** -50
+    m = np.diag(s)
+    assert np.float32(s[2]) == np.float32(s[1])
+    assert bounds.tau1(m) == tau1_pairwise(m) == (5.0 + 2.0 ** -50) / 2
+
+
+@pytest.mark.parametrize("scale", [0, 700, -700])
+def test_tau1_certificate_covers_a_screen_off_by_its_whole_error_bound(monkeypatch, scale):
+    # a screen that errs by the float32 bound (n+1) 2^-24 (S_i + S_j), low
+    # on the pair with the largest float64 sum and high on every other pair
+    n = bounds.TAU1_SCREEN + 16
+    s = np.random.default_rng(6).uniform(0.0, 0.5, n)
+    s[:3] = 4.0, 1.0, 1.0 + 2.0 ** -50
+    m = np.ldexp(np.diag(s), scale)
+
+    def screen(u, buf, rows):
+        unit = np.ldexp(m, -math.frexp(m.max())[1])
+        exact = np.abs(unit[:, None, :] - unit[None, :, :]).sum(axis=2)
+        size = np.abs(unit).sum(axis=1)
+        error = (n + 1) * 2.0 ** -24 * (size[:, None] + size)
+        top = exact == exact.max()
+        assert top.sum() == 2   # 0-2 and 2-0
+        return np.triu(np.where(top, exact - error, exact + error)) - np.tril(np.full((n, n), np.inf), -1)
+
+    monkeypatch.setattr(bounds, "_screen", screen)
+    monkeypatch.setattr(bounds, "TAU1_BLOCK", 1)   # one row per block: no pair rechecked by the way
+    assert bounds.tau1(m) == tau1_pairwise(m) == np.ldexp((5.0 + 2.0 ** -50) / 2, scale)
+
+
+@pytest.mark.parametrize("n", [bounds.TAU1_SCREEN, 100])
+def test_tau1_exact_ties(n):
+    row = np.random.default_rng(n).random(n)
+    circulant = np.array([np.roll(row, k) for k in range(n)])   # n pairs at the largest offset
+    for m in (circulant, np.eye(n), np.tile(row, (n, 1)), np.full((n, n), 3.0)):
+        assert bounds.tau1(m) == tau1_pairwise(m)
+
+
+@pytest.mark.parametrize("n", [bounds.TAU1_SCREEN - 1, bounds.TAU1_SCREEN + 16])
+def test_tau1_at_far_scales_and_subnormal_entries(n):
+    rng = np.random.default_rng(n)
+    m = rng.random((n, n)) + 0.05
+    tiny = rng.random((n, n)) * 1e-40   # float32 subnormals at unit scale
+    tiny[0, 0] = 1.0
+    cases = [np.ldexp(m, 600), np.ldexp(m, -600), np.ldexp(m, 900), tiny,
+             np.ldexp(rng.integers(0, 9, (n, n)).astype(float), -1074),   # float64 subnormals
+             np.where(rng.random((n, n)) < 0.5, 5e-324, m)]
+    for case in cases:
+        assert bounds.tau1(case) == tau1_pairwise(case)
+    for e in (600, -600, 900):
+        assert bounds.tau1(np.ldexp(m, e)) == np.ldexp(bounds.tau1(m), e)
+
+
+@pytest.mark.parametrize("n", [bounds.TAU1_SCREEN - 1, bounds.TAU1_SCREEN + 16])
+def test_tau1_of_integer_matrices(n):
+    m = np.random.default_rng(n).integers(-9, 10, (n, n))
+    assert bounds.tau1(m) == tau1_pairwise(m.astype(float))
+
+
+def test_tau1_sums_an_overflowing_pair_at_half_scale():
+    # warnings are errors: neither the subtraction nor the sum may warn
+    assert bounds.tau1([[1e308, 1e308], [0.0, 0.0]]) == 1e308
+    assert bounds.tau1([[1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 0.0]]) == np.inf
+    for n in (bounds.TAU1_SCREEN - 1, bounds.TAU1_SCREEN + 16):
+        m = np.random.default_rng(n).random((n, n))
+        m[3, :2] = 1e308
+        assert bounds.tau1(m) == tau1_half_scale(m) < np.inf
+        m[5, :2] = -1e308   # rows 3 and 5 are 4e308 apart
+        assert bounds.tau1(m) == np.inf
+
+
+def test_tau1_rechecks_one_pair_of_a_random_positive_matrix(monkeypatch):
+    pairs = {np.float32: 0, np.float64: 0}
+    subtract = np.subtract
+
+    def spy(a, b, out):
+        pairs[out.dtype.type] += out.shape[0] * out.shape[1]
+        return subtract(a, b, out=out)
+
+    m = np.random.default_rng(0).random((256, 256)) + 0.05
+    monkeypatch.setattr(np, "subtract", spy)
+    value = bounds.tau1(m)
+    monkeypatch.undo()
+    assert pairs[np.float32] >= 256 * 255 // 2   # every pair screened
+    assert pairs[np.float64] == 1                 # the leader, and no other pair
+    assert value == tau1_pairwise(m)
+
+
 @pytest.mark.parametrize("n", [41, 100])
 def test_tau1_blocked_at_larger_n(n):
     m = np.random.default_rng(n).standard_normal((n, n))
@@ -237,17 +368,18 @@ def test_tau1_blocked_at_larger_n(n):
 
 
 def test_tau1_buffer_starts_on_a_cache_line(monkeypatch):
-    offsets = []
+    offsets = {}
     subtract = np.subtract
 
     def spy(a, b, out):
-        offsets.append(out.ctypes.data % bounds.CACHE_LINE)
+        offsets.setdefault(out.dtype.type, set()).add(out.ctypes.data % bounds.CACHE_LINE)
         return subtract(a, b, out=out)
 
     monkeypatch.setattr(np, "subtract", spy)
     for n in (3, 10, 64, 160, 256):
         bounds.tau1(np.random.default_rng(n).random((n, n)))
-    assert offsets and set(offsets) == {0}
+    # the float32 screen and the float64 sums share the one buffer
+    assert offsets == {np.float32: {0}, np.float64: {0}}
 
 
 def test_tau1_memory_stays_quadratic():
