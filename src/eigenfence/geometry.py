@@ -15,6 +15,12 @@ primitives at once, in blocks of fixed size, with one relative slack for
 every kind (:func:`_slack`).  It takes at most ``O(points * primitives)``
 time: an oval chunk computes one distance per distinct focus, and a point
 leaves the later chunks of a large table once one chunk accepts it.
+``contains_points`` is the one exact membership predicate.  A grid's
+membership (``contains_grid``, for rasters and sampled comparisons) comes
+from each primitive's closed-form x-sections on each grid row instead:
+``O(rows * primitives)`` sections decide every point outside a thin,
+proven rounding band around the boundaries, and only the band's points
+reach ``contains_points``, so the answer is the same bit for bit.
 Intersections are never converted to explicit shapes; membership
 predicates compose instead, and set comparisons are sampled (boundary
 points plus a grid over the bounding box).  This module imports no other
@@ -24,6 +30,7 @@ eigenfence module.
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -47,6 +54,18 @@ MEMBERSHIP_CHUNK = 64
 #: Floats per ``%`` format when a float array is written as JSON text.
 JSON_CHUNK = 1 << 14
 
+# The raster screen of :meth:`_Union.contains_grid`: bounds shrunk and grown
+# by _GRID_SHRINK, section margins of _GRID_MARGIN times the magnitudes
+# they cover, the largest grid or table entry it certifies, and its finest
+# x step relative to that entry.
+_GRID_SHRINK = 2.0 ** -36
+_GRID_MARGIN = 2.0 ** -44
+_GRID_LIMIT = 2.0 ** 500
+_GRID_STEP = 2.0 ** -30
+
+#: (inner, outer) signs of the screen's margins, on their own leading axis.
+_INNER_OUTER = np.array([-1.0, 1.0])
+
 
 class MaxAbs(NamedTuple):
     value: float
@@ -67,6 +86,38 @@ def _slack(table):
     bound = table[..., -1]
     out[..., -1] = np.minimum(bound + MEMBERSHIP_EPS * (1.0 + bound), np.finfo(float).max)
     return out
+
+
+def _disc_sections(c, r, y):
+    """Inner and outer x-sections ``(lo, hi)`` of the discs ``|z - c| <= r``
+    (slackened radii) on the rows ``y`` (one per disc, or broadcast
+    against it), each of shape ``(2, *c.shape)``: ``(x - c)^2 <=
+    rho^2 - y^2``, the margin on the right side before its root (see
+    :meth:`_Union.contains_grid`).  An empty section has ``hi = -inf``."""
+    sign = _INNER_OUTER.reshape((2,) + (1,) * c.ndim)
+    rho = r * (1.0 + sign * _GRID_SHRINK)
+    rho2, y2 = rho * rho, y * y
+    q = rho2 - y2 + sign * _GRID_MARGIN * (rho2 + y2)
+    w = np.sqrt(np.maximum(q, 0.0))
+    g = sign * _GRID_MARGIN * (np.abs(c) + w)
+    return c - w - g, np.where(q < 0.0, -np.inf, c + w + g)
+
+
+def _count_at_most(xs, v):
+    """``np.searchsorted(xs, v, "right")`` for strictly increasing ``xs``
+    of two or more entries and ``v`` not NaN: the index estimated from the
+    mean spacing, kept where two exact comparisons confirm it, and searched
+    for elsewhere (on a ``linspace`` grid, only within a few ulps of a
+    grid point)."""
+    n = xs.size
+    f = np.clip((v - xs[0]) * ((n - 1) / (xs[-1] - xs[0])), -0.5, n - 1.0)
+    k = f.astype(np.intp)            # truncation: 0 below 0, the floor above
+    k += f >= 0.0
+    padded = np.concatenate(([-np.inf], xs, [np.inf]))   # padded[k] is xs[k - 1]
+    off = (padded[k] > v) | (padded[k + 1] <= v)
+    if off.any():
+        k[off] = np.searchsorted(xs, v[off], "right")
+    return k
 
 
 def _records(keys: tuple[str, ...], rows: list, depth: int) -> list:
@@ -165,6 +216,90 @@ class _Union:
             todo = todo[~found]
         return hit.reshape(z.shape)
 
+    def contains_grid(self, xs, ys) -> np.ndarray:
+        """``contains_points(xs[None, :] + 1j * ys[:, None])``, bit for bit:
+        the ``(len(ys), len(xs))`` membership of a grid.
+
+        On each row ``y`` a primitive is at most two x-intervals in closed
+        form (the kinds' ``_sections``).  The screen builds an inner and an
+        outer set from them, with ``inner ⊆ accepted ⊆ outer`` (proved
+        below), fills each row's union of intervals with one
+        difference-array pass, and sends only the points of
+        ``outer \\ inner`` to :meth:`contains_points`, which stays the one
+        arbiter.  Its cost is ``O(rows x primitives)`` sections plus
+        ``O(rows x columns)`` for the fill.
+
+        *Assumption*: ``np.abs`` of a complex number is within ``2^-40`` of
+        its value, relatively (libm's ``hypot`` is within 1 ulp).
+
+        *Proof.*  Let ``u = 2^-53``.  ``contains_points`` takes
+        ``d = |fl(x - c) + iy|`` (``y - 0`` is exact), so ``d = D (1 + t)``
+        with ``D`` the true distance and ``|t| < 2^-39``; an oval's product
+        ``fl(d1 d2)`` is ``D1 D2 (1 + t)`` with ``|t| < 2^-38``.  A disc
+        accepts iff ``d <= r'`` and an oval iff ``fl(d1 d2) <= b'`` (the
+        slackened bounds of :func:`_slack`), so every accepted point has
+        ``D <= r' (1 + 2^-38)`` (or ``D1 D2 <= b' (1 + 2^-38)``), and every
+        point with ``D <= r' (1 - 2^-38)`` is accepted.  The outer set is
+        the real set of the bound grown to ``fl(r' (1 + 2^-36))``, the inner
+        one that of the bound shrunk to ``fl(r' (1 - 2^-36))``, both beyond
+        those limits.  No accepted point lies on a row with ``|y|`` above
+        the half-height grown by ``2^-36`` (``|y| <= D``, and
+        ``y^2 <= D1 D2``), so only the rows within it are screened.  The
+        sections are computed in floats: each squared quantity
+        (``rho^2 - y^2``, an oval's discriminant factor and ``s`` ends)
+        takes a few roundings, each at most ``u`` times a magnitude that
+        its margin is ``_GRID_MARGIN = 2^9 u`` times, and each end
+        ``c +- w`` likewise against ``_GRID_MARGIN (|c| + w)``.  Outer
+        margins widen and inner ones narrow, with room for their own
+        roundings, so each computed outer section holds the real one and
+        each computed inner section lies in it.  A square root comes after
+        its margin, so a near-tangent row costs a wider band, not a wrong
+        point.  A section ``(lo, hi]`` holds the grid points above ``lo``
+        and up to ``hi``; the outer ends are strictly beyond the real ones.
+        The slack keeps every slackened bound at least ``1e-9``, so every
+        squared margin is above ``2^-110``, far above an underflow's error.
+
+        The screen declines, and the whole grid takes the exact path,
+        unless the grid has a row, ``xs`` increases in steps of at least
+        ``2^-30`` of the largest magnitude ``M`` of the grid and the
+        slackened table, and ``M <= 2^500`` (no NaN).  Up to ``2^500`` no
+        square or product of the screen overflows and no distance of the
+        exact path does; a finer grid would lie mostly in the band, which
+        is about ``2^-35 M`` wide.  Sections run over blocks of
+        ``MEMBERSHIP_BLOCK // (4 len(ys))`` table rows, so memory stays
+        bounded.
+        """
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        table = _slack(self.table)
+        top = np.max([np.abs(a).max(initial=0.0) for a in (xs, ys, table)])   # NaN if any is
+        if not (xs.size >= 2 and ys.size and top <= _GRID_LIMIT
+                and np.diff(xs).min() >= _GRID_STEP * top):
+            return self.contains_points(xs[None, :] + 1j * ys[:, None])
+        # the difference array runs along x, one (inner, outer) pair of
+        # grid rows per x index, so its cumsum adds whole rows at a time;
+        # sections are taken only on the rows within a primitive's reach
+        rows = 2 * ys.size
+        fill = np.zeros((xs.size + 1) * rows, dtype=np.intp)
+        step = max(1, MEMBERSHIP_BLOCK // (4 * ys.size))
+        for c in range(0, len(table), step):
+            block = table[c:c + step]
+            reach = self._extents(block)[2] * (1.0 + _GRID_SHRINK)
+            iy, ip = np.nonzero(np.abs(ys)[:, None] <= reach)
+            lo, hi = self._sections(block[ip], ys[iy])
+            start = _count_at_most(xs, lo)
+            stop = np.maximum(_count_at_most(xs, hi), start)
+            offset = iy + np.array([0, ys.size])[:, None, None]
+            np.add.at(fill, start * rows + offset, 1)
+            np.subtract.at(fill, stop * rows + offset, 1)
+        fill = fill.reshape(-1, rows)
+        counts = np.cumsum(fill, axis=0, out=fill)[:-1] > 0
+        inside = counts[:, :ys.size].T.copy()
+        band = np.flatnonzero(counts[:, ys.size:].T > inside)
+        if band.size:
+            iy, ix = np.divmod(band, xs.size)
+            inside.flat[band] = self.contains_points(xs[ix] + 1j * ys[iy])
+        return inside
+
     def _any(self, flat, rows, at=None) -> np.ndarray:
         """Whether any of ``rows`` holds each point of ``flat`` (or of
         ``flat[at]``).  Blocks of ``MEMBERSHIP_BLOCK`` point-row pairs keep
@@ -241,6 +376,11 @@ class DiscUnion(_Union):
         return c - r, c + r, r
 
     @staticmethod
+    def _sections(table, y):
+        lo, hi = _disc_sections(table[:, 0], table[:, 1], y)
+        return lo[:, None], hi[:, None]
+
+    @staticmethod
     def _reach(table):
         return np.abs(table[..., 0]) + table[..., 1]
 
@@ -275,6 +415,11 @@ class PairIntersectionUnion(_Union):
     @staticmethod
     def _reach(table):
         return DiscUnion._reach(table).min(axis=-1)
+
+    @staticmethod
+    def _sections(table, y):
+        lo, hi = _disc_sections(table[..., 0], table[..., 1], y[:, None])
+        return lo.max(axis=-1)[:, None], hi.min(axis=-1)[:, None]
 
     _reaches = staticmethod(DiscUnion._reach)
     _samples = staticmethod(DiscUnion._samples)
@@ -318,6 +463,35 @@ class CassiniUnion(_Union):
     @staticmethod
     def _reach(table):
         return np.maximum(np.abs(table[..., 0]), np.abs(table[..., 1])) + np.sqrt(table[..., 2])
+
+    @staticmethod
+    def _sections(table, y):
+        """With ``m = (c1 + c2) / 2``, ``h = (c2 - c1) / 2`` and
+        ``s = (x - m)^2``, the oval is ``(s + h^2 + y^2)^2 - 4 h^2 s <= b^2``:
+        ``s`` between ``a -+ sqrt(P Q)`` with ``a = h^2 - y^2``,
+        ``P = b - 2|h y|`` and ``Q = b + 2|h y|``, and ``s >= 0``.  That is
+        one x-interval about ``m``, or two mirrored ones when the lower end
+        is positive.  The margins go on ``P`` (before its root) and on the
+        ends of ``s`` (before theirs)."""
+        sign = _INNER_OUTER[:, None]
+        c1, c2, b = table.T
+        b = b * (1.0 + sign * _GRID_SHRINK)
+        m, h = (c1 + c2) / 2.0, np.abs(c2 - c1) / 2.0
+        h2, y2 = h * h, y * y
+        a, hy = h2 - y2, 2.0 * h * np.abs(y)
+        p, q = b - hy, b + hy
+        p += sign * _GRID_MARGIN * q
+        root = np.sqrt(np.maximum(p, 0.0)) * np.sqrt(q)
+        margin = sign * _GRID_MARGIN * (h2 + y2 + q)
+        s_hi, s_lo = a + root + margin, a - root - margin
+        x_hi = np.sqrt(np.maximum(s_hi, 0.0))
+        g = sign * _GRID_MARGIN * (np.abs(m) + x_hi)
+        # |x - m| in [x_lo, x_hi]; with s_lo <= 0 that is one interval,
+        # which the two pieces then both hold
+        x_lo = np.where(s_lo > 0.0, np.sqrt(np.maximum(s_lo, 0.0)), -x_hi)
+        lo = np.stack((m - x_hi - g, m + x_lo - g), axis=1)
+        hi = np.stack((m - x_lo + g, m + x_hi + g), axis=1)
+        return lo, np.where((s_hi < 0.0)[:, None], -np.inf, hi)
 
     @np.errstate(over="ignore")
     def boundary_points(self, angles: int = 256) -> np.ndarray:
@@ -364,6 +538,21 @@ class RegionIntersection:
         hit = self.parts[0].contains_points(z)
         for part in self.parts[1:]:
             hit[hit] = part.contains_points(z[hit])
+        return hit
+
+    def contains_grid(self, xs, ys) -> np.ndarray:
+        """``contains_points(xs[None, :] + 1j * ys[:, None])``: the AND of
+        the parts' :meth:`_Union.contains_grid`.  Each part tests only the
+        rows that hold a point every earlier part accepted, between the
+        first and the last such column."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        hit = self.parts[0].contains_grid(xs, ys)
+        for part in self.parts[1:]:
+            rows, cols = np.flatnonzero(hit.any(axis=1)), np.flatnonzero(hit.any(axis=0))
+            if not rows.size:
+                break
+            cols = np.arange(cols[0], cols[-1] + 1)
+            hit[np.ix_(rows, cols)] &= part.contains_grid(xs[cols], ys[rows])
         return hit
 
     def bounding_box(self) -> tuple[float, float, float, float]:
@@ -413,17 +602,15 @@ def sampled_subset(region_a, region_b, resolution: int = 64) -> SubsetCheck:
     ``4 * resolution`` angles plus a ``resolution x resolution`` grid over
     its bounding box; returns the first witness in A but not in B, if any.
     """
-    if resolution < 16:
-        raise ValueError(f"resolution must be >= 16, got {resolution}")
-    candidates = [region_a.boundary_points(4 * resolution)]
+    if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
+            or resolution < 16):
+        raise ValueError(f"resolution must be an int >= 16, got {resolution!r}")
     x0, x1, y0, y1 = region_a.bounding_box()
     # at half scale the box's width stays in range; doubling back is exact
     xs = 2 * np.linspace(x0 / 2, x1 / 2, resolution)
     ys = 2 * np.linspace(y0 / 2, y1 / 2, resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    grid = (gx + 1j * gy).ravel()
-    candidates.append(grid[region_a.contains_points(grid)])
-    pts = np.concatenate(candidates)
+    iy, ix = np.nonzero(region_a.contains_grid(xs, ys))
+    pts = np.concatenate((region_a.boundary_points(4 * resolution), xs[ix] + 1j * ys[iy]))
     inside_b = region_b.contains_points(pts)
     if np.all(inside_b):
         return SubsetCheck(True, None)

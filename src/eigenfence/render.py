@@ -2,15 +2,17 @@
 
 Disc unions are drawn as true circles.  Every other region kind (Cassini
 unions, pair intersections, general intersections) is rasterized to filled
-contours by marching squares over the membership predicate: one array pass
-codes every raster cell and lists the crossed edges as integer ids, and
-Python only walks the contour itself.  Identical scenes produce
-byte-identical SVG documents.
+contours by marching squares over the membership predicate, taken on the
+raster grid by the region's ``contains_grid`` (the exact predicate's answer
+at every grid point): one array pass codes every raster cell and lists the
+crossed edges as integer ids, and Python only walks the contour itself.
+Identical scenes produce byte-identical SVG documents.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,8 @@ class Scene:
     ``layers`` holds (region, fill color, opacity) triples; ``points`` holds
     (complex location, color) pairs.  ``viewport`` is (xmin, xmax, ymin,
     ymax) or None for auto-fit; it is squared up internally so circles stay
-    circular.
+    circular.  ``raster_res`` is the number of raster cells per side, a
+    positive int.
     """
 
     layers: tuple = ()
@@ -47,6 +50,9 @@ class Scene:
     raster_res: int = 256
 
     def __post_init__(self):
+        res = self.raster_res
+        if isinstance(res, bool) or not isinstance(res, numbers.Integral) or res < 1:
+            raise ValueError(f"raster_res must be a positive int, got {res!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "points", tuple(self.points))
 
@@ -166,8 +172,7 @@ def _march(inside: np.ndarray) -> list[np.ndarray]:
 def _raster_path(region, box, res: int, transform: _Transform) -> str:
     xs = np.linspace(box[0], box[1], res + 1)
     ys = np.linspace(box[2], box[3], res + 1)
-    gx, gy = np.meshgrid(xs, ys)
-    inside = region.contains_points(gx + 1j * gy)
+    inside = region.contains_grid(xs, ys)
     padded = np.zeros((res + 3, res + 3), dtype=bool)
     padded[1:-1, 1:-1] = inside
 

@@ -158,6 +158,10 @@ def test_sampled_subset_touching_boundary():
 def test_resolution_floor():
     with pytest.raises(ValueError):
         sampled_subset(worked_region(), worked_region(), resolution=8)
+    for bad in (16.5, 64.0, True, "64"):
+        with pytest.raises(ValueError, match="^resolution must be an int >= 16"):
+            sampled_subset(worked_region(), worked_region(), resolution=bad)
+    assert sampled_subset(worked_region(), worked_region(), resolution=np.int64(16)).is_subset
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenfence import (CassiniUnion, DiscUnion, PairIntersectionUnion, RegionIntersection,
-                        max_abs, obr_intersection, obr_set, region_from_json)
+                        SubsetCheck, max_abs, obr_intersection, obr_set, region_from_json,
+                        sampled_subset)
 from eigenfence import geometry
 from eigenfence.geometry import MEMBERSHIP_EPS
 
@@ -218,10 +219,14 @@ def traced_peak(fn) -> int:
     return peak
 
 
-def grid_257(region):
+def axes_257(region):
     x0, x1, y0, y1 = region.bounding_box()
-    gx, gy = np.meshgrid(np.linspace(x0, x1, 257), np.linspace(y0, y1, 257))
-    return gx + 1j * gy
+    return np.linspace(x0, x1, 257), np.linspace(y0, y1, 257)
+
+
+def grid_257(region):
+    xs, ys = axes_257(region)
+    return xs[None, :] + 1j * ys[:, None]
 
 
 def random_region(kind, rng, n):
@@ -267,13 +272,215 @@ def test_later_chunks_see_only_undecided_points(kind, n):
     assert len(seen) == 1
 
 
-@pytest.mark.parametrize("kind", ["discs", "pairs", "ovals", "obr15"])
-def test_membership_memory_stays_blocked(kind):
+def large_region(kind):
     rng = np.random.default_rng(5)
     if kind == "obr15":   # four parts of 105 ovals: two chunks each
         m = rng.random((15, 15))
-        region = obr_intersection(m + np.diag(m.sum(axis=1).max() - m.sum(axis=1)))
-    else:
-        region = random_region(kind, rng, 64 if kind == "ovals" else 1024)   # 2016 ovals, 1024 rows
+        return obr_intersection(m + np.diag(m.sum(axis=1).max() - m.sum(axis=1)))
+    return random_region(kind, rng, 64 if kind == "ovals" else 1024)   # 2016 ovals, 1024 rows
+
+
+@pytest.mark.parametrize("kind", ["discs", "pairs", "ovals", "obr15"])
+def test_membership_memory_stays_blocked(kind):
+    region = large_region(kind)
     grid = grid_257(region)
     assert traced_peak(lambda: region.contains_points(grid)) < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind", ["discs", "pairs", "ovals", "obr15"])
+def test_grid_membership_memory_stays_blocked(kind):
+    region = large_region(kind)
+    xs, ys = axes_257(region)
+    got = region.contains_grid(xs, ys)
+    assert np.array_equal(got, region.contains_points(grid_257(region)))
+    assert traced_peak(lambda: region.contains_grid(xs, ys)) < 8 * 2 ** 20
+
+
+# -- grid membership: the raster screen against contains_points ----------------
+
+
+def grid_run(region, xs, ys):
+    """``region.contains_grid(xs, ys)`` and the sizes of the point sets its
+    exact path (``_Union.contains_points``) was asked about."""
+    seen, exact = [], geometry._Union.contains_points
+
+    def spy(self, z):
+        seen.append(np.size(z))
+        return exact(self, z)
+
+    with mock.patch.object(geometry._Union, "contains_points", spy):
+        got = region.contains_grid(xs, ys)
+    return got, seen
+
+
+def assert_grid_matches(region, xs, ys):
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    want = region.contains_points(xs[None, :] + 1j * ys[:, None])
+    got = region.contains_grid(xs, ys)
+    assert got.shape == want.shape and got.dtype == bool
+    assert np.array_equal(got, want)
+
+
+def near(values):
+    """``values`` and their neighbours one ulp away."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate((values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)))
+
+
+def critical_axes(region):
+    """Grids on and one ulp around every primitive's circles, at their slack
+    limits, on the tangent rows, and at sampled boundary points.  Each grid
+    keeps the x values of one side (below, on, above) that lie at least
+    ``2^-29`` of the largest entry apart, as the screen needs."""
+    parts = region.parts if isinstance(region, RegionIntersection) else (region,)
+    xs, ys = [np.arange(-8.0, 9.0)], [np.arange(-8.0, 9.0)]
+    for part in parts:
+        table = part.table.reshape(-1, part.table.shape[-1])
+        bound = table[:, -1]
+        radii = (bound, bound + MEMBERSHIP_EPS * (1.0 + bound))
+        if isinstance(part, CassiniUnion):   # an oval with equal foci is a disc of radius sqrt(b)
+            centers, radii = (table[:, 0], table[:, 1]), tuple(map(np.sqrt, radii))
+        else:
+            centers = (table[:, 0],)
+        for c in centers:
+            for rad in radii:
+                xs.append(np.concatenate((c - rad, c + rad, c)))
+                ys.append(near(np.concatenate((rad, -rad))))
+        samples = part.boundary_points(16)
+        xs.append(samples.real)
+        ys.append(near(samples.imag))
+    xs, ys = np.unique(np.concatenate(xs)), np.unique(np.concatenate(ys))
+    top = max(np.abs(xs).max(), np.abs(ys).max(), *(np.abs(p.table).max() for p in parts))
+    grids = []
+    for side in (xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)):
+        kept = [side[0]]
+        for x in side[1:].tolist():
+            if x - kept[-1] >= 2.0 ** -29 * top:
+                kept.append(x)
+        grids.append((np.array(kept), ys))
+    return grids
+
+
+def scaled(region, s):
+    """``region`` with every length times ``s`` (a power of two); an oval's
+    bound, a squared length, goes times ``s`` too, so that it stays in range."""
+    if isinstance(region, RegionIntersection):
+        return RegionIntersection(tuple(scaled(p, s) for p in region.parts))
+    return type(region)(region.table * s)
+
+
+@st.composite
+def grid_regions(draw, kind):
+    if kind != "intersection":
+        return draw(regions(kind))
+    kinds = draw(st.lists(st.sampled_from(["discs", "pairs", "ovals"]), min_size=2, max_size=3))
+    return RegionIntersection(tuple(draw(regions(k)) for k in kinds))
+
+
+@pytest.mark.parametrize("kind", ["discs", "pairs", "ovals", "intersection"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_contains_grid_matches_contains_points(kind, data):
+    region = data.draw(grid_regions(kind))
+    grid = data.draw(st.sampled_from(["critical", "linspace", "integer"]))
+    if grid == "critical":
+        xs, ys = critical_axes(region)[data.draw(st.integers(0, 2))]
+    elif grid == "linspace":
+        x0, x1, y0, y1 = region.bounding_box()
+        pad = data.draw(st.floats(0.0, 2.0)) * max(x1 - x0, y1 - y0, 1.0)
+        res = data.draw(st.integers(2, 80))
+        xs = np.linspace(x0 - pad, x1 + pad, res + 1)
+        ys = np.linspace(y0 - pad, y1 + pad, data.draw(st.integers(1, 80)))
+    else:   # an integer viewport: integer centers and radii put points on circles
+        xs, ys = np.arange(-30.0, 31.0), np.arange(-25.0, 26.0)
+    assert_grid_matches(region, xs, ys)
+    s = data.draw(st.sampled_from([2.0 ** 600, 2.0 ** -600]))
+    assert_grid_matches(scaled(region, s), xs * s, ys * s)
+
+
+@pytest.mark.parametrize("region", [
+    DiscUnion([[1e8, 1e-3]]),
+    # centers far larger than the radii: c +- w rounds at the scale of c
+    DiscUnion([[1e4, 1e-3], [1e4 + 2e-3, 1.5e-3], [-1e4 / 3, 3e-3]]),
+    PairIntersectionUnion([[[1e4, 1e-3], [1e4 + 1e-3, 1e-3]], [[1e4, 2e-3], [1e4, 3e-3]]]),
+    CassiniUnion([[1e4, 1e4 + 2e-3, 1e-6], [1e4 - 1e-3, 1e4 + 1e-3, 1e-6], [1e4, 1e4, 4e-6]]),
+    DiscUnion([[0.0, 2.0], [3.0, 1.0], [0.5, 0.0]]),      # tangent rows at y = +-2, +-1
+    PairIntersectionUnion([[[0.0, 2.0], [2.0, 2.0]], [[-1.0, 1.0], [-1.0, 3.0]]]),
+    CassiniUnion([[1.0, 1.0, 9.0]]),                      # equal foci: a disc
+    CassiniUnion([[0.0, 2.0, 0.0], [-3.0, 3.0, 0.0]]),    # bound 0: the foci (plus the slack)
+    CassiniUnion([[-1.0, 1.0, 1.0], [2.0, 6.0, 4.0]]),    # lemniscates: b = h^2
+    CassiniUnion([[-4.0, 4.0, 15.9], [-4.0, 4.0, 16.1]]),  # either side of the lemniscate
+    RegionIntersection((CassiniUnion([[-1.0, 1.0, 1.0]]), DiscUnion([[0.0, 1.0]]))),
+])
+def test_contains_grid_on_edge_shapes(region):
+    x0, x1, y0, y1 = region.bounding_box()
+    pad = 0.25 * max(x1 - x0, y1 - y0)
+    for xs, ys in (*critical_axes(region),
+                   (np.linspace(x0 - pad, x1 + pad, 257), np.linspace(y0 - pad, y1 + pad, 257))):
+        assert_grid_matches(region, xs, ys)
+        for s in (2.0 ** 600, 2.0 ** -600):
+            assert_grid_matches(scaled(region, s), xs * s, ys * s)
+
+
+def test_contains_grid_tests_only_the_band():
+    # a 257^2 grid over an integer oval table: the exact path sees a few points
+    region = CassiniUnion([[-4.0, 4.0, 15.0], [0.0, 3.0, 7.0], [1.0, 1.0, 2.0]])
+    xs, ys = axes_257(region)
+    got, seen = grid_run(region, xs, ys)
+    assert np.array_equal(got, region.contains_points(grid_257(region)))
+    assert sum(seen) < 0.01 * got.size
+
+
+@pytest.mark.parametrize("xs, ys", [
+    (np.linspace(3.0, -3.0, 41), np.linspace(-2.0, 2.0, 21)),               # decreasing
+    (np.array([-2.0, -1.0, 0.5, 0.5, 1.0, 2.0]), np.linspace(-2.0, 2.0, 21)),  # repeated
+    (np.array([0.0, 2.0, -1.0, 1.0]), np.linspace(-2.0, 2.0, 21)),          # unsorted
+    (np.array([1.0]), np.linspace(-2.0, 2.0, 21)),                          # one column
+    (np.linspace(-3.0, 3.0, 41), np.array([])),                             # no row
+    (np.linspace(-3.0, 3.0, 41) * 2.0 ** 501, np.linspace(-2.0, 2.0, 21)),  # above 2^500
+    (1.0 + np.linspace(0.0, 1e-12, 41), np.linspace(-1e-12, 1e-12, 21)),    # within the band
+])
+def test_contains_grid_declines_what_it_cannot_certify(xs, ys):
+    region = RegionIntersection((CassiniUnion([[-1.0, 1.0, 1.5]]), DiscUnion([[0.0, 1.5]])))
+    for part in (*region.parts, region):
+        got, seen = grid_run(part, xs, ys)
+        assert np.array_equal(got, part.contains_points(xs[None, :] + 1j * ys[:, None]))
+    # each union took the exact path on the whole grid
+    for part in region.parts:
+        assert grid_run(part, xs, ys)[1] == [xs.size * ys.size]
+
+
+def test_far_range_table_declines():
+    region = CassiniUnion([[2.0 ** 501, -(2.0 ** 501), 1.0], [0.0, 1.0, 2.0]])
+    xs, ys = np.linspace(-3.0, 3.0, 31), np.linspace(-2.0, 2.0, 21)
+    got, seen = grid_run(region, xs, ys)
+    assert seen == [xs.size * ys.size]
+    assert np.array_equal(got, region.contains_points(xs[None, :] + 1j * ys[:, None]))
+
+
+def ref_sampled_subset(region_a, region_b, resolution):
+    """:func:`sampled_subset` with its grid tested by ``contains_points`` on
+    a meshgrid, as it was before the grid went through ``contains_grid``."""
+    candidates = [region_a.boundary_points(4 * resolution)]
+    x0, x1, y0, y1 = region_a.bounding_box()
+    xs = 2 * np.linspace(x0 / 2, x1 / 2, resolution)
+    ys = 2 * np.linspace(y0 / 2, y1 / 2, resolution)
+    gx, gy = np.meshgrid(xs, ys)
+    grid = (gx + 1j * gy).ravel()
+    candidates.append(grid[region_a.contains_points(grid)])
+    pts = np.concatenate(candidates)
+    inside = region_b.contains_points(pts)
+    return SubsetCheck(True, None) if inside.all() else SubsetCheck(False, complex(pts[~inside][0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sampled_subset_matches_the_meshgrid_reference(data):
+    kinds = st.sampled_from(["discs", "pairs", "ovals", "intersection"])
+    region_a, region_b = (data.draw(grid_regions(data.draw(kinds))) for _ in range(2))
+    resolution = data.draw(st.sampled_from([16, 17, 40]))
+    for b in (region_b, region_a):
+        got = sampled_subset(region_a, b, resolution)
+        want = ref_sampled_subset(region_a, b, resolution)
+        assert got.is_subset == want.is_subset
+        assert repr(got.witness) == repr(want.witness)

@@ -1,6 +1,7 @@
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from eigenfence import (
     TURQUOISE,
     YELLOW,
     DiscUnion,
+    Eigenpair,
     Scene,
     ViewportError,
     cassini_intersection_region,
@@ -23,6 +25,7 @@ from eigenfence import (
     render_svg,
     second_type_discs_of_transpose,
 )
+from eigenfence import geometry
 from eigenfence.render import _march
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,11 +66,39 @@ def scene_odd_refinement() -> Scene:
     return Scene(layers=((blue, BLUE, 1.0), (turq, TURQUOISE, 1.0)))
 
 
+def seeded_perron(n: int, seed: int) -> tuple[np.ndarray, Eigenpair]:
+    """A positive integer matrix with equal row sums s, and its Perron pair
+    (s, ones).  The sums are exact, so B is the matrix itself, and the
+    legacy generator's stream is fixed across numpy versions."""
+    m = np.random.RandomState(seed).randint(1, 21, size=(n, n)).astype(float)
+    sums = m.sum(axis=1)
+    m[np.diag_indices(n)] += sums.max() - sums
+    return m, Eigenpair(float(sums.max()), np.ones(n))
+
+
+def scene_obr_intersection12() -> Scene:
+    """Ostrowski-Brauer intersection of a seeded n = 12 matrix: two tables
+    of 66 ovals, the slowest raster of the pictures bench."""
+    a, pair = seeded_perron(12, 12)
+    return Scene(layers=((cassini_intersection_region(a, pair), TURQUOISE, 1.0),))
+
+
+def scene_refined_pairs15() -> Scene:
+    """Classic, second-type and refined layers of a seeded n = 15 matrix;
+    odd n makes the refined region 15 disc pairs."""
+    a, _pair = seeded_perron(15, 15)
+    return Scene(layers=((classic_discs(a, "columns"), GRAY, 1.0),
+                         (second_type_discs_of_transpose(a), BLUE, 1.0),
+                         (refined_region(a), TURQUOISE, 1.0)))
+
+
 SCENES = {
     "disc_comparison": scene_disc_comparison,
     "refined_overlay": scene_refined_overlay,
     "cassini_intersection": scene_cassini_intersection,
     "odd_refinement": scene_odd_refinement,
+    "obr_intersection12": scene_obr_intersection12,
+    "refined_pairs15": scene_refined_pairs15,
 }
 
 
@@ -82,6 +113,28 @@ def test_golden_files(name):
     got = render_svg(SCENES[name]())
     want = (GOLDEN / f"{name}.svg").read_text(encoding="utf-8")
     assert got == want
+
+
+@pytest.mark.parametrize("name", ["obr_intersection12", "refined_pairs15"])
+def test_raster_tests_under_one_percent_exactly(name):
+    # the slow pictures shapes: the screen decides all but a thin band of the
+    # 257^2 grid, and only that band reaches the exact predicate
+    seen, exact = [], geometry._Union.contains_points
+
+    def spy(self, z):
+        seen.append(np.size(z))
+        return exact(self, z)
+
+    with mock.patch.object(geometry._Union, "contains_points", spy):
+        svg = render_svg(SCENES[name]())
+    assert svg == (GOLDEN / f"{name}.svg").read_text(encoding="utf-8")
+    assert sum(seen) < 0.01 * 257 ** 2
+
+
+@pytest.mark.parametrize("res", [0, -3, 2.5, True, "256", None])
+def test_raster_res_must_be_a_positive_int(res):
+    with pytest.raises(ValueError, match="^raster_res must be a positive int"):
+        Scene(raster_res=res)
 
 
 def test_empty_layers_single_point():
