@@ -11,9 +11,9 @@ refinements F, G):
 * powered bounds ``tau_p(B^k) ** (1/k)``, which tighten as k grows;
 * a determinant bound ``|lambda| * tau_p(B^k) ** ((n-1)/k)``.
 
-Costs: the disc bound of B and ``tau_inf`` each sort the columns once,
-and the disc bounds of F and G share the one sort of B behind the
-refinement, in ``O(n^2 log n)`` time and ``O(n^2)`` memory; ``tau1``
+Costs: the disc bounds of B, F and G and ``tau_inf(B)`` share one sort
+of B's columns (diagonal last), in ``O(n^2 log n)`` time and ``O(n^2)``
+memory, and ``tau_inf`` of each higher power sorts that power; ``tau1``
 compares all row pairs in ``O(n^3)`` time over row blocks, so its memory
 stays ``O(n^2)``: from ``TAU1_SCREEN`` rows on in float32, which moves half
 the bytes, and then in float64 only the pairs that float32 rounding cannot
@@ -181,18 +181,15 @@ def _screen(u: np.ndarray, buf: np.ndarray, rows: int) -> np.ndarray:
     return near
 
 
-def tau_inf(matrix) -> float:
+def tau_inf(matrix, _desc=None) -> float:
     """Largest column gap: the top-half sum minus the bottom-half sum of a
     column's n entries, diagonal included and no 0 inserted.  Equals the
-    infinity semi-norm of a constant row-sum matrix."""
+    infinity semi-norm of a constant row-sum matrix.  ``_desc`` is M's
+    :func:`~eigenfence.discs.sorted_columns`, when the caller has it."""
     m = as_matrix(matrix)
     if m.shape[0] < 2:
         return 0.0
-    return float(row_gaps(sorted_columns(m)).max())
-
-
-def _tau(matrix, kind: SemiNorm) -> float:
-    return tau1(matrix) if kind is SemiNorm.L1 else tau_inf(matrix)
+    return float(row_gaps(sorted_columns(m) if _desc is None else _desc, np.diagonal(m)).max())
 
 
 def _unit(p: np.ndarray, out=None):
@@ -223,18 +220,20 @@ def _power(matrix: np.ndarray, k: int):
         yield p, x
 
 
-def _roots(matrix: np.ndarray, ks: set[int], kinds) -> dict:
+def _roots(matrix: np.ndarray, ks: set[int], kinds, known: dict) -> dict:
     """``tau_kind(M^k) ** (1/k)`` per k in ``ks`` and kind, from one walk over
     powers: ``ldexp(t ** (1/k) * 2 ** (r/k), q)`` for ``t = tau_kind(P)`` and
-    ``x = q k + r``, ``0 <= r < k``; inf only above the float range."""
+    ``x = q k + r``, ``0 <= r < k``; inf only above the float range.  The
+    roots in ``known``, by ``(k, kind)``, are the caller's and not computed."""
     if min(ks, default=1) < 1:
         raise ValueError(f"power k must be >= 1, got {min(ks)}")
-    roots = {}
+    roots = dict(known)
     for k, (p, x) in enumerate(_power(matrix, max(ks)) if ks else (), start=1):
         if k in ks:
             q, r = divmod(x, k)
-            roots |= {(k, kind): np.ldexp(_tau(p, kind) ** (1.0 / k) * 2.0 ** (r / k), q)
-                      for kind in kinds}
+            roots |= {(k, kind): np.ldexp(
+                (tau1(p) if kind is SemiNorm.L1 else tau_inf(p)) ** (1.0 / k) * 2.0 ** (r / k), q)
+                for kind in kinds if (k, kind) not in roots}
     return roots
 
 
@@ -258,16 +257,19 @@ def prepared_reports(sim: SimilarityResult, ks: tuple[int, ...] = (1,),
     """:func:`standard_reports` of an already prepared B."""
     b = sim.B
     n = b.shape[0]
-    reports = [BoundReport("m_B", second_type_discs_of_transpose(b).max_abs().value,
+    desc = sorted_columns(b)
+    reports = [BoundReport("m_B", second_type_discs_of_transpose(b, desc).max_abs().value,
                            "second_type_discs(B)")]
-    reach = {name: d.max_abs().value for name, d in refinement(b).discs.items()}
+    reach = {name: d.max_abs().value for name, d in refinement(b, desc).discs.items()}
     reports += [BoundReport(f"m_{name}", value, f"second_type_discs({name})")
                 for name, value in reach.items()]
     if len(reach) == 2:
         reports.append(BoundReport("m_FG", min(reach.values()),
                                    "min(second_type_discs(F), second_type_discs(G))"))
+    known = {(1, SemiNorm.LINF): np.float64(tau_inf(b, desc))} if SemiNorm.LINF in kinds else {}
+    del desc   # the power walk does not hold B's sort: lower peak memory
     det_ks = sorted(set(ks) | {n - 1}) if include_det else []
-    roots = _roots(b, set(ks) | set(det_ks), kinds)
+    roots = _roots(b, set(ks) | set(det_ks), kinds, known)
     rows = [(f"tau{kind.value}_k{k}", roots[k, kind], f"tau_{kind.value}(B^k)^(1/k)", k, "powered")
             for kind in kinds for k in ks]
     rows += [(f"det_tau{kind.value}_k{k}", abs(sim.row_sum) * roots[k, kind] ** (n - 1),

@@ -118,7 +118,7 @@ def as_matrix(obj) -> np.ndarray:
         if a.dtype.kind == "c":
             raise ParseError("matrix entries must be real, got complex entries")
         a = a.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # an int above the float range
         raise ParseError(f"not a numeric matrix: {exc}") from exc
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {a.ndim}-D data")
@@ -178,16 +178,16 @@ def parse_problem(text: str) -> tuple[np.ndarray, Eigenpair | None]:
         raise ParseError('problem JSON must be an object with a "matrix" key')
     matrix = as_matrix(doc["matrix"])
 
-    has_val = "eigenvalue" in doc
-    has_vec = "eigenvector" in doc
-    if has_val != has_vec:
+    if ("eigenvalue" in doc) != ("eigenvector" in doc):
         raise ParseError('"eigenvalue" and "eigenvector" must be given together')
-    if not has_val:
+    if "eigenvalue" not in doc:
         return matrix, None
+    field = "eigenvalue"   # the field being converted, named in the error
     try:
-        pair = Eigenpair(float(doc["eigenvalue"]), np.asarray(doc["eigenvector"], dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad eigenpair data: {exc}") from exc
+        value, field = float(doc[field]), "eigenvector"
+        pair = Eigenpair(value, np.asarray(doc[field], dtype=float))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad eigenpair data: {field}: {exc}") from exc
     if pair.n != matrix.shape[0]:
         raise DimensionError(
             f"eigenvector length {pair.n} does not match matrix size {matrix.shape[0]}")

@@ -4,13 +4,17 @@ A disc of the second type is built from the off-diagonal entries of a
 column (or row) with a mandated extra 0: sort the values in non-increasing
 order and subtract the bottom-half sum from the top-half sum (the middle
 element is skipped when the count is odd).  The radius is nonnegative by
-construction because the top half dominates the bottom half.  All radii
-of a matrix come from one sort of its columns (:func:`sorted_columns`):
-``O(n^2 log n)`` time and ``O(n^2)`` memory.  The refined discs of F and
-G need no sort of their own: :mod:`eigenfence.refine` reads them from
-the one sort of B behind the shifts.  The discs are returned as a
-:class:`~eigenfence.geometry.DiscUnion`, whose membership, box and JSON
-live in :mod:`eigenfence.geometry` with the other region kinds.
+construction because the top half dominates the bottom half.  The same
+gap, with the diagonal in place of the 0, is the ``tau_inf`` semi-norm's
+column gap, and with the 0 on a shifted column it is a refined radius:
+:func:`sorted_columns` sorts the off-diagonal entries with the diagonal
+last, and :func:`row_gaps` inserts the one value into that sort.  So every
+such quantity of a matrix comes from one sort of its columns, in
+``O(n^2 log n)`` time and ``O(n^2)`` memory, and :mod:`eigenfence.refine`
+and :mod:`eigenfence.bounds` read theirs from the sort of B.  The discs
+are returned as a :class:`~eigenfence.geometry.DiscUnion`, whose
+membership, box and JSON live in :mod:`eigenfence.geometry` with the
+other region kinds.
 """
 
 from __future__ import annotations
@@ -30,52 +34,67 @@ from .geometry import DiscUnion
 TRANSPOSE_BLOCK = 256
 
 
-def sorted_columns(matrix, diag: float | None = None) -> np.ndarray:
-    """Each column of M, sorted in non-increasing order, as a row.
+def sorted_columns(matrix) -> np.ndarray:
+    """Each column of M as a row: its off-diagonal entries in non-increasing
+    order, then ``-inf`` where its diagonal entry was.
 
-    ``diag`` replaces every diagonal entry before sorting (None keeps it):
-    0.0 gives the off-diagonal entries plus the mandated 0 of the
-    second-type radius, -inf moves the diagonal to the end so the leading
-    n-1 entries of each row are the off-diagonal order statistics.  The
-    result is a reversed view of a C-contiguous copy sorted along rows, so
-    :func:`row_gaps` sums each column in the same order as a 1-D sum would.
-    The copy is the transpose built in square tiles of ``TRANSPOSE_BLOCK``
-    (one tile up to that size): it moves the same floats as ``M.T.copy()``,
-    without that copy's cache stall at a power-of-two row stride.
+    The result is a reversed view of a C-contiguous copy sorted along rows,
+    so :func:`row_gaps` sums each column in the same order as a 1-D sum
+    would.  The copy is the transpose built in square tiles of
+    ``TRANSPOSE_BLOCK`` (one tile up to that size): it moves the same
+    floats as ``M.T.copy()``, without that copy's cache stall at a
+    power-of-two row stride.
     """
     m = np.asarray(matrix, dtype=float)
     t, step = np.empty(m.shape[::-1]), TRANSPOSE_BLOCK
     for i in range(0, m.shape[0], step):
         for j in range(0, m.shape[1], step):
             t[j:j + step, i:i + step] = m[i:i + step, j:j + step].T
-    if diag is not None:
-        np.fill_diagonal(t, diag)
+    np.fill_diagonal(t, -np.inf)
     t.sort(axis=1)
     return t[:, ::-1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def row_gaps(desc: np.ndarray) -> np.ndarray:
-    """Top-half sum minus bottom-half sum of each non-increasing row (the
-    middle entry is skipped when the row length is odd).  A row whose half
-    sums overflow is summed again as paired differences, each >= 0, so its
-    gap is inf only when the gap itself is above the float range."""
-    n = desc.shape[1]
-    top, bottom = desc[:, :n // 2], desc[:, n // 2 + n % 2:]
-    gaps = top.sum(axis=1) - bottom.sum(axis=1)
-    bad = ~np.isfinite(gaps)
-    if bad.any():
-        gaps[bad] = (top[bad] - bottom[bad]).sum(axis=1)
+def row_gaps(desc: np.ndarray, x) -> np.ndarray:
+    """Per row of ``desc`` (a :func:`sorted_columns` sort: n - 1 values in
+    non-increasing order, then a last slot that is never read) with the
+    value ``x`` (a scalar or one per row) inserted: the sum of the top
+    ``h = n // 2`` of those n values minus the sum of the bottom ``h``.
+
+    Nothing moves: the top h are the leading ``h - 1`` values and
+    ``max(desc[h-1], x)``, the bottom h are ``min(desc[n-h-1], x)`` and the
+    ``h - 1`` values after it.  Each of the two is written into its slot
+    for its half's sum (the slots are one column for even n, two adjacent
+    ones for odd n) and both are put back after, so ``desc`` must be
+    writable and is left as it was.  With x = 0 and fewer than 8 values
+    per half, numpy sums in order and adding 0 is exact, so the gaps are
+    those of a sort with the 0 inserted, bit for bit; otherwise they are
+    within rounding of them.  A row whose half sums overflow is summed
+    again as paired differences of the same two halves, each >= 0 (the
+    two inserted slots paired with each other), so its gap is inf only
+    when the gap itself is above the float range.
+    """
+    h = desc.shape[1] // 2
+    top, bottom, slots = desc[:, :h], desc[:, -h - 1:-1], desc[:, h - 1:-h].copy()
+    np.maximum(slots[:, 0], x, out=top[:, -1])
+    gaps = top.sum(axis=1)
+    np.minimum(slots[:, -1], x, out=bottom[:, 0])
+    gaps -= bottom.sum(axis=1)
+    desc[:, h - 1:-h] = slots
+    if not gaps.max() < np.inf:   # each gap is >= 0, inf or NaN
+        ends = np.maximum(slots[:, 0], x) - np.minimum(slots[:, -1], x)
+        gaps = np.where(gaps < np.inf, gaps, (top[:, :-1] - bottom[:, 1:]).sum(axis=1) + ends)
     return gaps
 
 
-def second_type_discs_of_transpose(matrix) -> DiscUnion:
-    """Second-type discs of M^T: centers m_ii, radii from the columns of M."""
+def second_type_discs_of_transpose(matrix, _desc=None) -> DiscUnion:
+    """Second-type discs of M^T: centers m_ii, radii from the columns of M.
+    ``_desc`` is M's :func:`sorted_columns`, when the caller has it."""
     m = as_matrix(matrix)
-    n = m.shape[0]
-    if n < 3:
-        raise SizeError(f"second-type discs need n >= 3, got n = {n}")
-    radii = row_gaps(sorted_columns(m, 0.0))
+    if len(m) < 3:
+        raise SizeError(f"second-type discs need n >= 3, got n = {len(m)}")
+    radii = row_gaps(sorted_columns(m) if _desc is None else _desc, 0.0)
     return DiscUnion._named("second-type discs", np.column_stack((np.diagonal(m), radii)))
 
 

@@ -11,12 +11,11 @@ checks the constant row sum once, with :func:`row_sum_constant`;
 :func:`refine_even` and :func:`refine_odd` call it and insist on a parity.
 
 That one sort of B also gives the second-type discs of F and G.  A column
-shift keeps the order of a column's entries, and each shift cancels one
-of the column's off-diagonal order statistics, which then stands in for
-the mandated 0.  So column j of F (or G), sorted with its 0, is row j of
-B's sort plus the shift, and the radii are sums over two slices of it:
-the same floats in the same order as sorting F or G, so a refinement and
-its region cost one column sort.
+shift keeps the order of a column's entries, so column j of F (or G),
+sorted with its diagonal last, is row j of B's sort plus the shift, entry
+by entry: the same floats in the same order as sorting F or G, and
+:func:`~eigenfence.discs.row_gaps` inserts the mandated 0 into it as it
+would into a sort of F.  A refinement and its region cost one column sort.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import EvenSizeError, NotConstantRowSumError, OddSizeError, SizeError, as_matrix
-from .discs import sorted_columns
+from .discs import row_gaps, sorted_columns
 from .geometry import DiscUnion, PairIntersectionUnion
 
 #: Relative tolerance on the spread of the row sums of a constant row-sum matrix.
@@ -121,37 +120,25 @@ def row_sum_constant(matrix) -> float:
     return lam
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _shifted_discs(shifted: np.ndarray, desc: np.ndarray, off: np.ndarray) -> DiscUnion:
-    """Second-type discs of the transpose of ``shifted = B + e * off^T``.
-
-    ``desc`` is B's columns from ``sorted_columns(B, -inf)``, and ``off_j``
-    is minus an off-diagonal order statistic of column j: the ``(n/2)``-th
-    largest for even n, the ``((n-1)/2)``-th or ``((n+1)/2)``-th for odd n.
-    Row j of ``desc + off`` holds column j of the shifted matrix in order,
-    the diagonal (``-inf``) last and the cancelled entry as an exact 0, so
-    with the mandated 0 that entry appears twice: the top half is the
-    leading ``h = n // 2`` entries and the bottom half the ``h`` entries
-    from ``(n - 1) // 2``.  The add runs on the ascending, C-contiguous
-    buffer behind ``desc`` and the sums through its reversed view, as
-    :func:`~eigenfence.discs.row_gaps` sums a sort of the shifted matrix.
-    Its top half is >= 0 and its bottom half <= 0: an overflow gives inf, not NaN.
-    """
-    n = desc.shape[1]
-    h, lo = n // 2, (n - 1) // 2
-    rows = (desc[:, ::-1] + off[:, None])[:, ::-1]
-    radii = rows[:, :h].sum(axis=1) - rows[:, lo:lo + h].sum(axis=1)
+    """Second-type discs of the transpose of ``shifted = B + e * off^T``,
+    from B's :func:`~eigenfence.discs.sorted_columns` ``desc``.  The add
+    runs on the ascending, C-contiguous buffer behind ``desc`` and the sums
+    through its reversed view, as they would through a sort of ``shifted``."""
+    radii = row_gaps((desc[:, ::-1] + off[:, None])[:, ::-1], 0.0)
     return DiscUnion._named("refined discs", np.column_stack((np.diagonal(shifted), radii)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def refinement(matrix) -> EvenRefinement | OddRefinement:
+def refinement(matrix, _desc=None) -> EvenRefinement | OddRefinement:
     """The refinement of a constant row-sum matrix for its parity: F for
     even n, the pair F, G for odd n.
 
     The one column sort here serves the shifts and, through the
     refinement's ``discs`` and :meth:`region`, the refined discs too.
     Raises OverflowError when a shifted entry is above the float range.
+    ``_desc`` is B's :func:`~eigenfence.discs.sorted_columns`, when the
+    caller has it.
 
     That range check reads ``2n`` sums per shifted matrix, not its ``n^2``
     entries.  Column j of F (or G) is column j of B plus ``off_j``, entry
@@ -169,7 +156,7 @@ def refinement(matrix) -> EvenRefinement | OddRefinement:
     if n < 3:
         raise SizeError(f"refinement needs n >= 3, got n = {n}")
     row_sum_constant(b)
-    desc = sorted_columns(b, -np.inf)
+    desc = sorted_columns(b) if _desc is None else _desc
     h = n // 2
     if n % 2 == 0:
         shifts = desc[:, h - 1].copy()

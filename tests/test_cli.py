@@ -256,6 +256,32 @@ def test_malformed_json(tmp_path, capsys):
     assert main(["locate", str(path)]) == 2
 
 
+HUGE_INT = 10 ** 400   # a JSON integer literal above the float range
+
+
+@pytest.mark.parametrize("field, message", [
+    ("matrix", "not a numeric matrix: int too large to convert to float"),
+    ("eigenvalue", "bad eigenpair data: eigenvalue: int too large to convert to float"),
+    ("eigenvector", "bad eigenpair data: eigenvector: int too large to convert to float")],
+    ids=["matrix", "eigenvalue", "eigenvector"])
+def test_integer_above_the_float_range_is_an_input_error(tmp_path, capsys, field, message):
+    doc = {"matrix": cases.PERRON6_A.tolist(), "eigenvalue": 24.0,
+           "eigenvector": cases.PERRON6_PAIR.vector.tolist()}
+    if field == "matrix":
+        doc["matrix"][1][2] = HUGE_INT
+    elif field == "eigenvalue":
+        doc["eigenvalue"] = HUGE_INT
+    else:
+        doc["eigenvector"][3] = HUGE_INT
+    path = tmp_path / "huge_int.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["locate"], ["bound"], ["validate"], ["render", "--out", "-"]):
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+
+
 def test_directory_as_problem_is_an_input_error(tmp_path, capsys):
     assert main(["locate", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

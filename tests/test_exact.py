@@ -1,0 +1,129 @@
+"""The column kernels against exact arithmetic, within the contract of
+:mod:`exact`: second-type radii of B, the refinement's shifts (exactly),
+F and G (correctly rounded), their refined radii, and ``tau_inf``.
+
+Inputs: every square matrix in :mod:`cases`, Hypothesis matrices at
+n = 3..40 of both parities with ties and signed zeros, and seeded
+matrices at n = 64 and 129.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cases
+import exact
+from eigenfence import NotConstantRowSumError, bounds, refinement, second_type_discs_of_transpose
+from eigenfence.similarity import SimilarityResult
+
+KINDS = ("positive", "negative", "signed", "ties")
+
+
+def seeded_matrix(n, seed, kind, scale=0):
+    """A random n x n matrix of one kind times ``2^scale``; a tenth of its
+    entries are signed zeros."""
+    rng = np.random.default_rng(seed)
+    m = {"positive": lambda: rng.random((n, n)) + 0.05,
+         "negative": lambda: -rng.random((n, n)) - 0.05,
+         "signed": lambda: rng.standard_normal((n, n)),
+         "ties": lambda: rng.integers(-3, 4, (n, n)).astype(float)}[kind]()
+    zeros = rng.random((n, n)) < 0.1
+    m[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    return np.ldexp(m, scale)
+
+
+def with_row_sums(m):
+    """m with its last column replaced so every row sums to about n max|m|."""
+    m = m.copy()
+    m[:, -1] = len(m) * np.abs(m).max() - m[:, :-1].sum(axis=1)
+    return m
+
+
+@st.composite
+def matrices(draw, parity):
+    n = draw(st.sampled_from([n for n in range(3, 41) if n % 2 == parity]))
+    return seeded_matrix(n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from(KINDS)),
+                         draw(st.integers(-20, 20)))
+
+
+def check_radii_and_tau_inf(m):
+    q = exact.exact(m)
+    n, sums = len(q), exact.abs_column_sums(q)
+    radii = second_type_discs_of_transpose(m).discs[:, 1]
+    for got, want, size in zip(radii, exact.second_type_radii(q), sums):
+        assert exact.within(got, want, exact.gamma(n) * size)
+    assert exact.within(bounds.tau_inf(m), exact.tau_inf(q), exact.gamma(n) * max(sums))
+
+
+def check_refinement(b):
+    """The refinement of B and the disc bounds of B, F and G."""
+    q = exact.exact(b)
+    n = len(q)
+    ref = refinement(b)
+    sim = SimilarityResult(B=b, row_sum=float(b[0].sum()), scaling=np.ones(n))
+    reach = {r.name: r.value for r in bounds.prepared_reports(sim, kinds=())}
+    assert exact.within(reach["m_B"], exact.disc_bound(q),
+                        exact.gamma(n + 1) * max(exact.abs_column_sums(q)))
+    offsets = exact.offsets(q)
+    shifts = {"F": -ref.shifts} if n % 2 == 0 else {"F": ref.f_shifts, "G": ref.g_shifts}
+    for name, off in offsets.items():
+        assert [Fraction(x) for x in shifts[name].tolist()] == off
+        f = exact.shifted(q, off)
+        # one IEEE operation per entry: the exact shifted entry, correctly rounded
+        assert ref.matrices[name].tolist() == [[float(x) for x in row] for row in f]
+        table = ref.discs[name].discs
+        assert (table == second_type_discs_of_transpose(ref.matrices[name]).discs).all()
+        sums = exact.abs_column_sums(f)
+        for got, want, size in zip(table[:, 1], exact.second_type_radii(f), sums):
+            assert exact.within(got, want, exact.gamma(n + 1) * size)
+        assert exact.within(reach[f"m_{name}"], exact.disc_bound(f), exact.gamma(n + 2) * max(sums))
+
+
+#: Every square matrix of n >= 3 in :mod:`cases`, by name.
+CASES = [pytest.param(name, m, id=name) for name, m in sorted(vars(cases).items())
+         if isinstance(m, np.ndarray) and m.ndim == 2 and m.shape[0] == m.shape[1] >= 3]
+
+
+@pytest.mark.parametrize("name, m", CASES)
+def test_cases_against_exact_arithmetic(name, m):
+    check_radii_and_tau_inf(m)
+    try:
+        check_refinement(m)
+    except NotConstantRowSumError:
+        assert not name.endswith(("_B", "_F", "_G"))   # every B, F and G has constant row sums
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_radii_and_tau_inf_against_exact_arithmetic(parity, data):
+    check_radii_and_tau_inf(data.draw(matrices(parity)))
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_refinement_against_exact_arithmetic(parity, data):
+    check_refinement(with_row_sums(data.draw(matrices(parity))))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [64, 129])
+def test_seeded_large_matrices_against_exact_arithmetic(n, kind):
+    m = seeded_matrix(n, n, kind)
+    check_radii_and_tau_inf(m)
+    check_refinement(with_row_sums(m))
+
+
+
+@pytest.mark.parametrize("n", [10, 11, 20, 21])
+def test_half_sums_above_the_float_range_against_exact_arithmetic(n):
+    """Entries near 0.45e308: every half sum overflows, no gap does, so the
+    radii and ``tau_inf`` come from the paired differences."""
+    m = np.random.default_rng(n).uniform(0.4e308, 0.5e308, (n, n))
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sort(m, axis=0)[-(n // 2):].sum(axis=0)).all()
+    check_radii_and_tau_inf(m)

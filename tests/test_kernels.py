@@ -1,7 +1,10 @@
 """The whole-matrix column kernels against their per-column definitions.
 
-Each kernel must reproduce the loop it replaced exactly (``==``), because
-both sum the same sorted values in the same order.  Matrices mix small
+A kernel that sums the same values in the same order as the loop it
+replaced must reproduce it exactly (``==``).  The gap kernel inserts its
+value into a sort without moving entries, so from 8 terms per half it may
+round differently: there, as for ``tau_inf``, the reference is exact
+arithmetic (:mod:`exact`) within its stated bound.  Matrices mix small
 integers (many ties) with signed floats.
 """
 
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cases
+import exact
 from eigenfence import bounds, refine_even, refine_odd, refinement
 from eigenfence.discs import (
     TRANSPOSE_BLOCK,
@@ -56,8 +60,9 @@ def kth_largest_offdiag(m, j, k):
     return float(np.sort(np.delete(m[:, j], j))[::-1][k - 1])
 
 
-def sorted_columns_by_transposed_copy(m, diag):
-    """:func:`sorted_columns` as one whole-array transposed copy."""
+def sorted_columns_by_transposed_copy(m, diag=-np.inf):
+    """:func:`sorted_columns` as one whole-array transposed copy; ``diag``
+    replaces the diagonal (None keeps it)."""
     t = np.asarray(m, dtype=float).T.copy()
     if diag is not None:
         np.fill_diagonal(t, diag)
@@ -73,24 +78,38 @@ def ties_and_signed_zeros(n, seed=0):
 
 
 def same_bits(a, b):
-    return a.shape == b.shape and np.ascontiguousarray(a).view(np.int64).tolist() == \
-        np.ascontiguousarray(b).view(np.int64).tolist()
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.int64),
+                                                 np.ascontiguousarray(b).view(np.int64))
 
 
 T = TRANSPOSE_BLOCK
 
 
-@pytest.mark.parametrize("diag", [None, 0.0, -np.inf])
+@pytest.mark.parametrize("mode", [None, 0.0, -np.inf])
 @pytest.mark.parametrize("n", sorted({3, 4, T - 1, T, T + 1, 2 * T, 1024, 1025}))
-def test_sorted_columns_is_the_sort_of_the_transposed_copy(n, diag):
+def test_sorted_columns_is_the_sort_of_the_transposed_copy(n, mode):
+    """The one sort, diagonal last, is the sort of the transposed copy with
+    a diagonal of -inf, bit for bit.  ``mode`` is what the diagonal held in
+    the other sorts it replaced: the diagonal itself (None, for
+    ``tau_inf``) or the mandated 0.  :func:`row_gaps` inserting that value
+    gives the gaps of that sort, within twice the contract of
+    :mod:`exact` (both are within it of the exact gaps), and leaves the
+    one sort as it was."""
     m = ties_and_signed_zeros(n, seed=n)
     inputs = [m, np.asfortranarray(m), ties_and_signed_zeros(2 * n, seed=n)[::2, 1::2],
               m.astype(np.int64)]
     for matrix in inputs:
-        got = sorted_columns(matrix, diag)
-        assert same_bits(got, sorted_columns_by_transposed_copy(matrix, diag))
+        got, want = sorted_columns(matrix), sorted_columns_by_transposed_copy(matrix)
+        assert same_bits(got, want)
         # a reversed view of a C-contiguous buffer, which row_gaps sums along rows
         assert got[:, ::-1].flags.c_contiguous
+        if mode == -np.inf:
+            continue
+        gaps = row_gaps(got, np.diagonal(matrix) if mode is None else mode)
+        assert same_bits(got, want)
+        reference = [gap_1d(row) for row in sorted_columns_by_transposed_copy(matrix, mode)]
+        bound = 2 * float(exact.gamma(n)) * (1 + 1e-12) * np.abs(matrix).sum(axis=0)
+        assert (np.abs(gaps - reference) <= bound).all()
 
 
 #: Entries of the far-range matrices are multiples of this: 255 of them is
@@ -161,7 +180,7 @@ def test_refinement_refuses_exactly_the_shifts_that_overflow(parity, data):
 def test_second_type_radii_match_per_column(parity, data):
     m = data.draw(matrices(parity))
     n = m.shape[0]
-    radii = row_gaps(sorted_columns(m, 0.0))
+    radii = row_gaps(sorted_columns(m), 0.0)
     for j in range(n):
         off = np.delete(m[:, j], j)
         assert radii[j] == cases.second_type_radius(off)
@@ -177,7 +196,7 @@ def test_second_type_radii_match_per_column(parity, data):
 def test_refinement_shifts_match_kth_largest_offdiag(parity, data):
     b = row_sum_matrix(data.draw(matrices(parity)))
     n = b.shape[0]
-    desc = sorted_columns(b, -np.inf)
+    desc = sorted_columns(b)
     for j in range(n):
         assert desc[j, :n - 1].tolist() == sorted(np.delete(b[:, j], j).tolist(), reverse=True)
     if n % 2 == 0:
@@ -210,9 +229,52 @@ def test_refined_discs_match_sorting_the_shifted_matrices(parity, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_column_gap_matches_per_column(parity, data):
+    """``tau_inf`` inserts each diagonal into the sort of the off-diagonal
+    entries, so it sums in another order than the per-column sort: equal on
+    integer-valued matrices, whose sums are exact, and otherwise within the
+    contract of :mod:`exact`."""
     m = data.draw(matrices(parity))
-    expected = [gap_1d(np.sort(m[:, j])[::-1]) for j in range(m.shape[0])]
-    assert bounds.tau_inf(m) == max(expected)
+    got = bounds.tau_inf(m)
+    if (m == np.round(m)).all():
+        assert got == max(gap_1d(np.sort(m[:, j])[::-1]) for j in range(m.shape[0]))
+    q = exact.exact(m)
+    assert exact.within(got, exact.tau_inf(q), exact.gamma(len(m)) * max(exact.abs_column_sums(q)))
+
+
+@st.composite
+def scaled_row_sum_matrices(draw, parity):
+    """Constant row-sum matrices at n = 3..40 with ties and signed zeros,
+    at a power-of-two scale whose every 2^e multiple, |e| <= 60, stays
+    normal: the row sum is about n times the largest entry."""
+    n = draw(st.sampled_from([n for n in range(3, 41) if n % 2 == parity]))
+    m = ties_and_signed_zeros(n, seed=draw(st.integers(0, 2 ** 32 - 1)))
+    m[:, -1] = n * (np.abs(m).max() + 1.0) - m[:, :-1].sum(axis=1)
+    return np.ldexp(m, draw(st.integers(-20, 20)))
+
+
+def gap_kernels(m):
+    """The second-type disc table, the refined region table and ``tau_inf``."""
+    return second_type_discs_of_transpose(m).discs, refinement(m).region().table, bounds.tau_inf(m)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gap_kernels_commute_with_scales_and_permutations(parity, data):
+    """Scaling by 2^e scales every radius, refined radius and ``tau_inf`` by
+    exactly 2^e.  ``P M P^T`` permutes the disc tables and keeps ``tau_inf``,
+    bit for bit; only the sign of a zero may differ, as the sort takes 0.0
+    and -0.0 as ties and numpy releases differ in which one ``max`` and a
+    sum of zeros return."""
+    m = data.draw(scaled_row_sum_matrices(parity))
+    e = data.draw(st.integers(-60, 60))
+    perm = np.array(data.draw(st.permutations(range(len(m)))))
+    base = gap_kernels(m)
+    for got, want in zip(gap_kernels(np.ldexp(m, e)), base):
+        assert same_bits(np.asarray(got), np.ldexp(want, e))
+    for got, want in zip(gap_kernels(m[np.ix_(perm, perm)]), base):
+        want = want[perm] if np.ndim(want) else want
+        assert same_bits(np.asarray(got) + 0.0, np.asarray(want) + 0.0)
 
 
 def tau1_pairwise(m):

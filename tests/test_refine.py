@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from eigenfence import (
     sampled_subset,
     second_type_discs_of_transpose,
 )
+from eigenfence.cli import main
 from eigenfence.refine import row_sum_constant
 
 
@@ -211,9 +214,9 @@ def test_refinement_carries_its_region():
     assert odd.region().to_json() == refined_region(cases.PERRON7_B).to_json()
 
 
-@pytest.mark.parametrize("b", [cases.PERRON6_B, cases.PERRON7_B], ids=["even", "odd"])
-def test_refined_region_sorts_the_columns_once(b, monkeypatch):
-    from eigenfence import discs, refine
+def count_sorts(monkeypatch) -> list:
+    """Record every call of ``sorted_columns``, in each module that calls it."""
+    from eigenfence import bounds, discs, refine
     calls = []
     sort = discs.sorted_columns
 
@@ -221,10 +224,32 @@ def test_refined_region_sorts_the_columns_once(b, monkeypatch):
         calls.append(args)
         return sort(*args, **kwargs)
 
-    for module in (discs, refine):
+    for module in (discs, refine, bounds):
         monkeypatch.setattr(module, "sorted_columns", counted)
+    return calls
+
+
+@pytest.mark.parametrize("b", [cases.PERRON6_B, cases.PERRON7_B], ids=["even", "odd"])
+def test_refined_region_sorts_the_columns_once(b, monkeypatch):
+    calls = count_sorts(monkeypatch)
     refined_region(b)
     assert len(calls) == 1
+
+
+PROBLEMS = Path(__file__).parent.parent / "demos" / "problems"
+
+
+@pytest.mark.parametrize("problem", ["perron6", "perron7"])
+@pytest.mark.parametrize("command, sorts", [
+    (["locate"], 1), (["refine"], 1), (["obr"], 1),
+    # one sort of B serves m_B, m_F (and m_G) and tau_inf(B); then B^2 and B^3
+    (["bound", "--k", "3"], 3),
+    # and B^(n-1)
+    (["bound", "--k", "3", "--det"], 4)])
+def test_commands_sort_the_columns_of_b_once(problem, command, sorts, monkeypatch, capsys):
+    calls = count_sorts(monkeypatch)
+    assert main([command[0], str(PROBLEMS / f"{problem}.json"), *command[1:]]) == 0
+    assert len(calls) == sorts
 
 
 def test_random_membership_even_and_odd():
