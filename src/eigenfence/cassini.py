@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DEFAULT_TOL, Eigenpair, SizeError, as_matrix
+from .discs import _deleted_sums
 from .geometry import CassiniUnion, RegionIntersection
 from .refine import refinement
 from .similarity import prepare
@@ -21,18 +22,15 @@ from .similarity import prepare
 
 @np.errstate(over="ignore", invalid="ignore")
 def obr_set(matrix) -> CassiniUnion:
-    """Ostrowski-Brauer set of M: one oval per index pair i < j, in order;
-    the oval table refuses an oval bound R_i R_j above the float range."""
+    """Ostrowski-Brauer set of M: one oval per index pair i < j, in order,
+    with the classic discs' deleted row sums as R_i; the oval table refuses
+    an oval bound R_i R_j above the float range."""
     m = as_matrix(matrix)
     n = m.shape[0]
     if n < 2:
         raise SizeError(f"Ostrowski-Brauer set needs n >= 2, got n = {n}")
-    d = np.diagonal(m)
+    d, deleted = np.diagonal(m), _deleted_sums(m)
     i, j = np.triu_indices(n, 1)
-    deleted = np.abs(m).sum(axis=1) - np.abs(d)
-    if not np.isfinite(deleted).all():   # |m_ii| + R_i overflows; half of it fits if R_i does
-        half = np.abs(m / 2).sum(axis=1) - np.abs(d) / 2
-        deleted = np.where(np.isfinite(deleted), deleted, 2 * half)
     bound = np.fmax(deleted[i] * deleted[j], 0.0)   # an inf R_i times R_j = 0: 0, not NaN
     return CassiniUnion._named("Ostrowski-Brauer ovals", np.column_stack((d[i], d[j], bound)))
 

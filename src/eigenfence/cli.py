@@ -102,8 +102,8 @@ def _cmd_locate(args) -> int:
 def _cmd_refine(args) -> int:
     matrix, pair = _load_problem(args.problem)
     ref = refine.refinement(_prepare(matrix, pair, args.tol).B)
-    _emit({"row_sum": pair.value, **{f.name: getattr(ref, f.name) for f in dataclasses.fields(ref)},
-           "region": ref.region()})
+    _emit({"row_sum": pair.value, **ref.matrices,
+           **{f.name: getattr(ref, f.name) for f in dataclasses.fields(ref)}, "region": ref.region()})
     return EXIT_OK
 
 

@@ -109,9 +109,12 @@ def as_matrix(obj) -> np.ndarray:
     """Validate ``obj`` as a dense square real matrix and return it as float64.
 
     A float64 ndarray comes back as itself, not a copy, so callers must
-    not write into the result (no function of this package does, nor
-    keeps it).  Raises DimensionError for non-square input and ParseError
-    for complex or non-finite entries.
+    not write into the result, and no function of this package does.
+    Only a refinement keeps its matrix: a read-only one by reference (what
+    :func:`~eigenfence.similarity.prepare` returns), so its owner must not
+    make it writable again, and a writable one as a read-only copy.
+    Raises DimensionError for non-square input and ParseError for complex
+    or non-finite entries.
     """
     try:
         a = np.asarray(obj)

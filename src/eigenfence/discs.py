@@ -98,17 +98,25 @@ def second_type_discs_of_transpose(matrix, _desc=None) -> DiscUnion:
     return DiscUnion._named("second-type discs", np.column_stack((np.diagonal(m), radii)))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def classic_discs(matrix, axis: str = "rows") -> DiscUnion:
-    """Classic Gershgorin discs along rows or columns of M.
+@np.errstate(over="ignore")
+def _deleted_sums(lines: np.ndarray) -> np.ndarray:
+    """Each row's deleted absolute sum ``sum_{k != i} |m_ik|``, the classic
+    Gershgorin radius and the Ostrowski-Brauer ``R_i``.
 
-    A mask takes each line's off-diagonal entries, in order, into a row of
-    a C-contiguous ``(n, n-1)`` block, so each radius sums as a 1-D sum.
+    A mask takes each row's off-diagonal entries, in order, into a row of a
+    C-contiguous ``(n, n-1)`` block, so each sums as a 1-D sum: within
+    ``gamma_(n-1)`` of its value, relatively, as no term cancels.  A sum
+    of nonnegative terms overflows only when the sum itself is above the
+    float range.
     """
+    n = len(lines)
+    return np.abs(lines[~np.eye(n, dtype=bool)]).reshape(n, n - 1).sum(axis=1)
+
+
+def classic_discs(matrix, axis: str = "rows") -> DiscUnion:
+    """Classic Gershgorin discs along rows or columns of M."""
     if axis not in ("rows", "columns"):
         raise ValueError(f'axis must be "rows" or "columns", got {axis!r}')
     m = as_matrix(matrix)
-    n = m.shape[0]
-    lines = m if axis == "rows" else m.T
-    off = np.abs(lines[~np.eye(n, dtype=bool)]).reshape(n, n - 1)
-    return DiscUnion._named("classic discs", np.column_stack((np.diagonal(m), off.sum(axis=1))))
+    radii = _deleted_sums(m if axis == "rows" else m.T)
+    return DiscUnion._named("classic discs", np.column_stack((np.diagonal(m), radii)))

@@ -13,8 +13,8 @@ formatted straight from the table (``iter_json``, and :func:`iterencode`
 for documents that hold regions and arrays).  Membership tests blocks of points against a chunk of
 primitives at once, in blocks of fixed size, with one relative slack for
 every kind (:func:`_slack`).  It takes at most ``O(points * primitives)``
-time: an oval chunk computes one distance per distinct focus, and a point
-leaves the later chunks of a large table once one chunk accepts it.
+time, and a point leaves the later chunks of a large table once one chunk
+accepts it.
 ``contains_points`` is the one exact membership predicate.  A grid's
 membership (``contains_grid``, for rasters and sampled comparisons) comes
 from each primitive's closed-form x-sections on each grid row instead:
@@ -144,9 +144,7 @@ class _Union:
     booleans, ``_extents`` gives each row's ``(x0, x1, half-height)``,
     ``_reach`` each row's largest modulus and ``_samples`` points on each
     row's boundary (or the kind overrides :meth:`boundary_points`).
-    ``_exact`` says whether that modulus is attained.  Membership calls
-    ``_tester(rows)`` once per chunk of rows; a kind overrides it (and then
-    needs no ``_inside``) to share work between the rows of a chunk.
+    ``_exact`` says whether that modulus is attained.
     """
 
     _field: str
@@ -200,7 +198,7 @@ class _Union:
         every table the range gate admits, as :func:`_slack` keeps each
         threshold finite.  An oval's product is taken at a quarter of the
         scale instead when a distance overflows (see
-        :meth:`CassiniUnion._tester`)."""
+        :meth:`CassiniUnion._inside`)."""
         z = np.asarray(z, dtype=complex)
         flat, table = z.ravel(), self.table
         if len(table) <= MEMBERSHIP_CHUNK:
@@ -305,20 +303,14 @@ class _Union:
         ``flat[at]``).  Blocks of ``MEMBERSHIP_BLOCK`` point-row pairs keep
         every temporary small, and the points of ``at`` are gathered one
         block at a time; the points run along the fast axis."""
-        inside = self._tester(rows)
+        rows = _slack(rows)[:, None]
         size = flat.size if at is None else at.size
         out = np.empty(size, dtype=bool)
         step = max(1, MEMBERSHIP_BLOCK // len(rows))
         for i in range(0, size, step):
             block = flat[i:i + step] if at is None else flat[at[i:i + step]]
-            out[i:i + step] = inside(block).any(axis=0)
+            out[i:i + step] = self._inside(block, rows).any(axis=0)
         return out
-
-    @classmethod
-    def _tester(cls, rows):
-        """The ``(m, p)`` membership booleans of ``rows``, as a function of p points."""
-        rows = _slack(rows)[:, None]
-        return lambda z: cls._inside(z, rows)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         x0, x1, h = self._extents(self.table)
@@ -436,24 +428,15 @@ class CassiniUnion(_Union):
     _field, _shape, _kind, _keys = "ovals", (3,), "cassini_union", ("c1", "c2", "bound")
 
     @staticmethod
-    def _tester(rows):
-        # n foci serve up to n(n-1)/2 ovals: one distance per distinct focus,
-        # gathered per oval, gives each oval's product |z - c1| |z - c2|
-        # (np.unique merges 0.0 and -0.0, whose distances are equal)
-        foci, index = np.unique(rows[:, :2], return_inverse=True)
-        foci, (i1, i2) = foci.astype(complex)[:, None], index.reshape(-1, 2).T
-        bound = _slack(rows)[:, 2, None]
-
-        def inside(z):
-            d = np.abs(z - foci)
-            if np.isfinite(d).all():
-                return d[i1] * d[i2] <= bound
-            # inf times a distance of 0 is NaN, and times one below 1 can be in
-            # range: at a quarter of the scale no distance overflows, and the
-            # product scales back exactly (z / 4 is exact above the subnormals)
-            d = np.abs(z / 4 - foci / 4)
-            return 16 * (d[i1] * d[i2]) <= bound
-        return inside
+    def _inside(z, table):
+        c1, c2 = table[..., 0].astype(complex), table[..., 1].astype(complex)
+        d1, d2 = np.abs(z - c1), np.abs(z - c2)
+        if np.isfinite(d1).all() and np.isfinite(d2).all():
+            return d1 * d2 <= table[..., 2]
+        # inf times a distance of 0 is NaN, and times one below 1 can be in
+        # range: at a quarter of the scale no distance overflows, and the
+        # product scales back exactly (z / 4 is exact above the subnormals)
+        return 16 * (np.abs(z / 4 - c1 / 4) * np.abs(z / 4 - c2 / 4)) <= table[..., 2]
 
     @staticmethod
     def _extents(table):
@@ -498,9 +481,10 @@ class CassiniUnion(_Union):
         """Outermost membership crossings along rays from each focus, oval by
         oval (first focus, then second), by bisection on every ray at once.
         The bisection keeps only accepted points, so every sample belongs to
-        its own oval.  It runs at a quarter of the scale, as :meth:`_tester`
-        does: there no reach or distance overflows (a far product is inf,
-        outside), and the accepted points scale back exactly."""
+        its own oval.  It runs at a quarter of the scale, as :meth:`_inside`
+        does when a distance overflows: there no reach or distance
+        overflows (a far product is inf, outside), and the accepted points
+        scale back exactly."""
         bound = _slack(self.ovals)[:, 2, None, None] / 16   # exact: the slack keeps it >= 1e-9
         c1, c2, b = (col[:, None, None] for col in self.ovals.T)
         c1, c2 = (c1 / 4).astype(complex), (c2 / 4).astype(complex)

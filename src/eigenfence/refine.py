@@ -16,6 +16,13 @@ sorted with its diagonal last, is row j of B's sort plus the shift, entry
 by entry: the same floats in the same order as sorting F or G, and
 :func:`~eigenfence.discs.row_gaps` inserts the mandated 0 into it as it
 would into a sort of F.  A refinement and its region cost one column sort.
+
+So a refinement stores its shifts, and of size ``n^2`` only B (a
+read-only B by reference) and B's sort.  F and G are fully determined by
+B and the shifts: each read of ``F``, ``G`` or ``matrices`` builds
+``B + e * off^T`` anew, with no cache.  The refined discs, the region and
+the disc bounds never build them; the CLI's ``refine`` document and the
+Ostrowski-Brauer sets do.
 """
 
 from __future__ import annotations
@@ -36,17 +43,26 @@ ROW_SUM_TOL = 1e-9
 
 
 class _Shifted:
-    """What both refinements share: the second-type discs of each shifted
-    matrix, read from the sort of B's columns that :func:`refinement`
-    leaves in ``_desc``.  That sort is not a dataclass field, so the fields
-    stay the shifted matrices and their shifts."""
+    """What both refinements share.  Their dataclass fields are the shifts
+    only: :func:`refinement` leaves B in ``_b`` and the sort of its columns
+    in ``_desc``, outside the fields, and each shifted matrix
+    ``B + e * off^T`` is built from them when it is read."""
+
+    @property
+    def matrices(self) -> dict[str, np.ndarray]:
+        """Each shifted matrix by name, built on every read: nothing caches it."""
+        return {name: self._b + off for name, off in self._offsets.items()}
+
+    @property
+    def F(self) -> np.ndarray:
+        return self._b + self._offsets["F"]
 
     @cached_property
     def discs(self) -> Mapping[str, DiscUnion]:
         """Second-type disc union of M^T for each shifted matrix M, by name:
         :func:`~eigenfence.discs.second_type_discs_of_transpose` of M,
-        without sorting M.  Built on first use and read-only."""
-        return MappingProxyType({name: _shifted_discs(self.matrices[name], self._desc, off)
+        without building or sorting M.  Built on first use and read-only."""
+        return MappingProxyType({name: _shifted_discs(self._b, self._desc, off)
                                  for name, off in self._offsets.items()})
 
 
@@ -54,12 +70,7 @@ class _Shifted:
 class EvenRefinement(_Shifted):
     """Shifted matrix F = B - e * shifts^T for even n."""
 
-    F: np.ndarray
     shifts: np.ndarray
-
-    @property
-    def matrices(self) -> dict[str, np.ndarray]:
-        return {"F": self.F}
 
     @property
     def _offsets(self) -> dict[str, np.ndarray]:
@@ -74,14 +85,12 @@ class EvenRefinement(_Shifted):
 class OddRefinement(_Shifted):
     """Shifted pair F = B + e * f_shifts^T, G = B + e * g_shifts^T for odd n."""
 
-    F: np.ndarray
-    G: np.ndarray
     f_shifts: np.ndarray
     g_shifts: np.ndarray
 
     @property
-    def matrices(self) -> dict[str, np.ndarray]:
-        return {"F": self.F, "G": self.G}
+    def G(self) -> np.ndarray:
+        return self._b + self.g_shifts
 
     @property
     def _offsets(self) -> dict[str, np.ndarray]:
@@ -120,23 +129,27 @@ def row_sum_constant(matrix) -> float:
     return lam
 
 
-def _shifted_discs(shifted: np.ndarray, desc: np.ndarray, off: np.ndarray) -> DiscUnion:
-    """Second-type discs of the transpose of ``shifted = B + e * off^T``,
-    from B's :func:`~eigenfence.discs.sorted_columns` ``desc``.  The add
+def _shifted_discs(b: np.ndarray, desc: np.ndarray, off: np.ndarray) -> DiscUnion:
+    """Second-type discs of the transpose of ``B + e * off^T``, from B and
+    its :func:`~eigenfence.discs.sorted_columns` ``desc``: the centers are
+    ``diag(B) + off``, the same floats as that matrix's diagonal.  The add
     runs on the ascending, C-contiguous buffer behind ``desc`` and the sums
-    through its reversed view, as they would through a sort of ``shifted``."""
+    through its reversed view, as they would through a sort of the shifted
+    matrix."""
     radii = row_gaps((desc[:, ::-1] + off[:, None])[:, ::-1], 0.0)
-    return DiscUnion._named("refined discs", np.column_stack((np.diagonal(shifted), radii)))
+    return DiscUnion._named("refined discs", np.column_stack((np.diagonal(b) + off, radii)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def refinement(matrix, _desc=None) -> EvenRefinement | OddRefinement:
-    """The refinement of a constant row-sum matrix for its parity: F for
-    even n, the pair F, G for odd n.
+    """The refinement of a constant row-sum matrix for its parity: the
+    shifts of F for even n, of the pair F, G for odd n.
 
     The one column sort here serves the shifts and, through the
-    refinement's ``discs`` and :meth:`region`, the refined discs too.
-    Raises OverflowError when a shifted entry is above the float range.
+    refinement's ``discs`` and :meth:`region`, the refined discs too; F
+    and G are built only when read.  The refinement holds B: a read-only
+    B by reference, a writable one as a read-only copy.  Raises
+    OverflowError when a shifted entry is above the float range.
     ``_desc`` is B's :func:`~eigenfence.discs.sorted_columns`, when the
     caller has it.
 
@@ -159,17 +172,18 @@ def refinement(matrix, _desc=None) -> EvenRefinement | OddRefinement:
     desc = sorted_columns(b) if _desc is None else _desc
     h = n // 2
     if n % 2 == 0:
-        shifts = desc[:, h - 1].copy()
-        ref = EvenRefinement(F=b - shifts, shifts=shifts)
+        ref = EvenRefinement(shifts=desc[:, h - 1].copy())
     else:
-        f_shifts, g_shifts = -desc[:, h - 1], -desc[:, h]
-        ref = OddRefinement(F=b + f_shifts, G=b + g_shifts, f_shifts=f_shifts, g_shifts=g_shifts)
+        ref = OddRefinement(f_shifts=-desc[:, h - 1], g_shifts=-desc[:, h])
     d = np.diagonal(b)
     ends = np.maximum(desc[:, 0], d), np.minimum(desc[:, n - 2], d)
     if not all(np.isfinite(end + off).all() for off in ref._offsets.values() for end in ends):
         raise OverflowError("refinement: an entry of F or G is above the float range")
-    for arr in vars(ref).values():
+    if b.flags.writeable:
+        b = b.copy()
+    for arr in (b, *vars(ref).values()):
         arr.setflags(write=False)
+    object.__setattr__(ref, "_b", b)
     object.__setattr__(ref, "_desc", desc)
     return ref
 
@@ -178,7 +192,7 @@ def refine_even(matrix) -> EvenRefinement:
     """Even-size refinement: subtract the (n/2)-th largest off-diagonal per column."""
     ref = refinement(matrix)
     if not isinstance(ref, EvenRefinement):
-        raise OddSizeError(f"even-size refinement called with odd n = {ref.F.shape[0]}")
+        raise OddSizeError(f"even-size refinement called with odd n = {len(ref.f_shifts)}")
     return ref
 
 
@@ -191,7 +205,7 @@ def refine_odd(matrix) -> OddRefinement:
     """
     ref = refinement(matrix)
     if not isinstance(ref, OddRefinement):
-        raise EvenSizeError(f"odd-size refinement called with even n = {ref.F.shape[0]}")
+        raise EvenSizeError(f"odd-size refinement called with even n = {len(ref.shifts)}")
     return ref
 
 

@@ -2,7 +2,7 @@
 
 ``Fraction(x)`` of a float is exact, so every quantity here is the exact
 value for the float input: second-type radii, the refinement shifts and
-shifted matrices, refined radii and ``tau_inf``.
+shifted matrices, refined radii, ``tau_inf`` and deleted row sums.
 
 *Rounding contract.*  With unit roundoff ``u = 2^-53`` and
 ``gamma_n = n u / (1 - n u)`` (Higham, *Accuracy and Stability of
@@ -16,7 +16,12 @@ matrix M may differ from the exact value by at most
 * ``gamma_(n+1) max_j sum_i |m_ij|`` for the disc bound ``m_B``, the
   largest ``|m_jj| + r_j``, and ``gamma_(n+2) max_j sum_i |f_ij|`` for
   ``m_F`` and ``m_G``: one more rounding in the sum;
-* nothing for the shifts, which are entries of B.
+* nothing for the shifts, which are entries of B;
+* ``gamma_(n-1) R_i`` for a deleted row sum ``R_i = sum_(k != i) |m_ik|``
+  (the classic radius and the Ostrowski-Brauer ``R_i``): its n - 1 terms
+  are nonnegative, so their absolute sum is ``R_i`` itself.  Taking
+  ``|m_ii|`` from the whole row's sum instead cancels: it can lose every
+  digit of ``R_i``.
 
 Each gap is a top-half sum minus a bottom-half sum of at most n terms:
 any order of summing m terms is within ``gamma_(m-1)`` of their absolute
@@ -100,6 +105,11 @@ def offsets(q) -> dict[str, list[Fraction]]:
 def shifted(q, off) -> list[list[Fraction]]:
     """``B + e off^T``."""
     return [[x + s for x, s in zip(row, off)] for row in q]
+
+
+def deleted_row_sums(q) -> list[Fraction]:
+    """Each row's absolute sum without its diagonal entry."""
+    return [total(abs(x) for k, x in enumerate(row) if k != i) for i, row in enumerate(q)]
 
 
 def abs_column_sums(q) -> list[Fraction]:

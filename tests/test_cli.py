@@ -647,6 +647,7 @@ def library_docs(a, pair):
                                   "classic_columns": classic_discs(a, "columns").to_json(),
                                   "classic_rows": classic_discs(a, "rows").to_json()},
         ("refine",): {"row_sum": pair.value,
+                      **{name: m.tolist() for name, m in ref.matrices.items()},
                       **{f.name: getattr(ref, f.name).tolist() for f in dataclasses.fields(ref)},
                       "region": ref.region().to_json()},
         ("obr",): cassini_intersection_region(a, pair).to_json(),

@@ -1,6 +1,7 @@
 """The column kernels against exact arithmetic, within the contract of
 :mod:`exact`: second-type radii of B, the refinement's shifts (exactly),
-F and G (correctly rounded), their refined radii, and ``tau_inf``.
+F and G (correctly rounded), their refined radii, ``tau_inf``, and the
+deleted row sums of the classic discs and the Ostrowski-Brauer ovals.
 
 Inputs: every square matrix in :mod:`cases`, Hypothesis matrices at
 n = 3..40 of both parities with ties and signed zeros, and seeded
@@ -16,7 +17,14 @@ from hypothesis import strategies as st
 
 import cases
 import exact
-from eigenfence import NotConstantRowSumError, bounds, refinement, second_type_discs_of_transpose
+from eigenfence import (
+    NotConstantRowSumError,
+    bounds,
+    classic_discs,
+    obr_set,
+    refinement,
+    second_type_discs_of_transpose,
+)
 from eigenfence.similarity import SimilarityResult
 
 KINDS = ("positive", "negative", "signed", "ties")
@@ -127,3 +135,41 @@ def test_half_sums_above_the_float_range_against_exact_arithmetic(n):
     with np.errstate(over="ignore"):
         assert np.isinf(np.sort(m, axis=0)[-(n // 2):].sum(axis=0)).all()
     check_radii_and_tau_inf(m)
+
+
+def check_deleted_sums(m):
+    """Classic radii of rows and columns, and the ovals' R_i R_j from the
+    same row radii."""
+    q = exact.exact(m)
+    n = len(q)
+    for lines, axis in ((q, "rows"), (exact.columns(q), "columns")):
+        radii = classic_discs(m, axis).discs[:, 1]
+        for got, want in zip(radii, exact.deleted_row_sums(lines)):
+            assert exact.within(got, want, exact.gamma(n - 1) * want)
+    r = classic_discs(m, "rows").discs[:, 1]
+    i, j = np.triu_indices(n, 1)
+    assert obr_set(m).ovals[:, 2].tobytes() == (r[i] * r[j]).tobytes()
+
+
+@pytest.mark.parametrize("name, m", CASES)
+def test_deleted_sums_of_the_cases_against_exact_arithmetic(name, m):
+    check_deleted_sums(m)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_deleted_sums_against_exact_arithmetic(parity, data):
+    check_deleted_sums(data.draw(matrices(parity)))
+
+
+def test_a_cancelling_diagonal_keeps_the_deleted_sum():
+    """A diagonal entry far above its row's other entries: the row's sum
+    minus the diagonal loses all of R_0 = 3, and the contract sees it."""
+    m = np.array([[1e16, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]], dtype=float)
+    want = exact.deleted_row_sums(exact.exact(m))
+    assert want[0] == 3
+    subtracted = np.abs(m).sum(axis=1) - np.abs(np.diagonal(m))
+    assert not exact.within(subtracted[0], want[0], exact.gamma(3) * want[0])
+    check_deleted_sums(m)
+    assert obr_set(m).ovals[:3, 2].tolist() == [3.0, 3.0, 3.0]   # the ovals (0, j)

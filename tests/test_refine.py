@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 import cases
 from conftest import random_row_sum_matrix
 from eigenfence import (
+    Eigenpair,
     EvenSizeError,
     NotConstantRowSumError,
     OddSizeError,
@@ -13,6 +16,7 @@ from eigenfence import (
     diag_similar,
     eigenvalues,
     nontrivial_values,
+    prepare,
     refine_even,
     refine_odd,
     refined_region,
@@ -20,8 +24,10 @@ from eigenfence import (
     sampled_subset,
     second_type_discs_of_transpose,
 )
+from eigenfence import bounds, refine
 from eigenfence.cli import main
 from eigenfence.refine import row_sum_constant
+from eigenfence.similarity import SimilarityResult
 
 
 def test_even_worked_6x6():
@@ -212,6 +218,83 @@ def test_refinement_carries_its_region():
     assert list(even.matrices) == ["F"] and list(odd.matrices) == ["F", "G"]
     assert even.region().to_json() == refined_region(cases.PERRON6_B).to_json()
     assert odd.region().to_json() == refined_region(cases.PERRON7_B).to_json()
+
+
+@pytest.mark.parametrize("b", [cases.PERRON6_B, cases.PERRON7_B], ids=["even", "odd"])
+def test_refinement_stores_its_shifts_and_builds_f_and_g_when_read(b):
+    ref = refinement(b)
+    names = [f.name for f in dataclasses.fields(ref)]
+    if len(b) % 2 == 0:
+        assert names == ["shifts"]
+        want = {"F": b - ref.shifts}
+    else:
+        assert names == ["f_shifts", "g_shifts"]
+        want = {"F": b + ref.f_shifts, "G": b + ref.g_shifts}
+    assert list(ref.matrices) == list(want)
+    for name, m in want.items():
+        got = getattr(ref, name)
+        assert got.tobytes() == m.tobytes() and ref.matrices[name].tobytes() == m.tobytes()
+        assert got is not getattr(ref, name)   # built on every read: nothing caches it
+
+
+def test_refinement_keeps_a_frozen_copy_of_a_writable_b():
+    b = cases.PERRON6_B.astype(float)
+    ref = refinement(b)
+    f = ref.F
+    b[0, 0] += 1.0   # the caller's array is the caller's to change
+    np.testing.assert_array_equal(ref.F, f)
+
+
+def frozen_random_b(n):
+    """A read-only n x n matrix with row sums 1, as :func:`prepare` returns it."""
+    a = np.random.default_rng(n).random((n, n)) + 0.05
+    b = prepare(a / a.sum(axis=1, keepdims=True), Eigenpair(1.0, np.ones(n))).B
+    assert not b.flags.writeable
+    return b
+
+
+def traced(call):
+    """``(held, peak)`` under tracemalloc: the bytes that ``call()``'s
+    result holds, and the most held while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()   # alive while it is measured
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_refinement_of_a_read_only_b_holds_one_matrix(n):
+    """The refinement holds B's sort, not F or G, and a read-only B by
+    reference: one n^2 block of floats, where F (and G) stored would be
+    two (three).  Its region peaks at B's sort and one shifted copy of it."""
+    b, floats = frozen_random_b(n), 8 * n * n
+    held, _ = traced(lambda: refinement(b))
+    assert held <= 1.1 * floats
+
+    def discarded():
+        (refine_even if n % 2 == 0 else refine_odd)(b)
+
+    held, peak = traced(discarded)
+    assert peak <= 1.1 * floats and held <= 0.1 * floats
+    _, peak = traced(lambda: refined_region(b))
+    assert peak <= 2.5 * floats
+
+
+@pytest.mark.parametrize("b", [cases.PERRON6_B, cases.PERRON7_B], ids=["even", "odd"])
+def test_regions_and_bounds_never_build_f_or_g(b, monkeypatch):
+    def unread(name):
+        return property(lambda self: pytest.fail(f"{name} was built"))
+
+    for cls, name in ((refine._Shifted, "matrices"), (refine._Shifted, "F"),
+                      (refine.OddRefinement, "G")):
+        monkeypatch.setattr(cls, name, unread(name))
+    n = len(b)
+    sim = SimilarityResult(B=b, row_sum=float(b[0].sum()), scaling=np.ones(n))
+    bounds.prepared_reports(sim, ks=(1, 2), include_det=True)
+    refined_region(b)
+    (refine_even if n % 2 == 0 else refine_odd)(b).region()
 
 
 def count_sorts(monkeypatch) -> list:
