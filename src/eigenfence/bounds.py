@@ -14,10 +14,13 @@ refinements F, G):
 Costs: the disc bounds of B, F and G and ``tau_inf(B)`` share one sort
 of B's columns (diagonal last), in ``O(n^2 log n)`` time and ``O(n^2)``
 memory, and ``tau_inf`` of each higher power sorts that power; ``tau1``
-compares all row pairs in ``O(n^3)`` time over row blocks, so its memory
-stays ``O(n^2)``: from ``TAU1_SCREEN`` rows on in float32, which moves half
-the bytes, and then in float64 only the pairs that float32 rounding cannot
-rule out (one pair on random matrices, every pair when all tie); a
+compares all row pairs in ``O(n^3)`` time and ``O(n^2)`` memory: from
+``TAU1_SCREEN`` rows on in float32, each row against the row t further on
+(cyclically) for t up to n/2, as ``|a - b| = 2 max(a, b) - a - b``, so that
+a group of offsets over a tile of columns costs one contiguous
+``maximum`` and one product with a vector of ones, and then in float64
+only the pairs that float32 rounding cannot rule out (one pair on random
+matrices, every pair when all tie); a
 powered bound adds ``k - 1`` matrix products,
 ``O(k n^3)`` time, and :func:`standard_reports` walks B, B^2, ... once
 for all its powers.  The walk subtracts row 0 from B before the first
@@ -43,12 +46,17 @@ from .refine import refinement
 from .similarity import SimilarityResult, prepare
 
 #: Entries per row-pair temporary in :func:`tau1` (512 KiB of float64);
-#: a single row against all others is the smallest block.
+#: a single row against all others is the smallest block.  Its float32
+#: screen gives the same bytes to a column tile, held twice, and to a
+#: group of offsets' maxima.
 TAU1_BLOCK = 1 << 16
 
 #: Smallest n at which :func:`tau1` screens its row pairs in float32 before
 #: summing the few that can hold the maximum in float64.
 TAU1_SCREEN = 48
+
+#: Largest n for which :func:`tau1`'s float32 screen is proved sound.
+_SCREEN_LIMIT = 2 ** 14
 
 #: Byte alignment of the :func:`tau1` buffer: one cache line, so that no
 #: vector store into it straddles two lines.
@@ -83,7 +91,7 @@ def tau1(matrix) -> float:
     Every float64 distance is one pair's ``np.abs(m[i] - m[j]).sum()``,
     numpy's pairwise sum over one contiguous row, taken for a block of
     rows against a range of rows at a time in one buffer of about
-    ``max(TAU1_BLOCK, n^2)`` entries, reused by every block: a fresh
+    ``max(2 TAU1_BLOCK, n^2)`` entries, reused by every block: a fresh
     temporary per block costs a page fault per 4 KiB whenever it lands
     above the allocator's mmap threshold.  The buffer starts on a cache
     line: ``malloc`` only promises 16 bytes, and with 64-byte vector
@@ -93,30 +101,40 @@ def tau1(matrix) -> float:
     so the value is inf only when the semi-norm itself is above the float
     range.
 
-    Below ``TAU1_SCREEN`` rows every pair is summed in float64.  From
-    there on a float32 screen, twice the rows per block in the same
-    buffer, finds the few pairs that can hold the maximum, and only those
-    are summed in float64: the result is the max of the same float64
-    sums, so it is bit-identical to summing them all.
+    Below ``TAU1_SCREEN`` rows, and above the ``2^14`` rows that the
+    screen's proof allows, every pair is summed in float64.  In between a
+    float32 screen in the same buffer finds the few pairs that can hold
+    the maximum, and only those are summed in float64: the result is the
+    max of the same float64 sums, so it is bit-identical to summing them
+    all.
 
-    *Screen.*  Let ``u = m 2^-s`` with ``max|u|`` in [0.5, 1), ``S_i =
-    sum_k |u_ik|`` and ``d_ij = sum_k |u_ik - u_jk| <= S_i + S_j``.  In
-    float32 (unit roundoff ``e = 2^-24``) ``u`` rounds to within
-    ``e|u| + 2^-126`` per entry, each difference to within ``e`` of itself
-    plus ``2^-126``, and the product with a vector of ones sums n terms in
-    some order, within ``gamma_(n-1) = (n-1)e / (1 - (n-1)e)`` of their
-    exact sum, plus ``2^-126`` per partial sum (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., sections 2.2 and 3.1).
-    The ``2^-126`` terms cover float32 subnormals, flushed to zero or not.
-    So the screened distance ``D_ij`` obeys ``|D_ij - d_ij| <= (n+1) e (1
-    + 2^-10) (S_i + S_j) + 4n 2^-126`` for ``n < 2^14``.  The float64 sum
-    ``F_ij`` of the same pair is within ``gamma_n`` (unit roundoff
-    ``2^-53``) of the exact distance at m's scale, as gradual underflow
-    makes subnormal sums exact; at unit scale that is ``|F_ij 2^-s -
-    d_ij| <= 2^-39 (S_i + S_j) + n 2^-1073``, the last term for the
-    rounding of ``u``.  Hence ``|D_ij - F_ij 2^-s| <= E_ij = (n+4) 2^-23
-    (S_i + S_j) + n 2^-120``, about twice the sum of the two, and the
-    other half absorbs the float64 rounding of ``E_ij`` and of the test.
+    *Screen.*  Row j is paired with row ``j + t mod n`` for t = 1..n//2,
+    which covers every pair (for even n those at ``t = n/2`` twice).  Let
+    ``u = m 2^-s`` with ``max|u|`` in [0.5, 1), ``S_i = sum_k |u_ik|`` and
+    ``d_ij = sum_k |u_ik - u_jk| <= S_i + S_j``.  In float32 (unit roundoff
+    ``e = 2^-24``) ``u`` rounds to ``v`` within ``e|u| + 2^-126`` per
+    entry; the ``2^-126`` terms cover float32 subnormals, flushed to zero
+    or not.  As ``|a - b| = 2 max(a, b) - a - b``, the rows of v are ``2
+    M_ij - sigma_i - sigma_j`` apart, with ``M_ij = sum_k max(v_ik,
+    v_jk)`` and ``sigma_i = sum_k v_ik``, and that is within ``e (S_i +
+    S_j) + 4n 2^-126`` of ``d_ij``.  The screen sums the n terms of
+    ``M_ij`` in float32 in some order, over column tiles and within each
+    product with a vector of ones, so within ``gamma_(n-1) = (n-1)e / (1 -
+    (n-1)e)`` of the sum of their absolute values, at most ``(1 + e)(S_i +
+    S_j) + 2n 2^-126``, plus ``2^-126`` per partial sum (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., sections 2.2 and
+    3.1); sigma is summed in float64, within ``2^-39 (S_i + S_j)``.  So for
+    ``n <= 2^14``, where ``(n-1)e < 2^-10``, the screened distance ``D_ij
+    = 2 M_ij - sigma_i - sigma_j``, formed in float64, obeys ``|D_ij -
+    d_ij| <= (2n - 1)(1 + 2^-9) e (S_i + S_j) + 8n 2^-126``: doubling the
+    float32 sum doubles its error.  The float64 sum ``F_ij`` of the same
+    pair is within ``gamma_n`` (unit roundoff ``2^-53``) of the exact
+    distance at m's scale, as gradual underflow makes subnormal sums
+    exact; at unit scale that is ``|F_ij 2^-s - d_ij| <= 2^-39 (S_i + S_j)
+    + n 2^-1073``, the last term for the rounding of ``u``.  Hence ``|D_ij
+    - F_ij 2^-s| <= E_ij = (n+4) 2^-22 (S_i + S_j) + n 2^-120``, nearly
+    twice the sum of the two, and the rest absorbs the float64 rounding of
+    sigma, ``D_ij``, ``E_ij`` and of the test.
 
     *Certificate.*  The pair with the largest ``D_ij`` is summed in float64
     first, giving ``L``.  Every pair with ``F_ij >= L`` then has ``D_ij +
@@ -125,17 +143,23 @@ def tau1(matrix) -> float:
     float64 sum.  (``L`` is twice the leader's half-sum: halving rounds
     only a sum below ``2^-1021``, a whole number of ``2^-1074``, and a
     pair whose half-sum is larger than the leader's has a sum at least
-    twice the leader's half-sum.)  Each block of rows is summed against
-    the range of rows from its first to its last survivor, with no
-    gather, so a tie of all pairs (equal rows, ``np.eye``) costs the
-    screen plus the all-pairs loop.
+    twice the leader's half-sum.)  The survivors are marked in an n x n
+    mask, and each block of rows is summed against the range of rows
+    from its first to its last survivor, with no gather, so a tie of all
+    pairs (equal rows, ``np.eye``) costs the screen plus the all-pairs
+    loop.
     """
     m = as_matrix(matrix)
     n = m.shape[0]
     if n < 2:
         return 0.0
     rows = min(n, max(1, TAU1_BLOCK // (n * n)))
-    size = rows * n * n
+    screen = TAU1_SCREEN <= n <= _SCREEN_LIMIT
+    tiles = -(-n // max(1, TAU1_BLOCK // n))
+    width = -(-n // tiles)   # balanced tiles of at most TAU1_BLOCK / n columns
+    group = min(n // 2, max(1, 2 * TAU1_BLOCK // (n * width)))
+    at = -(-group * n * width // 16) * 16   # the doubled tile starts on a cache line too
+    size = max(rows * n * n, (at + 2 * n * width) // 2 if screen else 0)
     raw = np.empty(size + CACHE_LINE // 8)
     buf = raw[-raw.ctypes.data % CACHE_LINE // 8:][:size]
 
@@ -150,15 +174,30 @@ def tau1(matrix) -> float:
         np.subtract(m[i:j, None, :] / 2, m[None, lo:hi, :] / 2, out=d)
         return np.where(sums < np.inf, sums / 2.0, np.abs(d, out=d).sum(axis=2)).max()
 
-    if n < TAU1_SCREEN:
+    if not screen:
         return float(max(far(i, min(i + rows, n), i, n) for i in range(0, n, rows)))
-    unit, s = _unit(m)
-    err = (n + 4) * 2.0 ** -23 * np.abs(unit).sum(axis=1)
-    near = _screen(unit.astype(np.float32), buf.view(np.float32), min(n, 2 * rows))
-    li, lj = divmod(int(near.argmax()), n)
+    unit, s = _unit(m, out=buf[:n * n].reshape(n, n))
+    v = unit.astype(np.float32)
+    err = (n + 4) * 2.0 ** -22 * np.abs(unit, out=unit).sum(axis=1) + n * 2.0 ** -121
+    err = np.concatenate((err, err))
+    sums = v.sum(axis=1, dtype=np.float64)
+    sums = np.concatenate((sums, sums))
+    near = _screen(v, buf.view(np.float32), width, group, at)
+    d = np.multiply(near, 2.0, out=buf[-near.size:].reshape(near.shape))   # clear of the leader's sum
+    d -= sums[:n]
+    d -= _windows(sums)
+    lt, li = divmod(int(d.argmax()), n)
+    lj = (li + lt + 1) % n
     best = far(li, li + 1, lj, lj + 1)
-    keep = near + (err[:, None] + (err + n * 2.0 ** -120)) >= np.ldexp(best, 1 - s)
-    keep[li, lj] = False   # summed already
+    d += err[:n]
+    d += _windows(err)
+    hit = d >= np.ldexp(best, 1 - s)
+    hit[lt, [li, lj] if 2 * lt + 2 == n else li] = False   # summed already, with its twin at t = n/2
+    if not hit.any():
+        return float(best)
+    pairs = np.zeros((n, 2 * n), dtype=bool)   # row j, column j + t
+    np.copyto(np.ndarray(hit.shape, bool, pairs, 1, (1, 2 * n + 1)), hit)
+    keep = pairs[:, :n] | pairs[:, n:].T   # rows (j, j + t), or (j + t - n, j) past the last row
     hit, starts = keep.any(axis=1), np.arange(0, n, rows)
     lo = np.minimum.reduceat(np.where(hit, keep.argmax(axis=1), n), starts)
     hi = np.maximum.reduceat(np.where(hit, n - keep[:, ::-1].argmax(axis=1), 0), starts)
@@ -167,17 +206,38 @@ def tau1(matrix) -> float:
     return float(best)
 
 
-def _screen(u: np.ndarray, buf: np.ndarray, rows: int) -> np.ndarray:
-    """Float32 L1 distances of the rows of u: row i against rows i and
-    below in blocks of ``rows`` rows, each block's distances one
-    matrix-vector product with a vector of ones; -inf below the blocks."""
-    n = len(u)
-    near = np.full((n, n), -np.inf, dtype=np.float32)
-    ones = np.ones(n, dtype=np.float32)
-    for i in range(0, n, rows):
-        d = buf[:min(rows, n - i) * (n - i) * n].reshape(-1, n - i, n)
-        np.subtract(u[i:i + rows, None, :], u[None, i:, :], out=d)
-        near[i:i + rows, i:] = (np.abs(d, out=d).reshape(-1, n) @ ones).reshape(-1, n - i)
+def _windows(twice: np.ndarray) -> np.ndarray:
+    """The ``(n//2, n)`` view whose row t - 1 is ``twice[t:t + n]``, of a
+    vector of length n held twice: entry j + t mod n at row t - 1, column
+    j, with no gather."""
+    n = len(twice) // 2
+    return np.ndarray((n // 2, n), twice.dtype, twice, twice.itemsize, twice.strides * 2)
+
+
+def _screen(v: np.ndarray, buf: np.ndarray, width: int, group: int, at: int) -> np.ndarray:
+    """The float32 ``(n//2, n)`` table of ``sum_k max(v_jk, v_(j+t mod n)k)``
+    at row t - 1, column j.  Each tile of ``width`` columns is held twice,
+    ``2n x w`` from ``buf[at:]``, so that rows ``j + t`` for all j are one
+    contiguous window from row t, and ``group`` offsets at a time cost one
+    ``maximum`` into ``buf`` and one matrix-vector product with a vector
+    of ones."""
+    n = len(v)
+    h = n // 2
+    near = np.zeros((h, n), dtype=np.float32)
+    twice = buf[at:at + 2 * n * width]
+    ones = np.ones(width, dtype=np.float32)
+    for c in range(0, n, width):
+        w = min(width, n - c)
+        tile = twice[:2 * n * w].reshape(2 * n, w)
+        np.copyto(tile[:n], v[:, c:c + w])
+        np.copyto(tile[n:], tile[:n])
+        flat = tile[:n].reshape(-1)
+        for t in range(1, h + 1, group):
+            g = min(group, h + 1 - t)
+            window = np.ndarray((g, n * w), np.float32, twice, t * w * 4, (w * 4, 4))
+            out = buf[:g * n * w].reshape(g, n * w)
+            np.maximum(window, flat, out=out)
+            near[t - 1:t - 1 + g] += (out.reshape(-1, w) @ ones[:w]).reshape(g, n)
     return near
 
 

@@ -343,25 +343,76 @@ def test_tau1_finds_the_maximum_one_ulp_above_the_screens_leader():
 
 @pytest.mark.parametrize("scale", [0, 700, -700])
 def test_tau1_certificate_covers_a_screen_off_by_its_whole_error_bound(monkeypatch, scale):
-    # a screen that errs by the float32 bound (n+1) 2^-24 (S_i + S_j), low
-    # on the pair with the largest float64 sum and high on every other pair
+    # a screen table whose D = 2 M - sigma_i - sigma_j err from the float64
+    # sums by all of the certificate's E_ij = (n+4) 2^-22 (S_i + S_j) + n 2^-120
+    # but a 2^-20 part for the float64 rounding of the test, low on the pair
+    # with the largest float64 sum and high on every other pair: more than
+    # the float32 screen's own bound (2n-1)(1 + 2^-9) 2^-24 (S_i + S_j) + 8n 2^-126
     n = bounds.TAU1_SCREEN + 16
     s = np.random.default_rng(6).uniform(0.0, 0.5, n)
     s[:3] = 4.0, 1.0, 1.0 + 2.0 ** -50
     m = np.ldexp(np.diag(s), scale)
 
-    def screen(u, buf, rows):
+    def screen(v, *layout):
         unit = np.ldexp(m, -math.frexp(m.max())[1])
-        exact = np.abs(unit[:, None, :] - unit[None, :, :]).sum(axis=2)
+        j = np.arange(n)
+        k = (j + np.arange(1, n // 2 + 1)[:, None]) % n   # row j's partner at offset t, at row t - 1
+        exact = np.abs(unit[j] - unit[k]).sum(axis=2)
         size = np.abs(unit).sum(axis=1)
-        error = (n + 1) * 2.0 ** -24 * (size[:, None] + size)
+        error = ((n + 4) * 2.0 ** -22 * (size[j] + size[k]) + n * 2.0 ** -120) * (1 - 2.0 ** -20)
+        proved = (2 * n - 1) * (1 + 2.0 ** -9) * 2.0 ** -24 * (size[j] + size[k]) + 8 * n * 2.0 ** -126
+        assert np.all(error > proved)
         top = exact == exact.max()
-        assert top.sum() == 2   # 0-2 and 2-0
-        return np.triu(np.where(top, exact - error, exact + error)) - np.tril(np.full((n, n), np.inf), -1)
+        assert top.sum() == 1   # 0-2, at offset 2
+        sums = v.sum(axis=1, dtype=np.float64)
+        return (np.where(top, exact - error, exact + error) + sums[j] + sums[k]) / 2
 
     monkeypatch.setattr(bounds, "_screen", screen)
     monkeypatch.setattr(bounds, "TAU1_BLOCK", 1)   # one row per block: no pair rechecked by the way
     assert bounds.tau1(m) == tau1_pairwise(m) == np.ldexp((5.0 + 2.0 ** -50) / 2, scale)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("place", ["wrap", "half", "any"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_tau1_screen_finds_a_planted_maximum_pair(parity, place, data):
+    """Rows a and b each hold one entry of 20n, of one sign, on the two
+    columns either side of a tile boundary, over entries in [-1, 1): they
+    are the unique farthest pair, ``2 M_ab - sigma_a - sigma_b`` apart.  Positive,
+    the pair's distance rests on its ``M_ab`` from the tiles, and
+    ``-sigma_a - sigma_b`` alone is the smallest of all; negative, ``2 M_ab`` alone
+    is about as small as any pair's.  The pair is placed at a wrap-around
+    offset (a + t >= n), at the largest offset (t = n/2 for even n, where
+    every pair is screened twice) or anywhere, in tiles of at most ``c``
+    columns."""
+    n = 2 * data.draw(st.integers(3, 20), label="half n") + parity
+    c = data.draw(st.integers(1, 4), label="tile columns")
+    if place == "any":
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True), label="a, b")
+    else:
+        t = data.draw(st.integers(1, n // 2), label="t") if place == "wrap" else n // 2
+        a = data.draw(st.integers(n - t if place == "wrap" else 0, n - 1), label="a")
+        b = (a + t) % n
+    m = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed")).uniform(-1, 1, (n, n))
+    width = -(-n // -(-n // c))   # the first tile boundary: c columns a tile, balanced
+    m[a, width - 1] = m[b, width] = data.draw(st.sampled_from([-20.0, 20.0]), label="plant") * n
+    with mock.patch.object(bounds, "TAU1_SCREEN", 2), mock.patch.object(bounds, "TAU1_BLOCK", c * n):
+        assert bounds.tau1(m) == tau1_pairwise(m)
+    assert tau1_pairwise(m) == float(np.abs(m[a] - m[b]).sum()) / 2
+
+
+def test_tau1_sums_every_pair_in_float64_above_the_screens_limit(monkeypatch):
+    # the screen's rounding bound is proved up to a limit on n (2^14 rows)
+    screened = []
+    screen = bounds._screen
+    monkeypatch.setattr(bounds, "_screen", lambda v, *layout: screened.append(len(v)) or screen(v, *layout))
+    limit = bounds.TAU1_SCREEN + 8
+    monkeypatch.setattr(bounds, "_SCREEN_LIMIT", limit)
+    for n in (limit, limit + 1):
+        m = np.random.default_rng(n).standard_normal((n, n))
+        assert bounds.tau1(m) == tau1_pairwise(m)
+    assert screened == [limit]
 
 
 @pytest.mark.parametrize("n", [bounds.TAU1_SCREEN, 100])
@@ -406,15 +457,18 @@ def test_tau1_sums_an_overflowing_pair_at_half_scale():
 
 
 def test_tau1_rechecks_one_pair_of_a_random_positive_matrix(monkeypatch):
+    # a pair costs its n = 256 entries of the screen's maxima (float32, over
+    # the tiles), or of a subtraction when it is summed in float64
     pairs = {np.float32: 0, np.float64: 0}
-    subtract = np.subtract
+    subtract, maximum = np.subtract, np.maximum
 
-    def spy(a, b, out):
-        pairs[out.dtype.type] += out.shape[0] * out.shape[1]
-        return subtract(a, b, out=out)
+    def spy(ufunc, a, b, out):
+        pairs[out.dtype.type] += out.size // 256
+        return ufunc(a, b, out=out)
 
     m = np.random.default_rng(0).random((256, 256)) + 0.05
-    monkeypatch.setattr(np, "subtract", spy)
+    monkeypatch.setattr(np, "subtract", lambda a, b, out: spy(subtract, a, b, out))
+    monkeypatch.setattr(np, "maximum", lambda a, b, out: spy(maximum, a, b, out))
     value = bounds.tau1(m)
     monkeypatch.undo()
     assert pairs[np.float32] >= 256 * 255 // 2   # every pair screened
@@ -431,25 +485,38 @@ def test_tau1_blocked_at_larger_n(n):
 
 def test_tau1_buffer_starts_on_a_cache_line(monkeypatch):
     offsets = {}
-    subtract = np.subtract
 
-    def spy(a, b, out):
-        offsets.setdefault(out.dtype.type, set()).add(out.ctypes.data % bounds.CACHE_LINE)
-        return subtract(a, b, out=out)
+    class Spy:
+        """The ufunc, with the cache-line offset of every output recorded."""
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
 
-    monkeypatch.setattr(np, "subtract", spy)
-    for n in (3, 10, 64, 160, 256):
+        def __getattr__(self, name):
+            return getattr(self.ufunc, name)
+
+        def __call__(self, a, b, out):
+            offsets.setdefault(out.dtype.type, set()).add(out.ctypes.data % bounds.CACHE_LINE)
+            return self.ufunc(a, b, out=out)
+
+    monkeypatch.setattr(np, "subtract", Spy(np.subtract))
+    monkeypatch.setattr(np, "maximum", Spy(np.maximum))
+    for n in (3, 10, 64, 160, 256, 300):
         bounds.tau1(np.random.default_rng(n).random((n, n)))
-    # the float32 screen and the float64 sums share the one buffer
+    # the float32 screen's maxima and the float64 sums share the one buffer
     assert offsets == {np.float32: {0}, np.float64: {0}}
 
 
 def test_tau1_memory_stays_quadratic():
-    m = np.random.default_rng(0).random((512, 512))
+    # measured: 2.27 n^2 float64s, in the buffer (n^2), the float32 rows
+    # (n^2 / 2), the float32 offset table (n^2 / 4) and the survivors' masks
+    # (3 n^2 bytes); a tile or a group of maxima that grew with n^3, or one
+    # more copy of the rows or of the table, would pass 2.5
+    n = 512
+    m = np.random.default_rng(0).random((n, n))
     tracemalloc.start()
     try:
         bounds.tau1(m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 2.5 * n * n * 8
