@@ -14,14 +14,14 @@ refinements F, G):
 Costs: the disc bounds of B, F and G and ``tau_inf(B)`` share one sort
 of B's columns (diagonal last), in ``O(n^2 log n)`` time and ``O(n^2)``
 memory, and ``tau_inf`` of each higher power sorts that power; ``tau1``
-compares all row pairs in ``O(n^3)`` time and ``O(n^2)`` memory: from
-``TAU1_SCREEN`` rows on in float32, each row against the row t further on
-(cyclically) for t up to n/2, as ``|a - b| = 2 max(a, b) - a - b``, so that
-a group of offsets over a tile of columns costs one contiguous
-``maximum`` and one product with a vector of ones, and then in float64
-only the pairs that float32 rounding cannot rule out (one pair on random
-matrices, every pair when all tie); a
-powered bound adds ``k - 1`` matrix products,
+compares all row pairs in ``O(n^3)`` time and ``O(n^2)`` memory: below
+``TAU1_SCREEN`` rows in float64, and from there on in float32, each row
+against the row t further on (cyclically) for t up to n/2, as ``|a - b| =
+2 max(a, b) - a - b``, so that a group of offsets over a tile of columns
+costs one contiguous ``maximum`` and one product with a vector of ones,
+and then in float64 only the pairs that float32 rounding cannot rule out
+(one pair on random matrices, every pair when all tie); a powered bound
+adds ``k - 1`` matrix products,
 ``O(k n^3)`` time, and :func:`standard_reports` walks B, B^2, ... once
 for all its powers.  The walk subtracts row 0 from B before the first
 product, a column shift the semi-norms do not see, so no product forms
@@ -52,11 +52,10 @@ from .similarity import SimilarityResult, prepare
 TAU1_BLOCK = 1 << 16
 
 #: Smallest n at which :func:`tau1` screens its row pairs in float32 before
-#: summing the few that can hold the maximum in float64.
-TAU1_SCREEN = 48
-
-#: Largest n for which :func:`tau1`'s float32 screen is proved sound.
-_SCREEN_LIMIT = 2 ** 14
+#: summing the few that can hold the maximum in float64: from n = 32 on
+#: the screen was no slower than summing every pair on x86-64, one BLAS
+#: thread (the sweep is in ROADMAP item 6).
+TAU1_SCREEN = 32
 
 #: Byte alignment of the :func:`tau1` buffer: one cache line, so that no
 #: vector store into it straddles two lines.
@@ -101,12 +100,11 @@ def tau1(matrix) -> float:
     so the value is inf only when the semi-norm itself is above the float
     range.
 
-    Below ``TAU1_SCREEN`` rows, and above the ``2^14`` rows that the
-    screen's proof allows, every pair is summed in float64.  In between a
-    float32 screen in the same buffer finds the few pairs that can hold
-    the maximum, and only those are summed in float64: the result is the
-    max of the same float64 sums, so it is bit-identical to summing them
-    all.
+    Below ``TAU1_SCREEN`` rows every pair is summed in float64.  From
+    there on a float32 screen in the same buffer finds the few pairs that
+    can hold the maximum, and only those are summed in float64: the result
+    is the max of the same float64 sums, so it is bit-identical to summing
+    them all.
 
     *Screen.*  Row j is paired with row ``j + t mod n`` for t = 1..n//2,
     which covers every pair (for even n those at ``t = n/2`` twice).  Let
@@ -117,24 +115,28 @@ def tau1(matrix) -> float:
     or not.  As ``|a - b| = 2 max(a, b) - a - b``, the rows of v are ``2
     M_ij - sigma_i - sigma_j`` apart, with ``M_ij = sum_k max(v_ik,
     v_jk)`` and ``sigma_i = sum_k v_ik``, and that is within ``e (S_i +
-    S_j) + 4n 2^-126`` of ``d_ij``.  The screen sums the n terms of
+    S_j) + 2n 2^-126`` of ``d_ij``.  The screen sums the n terms of
     ``M_ij`` in float32 in some order, over column tiles and within each
     product with a vector of ones, so within ``gamma_(n-1) = (n-1)e / (1 -
     (n-1)e)`` of the sum of their absolute values, at most ``(1 + e)(S_i +
     S_j) + 2n 2^-126``, plus ``2^-126`` per partial sum (Higham, *Accuracy
     and Stability of Numerical Algorithms*, 2nd ed., sections 2.2 and
-    3.1); sigma is summed in float64, within ``2^-39 (S_i + S_j)``.  So for
-    ``n <= 2^14``, where ``(n-1)e < 2^-10``, the screened distance ``D_ij
-    = 2 M_ij - sigma_i - sigma_j``, formed in float64, obeys ``|D_ij -
-    d_ij| <= (2n - 1)(1 + 2^-9) e (S_i + S_j) + 8n 2^-126``: doubling the
-    float32 sum doubles its error.  The float64 sum ``F_ij`` of the same
-    pair is within ``gamma_n`` (unit roundoff ``2^-53``) of the exact
-    distance at m's scale, as gradual underflow makes subnormal sums
-    exact; at unit scale that is ``|F_ij 2^-s - d_ij| <= 2^-39 (S_i + S_j)
-    + n 2^-1073``, the last term for the rounding of ``u``.  Hence ``|D_ij
-    - F_ij 2^-s| <= E_ij = (n+4) 2^-22 (S_i + S_j) + n 2^-120``, nearly
-    twice the sum of the two, and the rest absorbs the float64 rounding of
-    sigma, ``D_ij``, ``E_ij`` and of the test.
+    3.1).  For ``n <= 2^23 + 1``, which every n x n float64 matrix of at
+    most 2^49 bytes meets, ``(n-1)e <= 1/2`` and so ``gamma_(n-1) <=
+    2(n-1)e <= 1``.  Doubling the float32 sum doubles its error, so with
+    exact sigma the screened distance is within
+    ``((4n-3)e + 4(n-1)e^2)(S_i + S_j) + 8n 2^-126`` of ``d_ij``.  The
+    float64 sum ``F_ij`` of the same pair is within ``gamma_n`` (unit
+    roundoff ``2^-53``) of the exact distance at m's scale, as gradual
+    underflow makes subnormal sums exact; at unit scale that is ``|F_ij
+    2^-s - d_ij| <= 2^-29 (S_i + S_j) + n 2^-1073``, the last term for the
+    rounding of ``u``.  Hence ``|D_ij - F_ij 2^-s| <= E_ij = (n+4) 2^-22
+    (S_i + S_j) + n 2^-120`` for ``D_ij = 2 M_ij - sigma_i - sigma_j``
+    formed in float64: as ``4(n-1)e^2 <= 2e``, ``E_ij`` exceeds the
+    screen's bound by at least ``16e (S_i + S_j)``, which absorbs
+    ``F_ij``'s error, sigma's float64 sums (within ``2^-29 (1 + e)(S_i +
+    S_j) + n 2^-150``) and the float64 rounding of ``D_ij``, ``E_ij`` and
+    of the test.
 
     *Certificate.*  The pair with the largest ``D_ij`` is summed in float64
     first, giving ``L``.  Every pair with ``F_ij >= L`` then has ``D_ij +
@@ -154,7 +156,7 @@ def tau1(matrix) -> float:
     if n < 2:
         return 0.0
     rows = min(n, max(1, TAU1_BLOCK // (n * n)))
-    screen = TAU1_SCREEN <= n <= _SCREEN_LIMIT
+    screen = n >= TAU1_SCREEN
     tiles = -(-n // max(1, TAU1_BLOCK // n))
     width = -(-n // tiles)   # balanced tiles of at most TAU1_BLOCK / n columns
     group = min(n // 2, max(1, 2 * TAU1_BLOCK // (n * width)))

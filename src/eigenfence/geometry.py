@@ -10,11 +10,11 @@ membership, the bounding box, the extremal modulus, boundary samples and
 JSON, while each kind supplies only its formulas.  JSON comes as dicts
 (``to_json``) or as the text ``json.dumps(..., indent=2)`` would write,
 formatted straight from the table (``iter_json``, and :func:`iterencode`
-for documents that hold regions and arrays).  Membership tests blocks of points against a chunk of
-primitives at once, in blocks of fixed size, with one relative slack for
-every kind (:func:`_slack`).  It takes at most ``O(points * primitives)``
-time, and a point leaves the later chunks of a large table once one chunk
-accepts it.
+for documents that hold regions and arrays).  Membership tests blocks of
+points against a chunk of primitives at once, in blocks of fixed size,
+with one relative slack for every kind (:func:`_slack`).  It takes at most
+``O(points * primitives)`` time, and a point leaves the later chunks of a
+large table once one chunk accepts it.
 ``contains_points`` is the one exact membership predicate.  A grid's
 membership (``contains_grid``, for rasters and sampled comparisons) comes
 from each primitive's closed-form x-sections on each grid row instead:
@@ -526,17 +526,16 @@ class RegionIntersection:
 
     def contains_grid(self, xs, ys) -> np.ndarray:
         """``contains_points(xs[None, :] + 1j * ys[:, None])``: the AND of
-        the parts' :meth:`_Union.contains_grid`.  Each part tests only the
-        rows that hold a point every earlier part accepted, between the
-        first and the last such column."""
+        the parts' :meth:`_Union.contains_grid`.  Each part tests all of
+        ``xs`` on only the rows that hold a point every earlier part
+        accepted."""
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         hit = self.parts[0].contains_grid(xs, ys)
         for part in self.parts[1:]:
-            rows, cols = np.flatnonzero(hit.any(axis=1)), np.flatnonzero(hit.any(axis=0))
+            rows = np.flatnonzero(hit.any(axis=1))
             if not rows.size:
                 break
-            cols = np.arange(cols[0], cols[-1] + 1)
-            hit[np.ix_(rows, cols)] &= part.contains_grid(xs[cols], ys[rows])
+            hit[rows] &= part.contains_grid(xs, ys[rows])
         return hit
 
     def bounding_box(self) -> tuple[float, float, float, float]:

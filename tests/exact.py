@@ -2,7 +2,8 @@
 
 ``Fraction(x)`` of a float is exact, so every quantity here is the exact
 value for the float input: second-type radii, the refinement shifts and
-shifted matrices, refined radii, ``tau_inf`` and deleted row sums.
+shifted matrices, refined radii, ``tau_inf``, ``tau1`` and deleted row
+sums.
 
 *Rounding contract.*  With unit roundoff ``u = 2^-53`` and
 ``gamma_n = n u / (1 - n u)`` (Higham, *Accuracy and Stability of
@@ -13,6 +14,10 @@ matrix M may differ from the exact value by at most
 * ``gamma_(n+1) sum_i |f_ij|`` for a refined radius, f the exact shifted
   column, whose float entries carry the rounding of the shift;
 * ``gamma_n max_j sum_i |m_ij|`` for ``tau_inf``;
+* ``gamma_n`` times the exact value for ``tau1``: each float64 pair sum
+  is n rounded differences summed, so within ``gamma_n`` of its exact
+  distance, and the maximum of such sums within ``gamma_n`` of the
+  largest distance; halving is exact;
 * ``gamma_(n+1) max_j sum_i |m_ij|`` for the disc bound ``m_B``, the
   largest ``|m_jj| + r_j``, and ``gamma_(n+2) max_j sum_i |f_ij|`` for
   ``m_F`` and ``m_G``: one more rounding in the sum;
@@ -30,6 +35,7 @@ L1 distance between its inputs, so a shifted entry's rounding adds at
 most ``u |f_ij|``.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +91,17 @@ def second_type_radii(q) -> list[Fraction]:
 def tau_inf(q) -> Fraction:
     """Largest gap of a column's n entries, diagonal included."""
     return max(gap(col) for col in columns(q))
+
+
+def tau1(q) -> Fraction:
+    """Half the largest L1 distance between two rows.  The rows are taken
+    as integers over the matrix's largest denominator, so each pair costs
+    integer arithmetic only."""
+    d = max((x.denominator for row in q for x in row), default=1)
+    rows = [[x.numerator * (d // x.denominator) for x in row] for row in q]
+    far = max((sum(abs(a - b) for a, b in zip(p, r)) for p, r in itertools.combinations(rows, 2)),
+              default=0)
+    return Fraction(far, 2 * d)
 
 
 def disc_bound(q) -> Fraction:

@@ -1,11 +1,13 @@
 """The column kernels against exact arithmetic, within the contract of
 :mod:`exact`: second-type radii of B, the refinement's shifts (exactly),
-F and G (correctly rounded), their refined radii, ``tau_inf``, and the
-deleted row sums of the classic discs and the Ostrowski-Brauer ovals.
+F and G (correctly rounded), their refined radii, ``tau_inf``, ``tau1``,
+and the deleted row sums of the classic discs and the Ostrowski-Brauer
+ovals.
 
 Inputs: every square matrix in :mod:`cases`, Hypothesis matrices at
-n = 3..40 of both parities with ties and signed zeros, and seeded
-matrices at n = 64 and 129.
+n = 3..40 of both parities with ties and signed zeros (and for ``tau1``
+at n on both sides of ``bounds.TAU1_SCREEN``), and seeded matrices at
+n = 64 and 129.
 """
 
 from fractions import Fraction
@@ -66,6 +68,12 @@ def check_radii_and_tau_inf(m):
     assert exact.within(bounds.tau_inf(m), exact.tau_inf(q), exact.gamma(n) * max(sums))
 
 
+def check_tau1(m):
+    q = exact.exact(m)
+    want = exact.tau1(q)
+    assert exact.within(bounds.tau1(m), want, exact.gamma(len(q)) * want)
+
+
 def check_refinement(b):
     """The refinement of B and the disc bounds of B, F and G."""
     q = exact.exact(b)
@@ -98,6 +106,7 @@ CASES = [pytest.param(name, m, id=name) for name, m in sorted(vars(cases).items(
 @pytest.mark.parametrize("name, m", CASES)
 def test_cases_against_exact_arithmetic(name, m):
     check_radii_and_tau_inf(m)
+    check_tau1(m)
     try:
         check_refinement(m)
     except NotConstantRowSumError:
@@ -109,6 +118,14 @@ def test_cases_against_exact_arithmetic(name, m):
 @given(data=st.data())
 def test_radii_and_tau_inf_against_exact_arithmetic(parity, data):
     check_radii_and_tau_inf(data.draw(matrices(parity)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(bounds.TAU1_SCREEN - 4, bounds.TAU1_SCREEN + 4), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(KINDS), scale=st.integers(-20, 20))
+def test_tau1_against_exact_arithmetic(n, seed, kind, scale):
+    # below TAU1_SCREEN every pair is summed in float64, from there on screened first
+    check_tau1(seeded_matrix(n, seed, kind, scale))
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -123,6 +140,7 @@ def test_refinement_against_exact_arithmetic(parity, data):
 def test_seeded_large_matrices_against_exact_arithmetic(n, kind):
     m = seeded_matrix(n, n, kind)
     check_radii_and_tau_inf(m)
+    check_tau1(m)
     check_refinement(with_row_sums(m))
 
 

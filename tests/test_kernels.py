@@ -11,6 +11,7 @@ integers (many ties) with signed floats.
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -347,7 +348,7 @@ def test_tau1_certificate_covers_a_screen_off_by_its_whole_error_bound(monkeypat
     # sums by all of the certificate's E_ij = (n+4) 2^-22 (S_i + S_j) + n 2^-120
     # but a 2^-20 part for the float64 rounding of the test, low on the pair
     # with the largest float64 sum and high on every other pair: more than
-    # the float32 screen's own bound (2n-1)(1 + 2^-9) 2^-24 (S_i + S_j) + 8n 2^-126
+    # the float32 screen's own bound ((4n-3)e + 4(n-1)e^2)(S_i + S_j) + 8n 2^-126
     n = bounds.TAU1_SCREEN + 16
     s = np.random.default_rng(6).uniform(0.0, 0.5, n)
     s[:3] = 4.0, 1.0, 1.0 + 2.0 ** -50
@@ -360,7 +361,8 @@ def test_tau1_certificate_covers_a_screen_off_by_its_whole_error_bound(monkeypat
         exact = np.abs(unit[j] - unit[k]).sum(axis=2)
         size = np.abs(unit).sum(axis=1)
         error = ((n + 4) * 2.0 ** -22 * (size[j] + size[k]) + n * 2.0 ** -120) * (1 - 2.0 ** -20)
-        proved = (2 * n - 1) * (1 + 2.0 ** -9) * 2.0 ** -24 * (size[j] + size[k]) + 8 * n * 2.0 ** -126
+        e = 2.0 ** -24
+        proved = ((4 * n - 3) * e + 4 * (n - 1) * e * e) * (size[j] + size[k]) + 8 * n * 2.0 ** -126
         assert np.all(error > proved)
         top = exact == exact.max()
         assert top.sum() == 1   # 0-2, at offset 2
@@ -402,20 +404,40 @@ def test_tau1_screen_finds_a_planted_maximum_pair(parity, place, data):
     assert tau1_pairwise(m) == float(np.abs(m[a] - m[b]).sum()) / 2
 
 
-def test_tau1_sums_every_pair_in_float64_above_the_screens_limit(monkeypatch):
-    # the screen's rounding bound is proved up to a limit on n (2^14 rows)
+@pytest.mark.parametrize("n", [bounds.TAU1_SCREEN, 2 ** 14, 2 ** 14 + 1, 2 ** 20, 2 ** 23 + 1])
+def test_tau1_screen_bound_holds_up_to_2_to_the_23_plus_1_rows(n):
+    """The *Screen* paragraph of :func:`bounds.tau1` in exact rationals, as
+    coefficients of ``S_i + S_j``, with ``e = 2^-24`` and ``u = 2^-53``."""
+    e, u = Fraction(1, 2 ** 24), exact.U
+    g = (n - 1) * e / (1 - (n - 1) * e)   # gamma_(n-1) in float32
+    assert (n - 1) * e <= Fraction(1, 2) and g <= 2 * (n - 1) * e <= 1
+    screen = (4 * n - 3) * e + 4 * (n - 1) * e ** 2
+    assert e + 2 * g * (1 + e) <= screen   # v's rounding, then the doubled float32 sum
+    spare = (n + 4) * Fraction(1, 2 ** 22) - screen   # E_ij's coefficient over the screen's
+    assert 4 * (n - 1) * e ** 2 <= 2 * e and spare >= 16 * e
+    # what the spare absorbs: F_ij's gamma_n, sigma's two float64 sums, E_ij
+    # from S_i and S_j summed in float64, and a few roundings of D_ij, E_ij
+    # and the test, each of a value below 8 (S_i + S_j)
+    assert exact.gamma(n) + exact.gamma(n - 1) * (1 + e) + 3 * exact.gamma(n) + 64 * u < e
+
+
+def test_tau1_screen_bound_stops_at_2_to_the_23_plus_2_rows():
+    n, e = 2 ** 23 + 2, Fraction(1, 2 ** 24)
+    assert (n - 1) * e / (1 - (n - 1) * e) > 2 * (n - 1) * e
+    assert 8 * (n - 1) ** 2 > 2 ** 49   # from n = 2^23 + 1 on, no n x n float64 matrix fits in 2^49 bytes
+
+
+def test_tau1_screens_from_TAU1_SCREEN_rows_on(monkeypatch):
     screened = []
     screen = bounds._screen
     monkeypatch.setattr(bounds, "_screen", lambda v, *layout: screened.append(len(v)) or screen(v, *layout))
-    limit = bounds.TAU1_SCREEN + 8
-    monkeypatch.setattr(bounds, "_SCREEN_LIMIT", limit)
-    for n in (limit, limit + 1):
+    for n in (bounds.TAU1_SCREEN - 1, bounds.TAU1_SCREEN, 47):
         m = np.random.default_rng(n).standard_normal((n, n))
         assert bounds.tau1(m) == tau1_pairwise(m)
-    assert screened == [limit]
+    assert screened == [bounds.TAU1_SCREEN, 47]
 
 
-@pytest.mark.parametrize("n", [bounds.TAU1_SCREEN, 100])
+@pytest.mark.parametrize("n", [bounds.TAU1_SCREEN, 48, 100])
 def test_tau1_exact_ties(n):
     row = np.random.default_rng(n).random(n)
     circulant = np.array([np.roll(row, k) for k in range(n)])   # n pairs at the largest offset
@@ -423,7 +445,7 @@ def test_tau1_exact_ties(n):
         assert bounds.tau1(m) == tau1_pairwise(m)
 
 
-@pytest.mark.parametrize("n", [bounds.TAU1_SCREEN - 1, bounds.TAU1_SCREEN + 16])
+@pytest.mark.parametrize("n", [bounds.TAU1_SCREEN - 1, 47, 64])   # float64, then screened odd and even
 def test_tau1_at_far_scales_and_subnormal_entries(n):
     rng = np.random.default_rng(n)
     m = rng.random((n, n)) + 0.05
@@ -438,7 +460,7 @@ def test_tau1_at_far_scales_and_subnormal_entries(n):
         assert bounds.tau1(np.ldexp(m, e)) == np.ldexp(bounds.tau1(m), e)
 
 
-@pytest.mark.parametrize("n", [bounds.TAU1_SCREEN - 1, bounds.TAU1_SCREEN + 16])
+@pytest.mark.parametrize("n", [bounds.TAU1_SCREEN - 1, 47, 64])   # float64, then screened odd and even
 def test_tau1_of_integer_matrices(n):
     m = np.random.default_rng(n).integers(-9, 10, (n, n))
     assert bounds.tau1(m) == tau1_pairwise(m.astype(float))

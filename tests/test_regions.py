@@ -411,6 +411,8 @@ def test_contains_grid_matches_contains_points(kind, data):
     CassiniUnion([[-1.0, 1.0, 1.0], [2.0, 6.0, 4.0]]),    # lemniscates: b = h^2
     CassiniUnion([[-4.0, 4.0, 15.9], [-4.0, 4.0, 16.1]]),  # either side of the lemniscate
     RegionIntersection((CassiniUnion([[-1.0, 1.0, 1.0]]), DiscUnion([[0.0, 1.0]]))),
+    # the later part also holds points at x in [3, 5], right of every column the first holds
+    RegionIntersection((DiscUnion([[0.0, 1.0]]), DiscUnion([[0.0, 1.5], [4.0, 1.0]]))),
 ])
 def test_contains_grid_on_edge_shapes(region):
     x0, x1, y0, y1 = region.bounding_box()
@@ -420,6 +422,34 @@ def test_contains_grid_on_edge_shapes(region):
         assert_grid_matches(region, xs, ys)
         for s in (2.0 ** 600, 2.0 ** -600):
             assert_grid_matches(scaled(region, s), xs * s, ys * s)
+
+
+class GridSpy:
+    """A region that records the axes of every ``contains_grid`` call."""
+
+    def __init__(self, region):
+        self.region, self.calls = region, []
+
+    def contains_grid(self, xs, ys):
+        self.calls.append((xs.copy(), ys.copy()))
+        return self.region.contains_grid(xs, ys)
+
+
+def test_intersection_grid_gives_later_parts_every_column_and_the_hit_rows():
+    parts = (DiscUnion([[0.0, 1.5]]), CassiniUnion([[0.5, 1.5, 0.8]]),
+             PairIntersectionUnion([[[0.0, 2.0], [1.0, 1.0]]]))
+    spies = tuple(map(GridSpy, parts))
+    xs, ys = np.linspace(-3.0, 3.0, 61), np.linspace(-2.0, 2.0, 41)
+    hits = [p.contains_grid(xs, ys) for p in parts]
+    got = RegionIntersection(spies).contains_grid(xs, ys)
+    assert np.array_equal(got, hits[0] & hits[1] & hits[2])
+    earlier = np.ones_like(hits[0])
+    for spy, hit in zip(spies, hits):
+        (gx, gy), = spy.calls
+        assert np.array_equal(gx, xs)
+        assert np.array_equal(gy, ys[earlier.any(axis=1)])
+        earlier &= hit
+    assert 0 < len(spies[2].calls[0][1]) < len(spies[1].calls[0][1]) < len(ys)
 
 
 def test_contains_grid_tests_only_the_band():
