@@ -11,9 +11,14 @@ refinements F, G):
 * powered bounds ``tau_p(B^k) ** (1/k)``, which tighten as k grows;
 * a determinant bound ``|lambda| * tau_p(B^k) ** ((n-1)/k)``.
 
-Costs: the disc bounds of B, F and G and ``tau_inf(B)`` share one sort
-of B's columns (diagonal last), in ``O(n^2 log n)`` time and ``O(n^2)``
-memory, and ``tau_inf`` of each higher power sorts that power; ``tau1``
+Costs: the disc bounds of B, F and G and ``tau_inf(B)`` share one split
+of B's columns (:func:`~eigenfence.discs.split_columns`, diagonal last: a
+sort below ``SPLIT_SELECT`` rows, from it on a one-kth selection in
+expected ``O(n^2)`` time) in ``O(n^2)`` memory, and ``tau_inf`` of each
+higher power splits that power.  From ``SPLIT_SELECT`` on, ``m_F`` and
+``m_G`` come from B's split plus the shifts, whose halves may be in
+another order than F's own split: they agree with the discs of F and G
+within rounding, bit for bit only below it; ``tau1``
 compares all row pairs in ``O(n^3)`` time and ``O(n^2)`` memory: below
 ``TAU1_SCREEN`` rows in float64, and from there on in float32, each row
 against the row t further on (cyclically) for t up to n/2, as ``|a - b| =
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, Eigenpair, as_matrix
-from .discs import row_gaps, second_type_discs_of_transpose, sorted_columns
+from .discs import row_gaps, second_type_discs_of_transpose, split_columns
 from .refine import refinement
 from .similarity import SimilarityResult, prepare
 
@@ -247,11 +252,11 @@ def tau_inf(matrix, _desc=None) -> float:
     """Largest column gap: the top-half sum minus the bottom-half sum of a
     column's n entries, diagonal included and no 0 inserted.  Equals the
     infinity semi-norm of a constant row-sum matrix.  ``_desc`` is M's
-    :func:`~eigenfence.discs.sorted_columns`, when the caller has it."""
+    :func:`~eigenfence.discs.split_columns`, when the caller has it."""
     m = as_matrix(matrix)
     if m.shape[0] < 2:
         return 0.0
-    return float(row_gaps(sorted_columns(m) if _desc is None else _desc, np.diagonal(m)).max())
+    return float(row_gaps(split_columns(m) if _desc is None else _desc, np.diagonal(m)).max())
 
 
 def _unit(p: np.ndarray, out=None):
@@ -319,7 +324,7 @@ def prepared_reports(sim: SimilarityResult, ks: tuple[int, ...] = (1,),
     """:func:`standard_reports` of an already prepared B."""
     b = sim.B
     n = b.shape[0]
-    desc = sorted_columns(b)
+    desc = split_columns(b)
     reports = [BoundReport("m_B", second_type_discs_of_transpose(b, desc).max_abs().value,
                            "second_type_discs(B)")]
     reach = {name: d.max_abs().value for name, d in refinement(b, desc).discs.items()}
@@ -329,7 +334,7 @@ def prepared_reports(sim: SimilarityResult, ks: tuple[int, ...] = (1,),
         reports.append(BoundReport("m_FG", min(reach.values()),
                                    "min(second_type_discs(F), second_type_discs(G))"))
     known = {(1, SemiNorm.LINF): np.float64(tau_inf(b, desc))} if SemiNorm.LINF in kinds else {}
-    del desc   # the power walk does not hold B's sort: lower peak memory
+    del desc   # the power walk does not hold B's split: lower peak memory
     det_ks = sorted(set(ks) | {n - 1}) if include_det else []
     roots = _roots(b, set(ks) | set(det_ks), kinds, known)
     rows = [(f"tau{kind.value}_k{k}", roots[k, kind], f"tau_{kind.value}(B^k)^(1/k)", k, "powered")

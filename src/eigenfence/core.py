@@ -210,7 +210,12 @@ def check_eigenpair(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> float:
     residual is not finite: no tolerance could judge it (NaN compares
     false with every ``tol``).
     """
-    a = as_matrix(matrix)
+    return _residual(as_matrix(matrix), pair, tol)
+
+
+def _residual(a: np.ndarray, pair: Eigenpair, tol: float) -> float:
+    """:func:`check_eigenpair` of a matrix that :func:`as_matrix` returned,
+    without a second pass over its entries."""
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     if pair.n != a.shape[0]:
@@ -225,9 +230,10 @@ def check_eigenpair(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> float:
     return residual
 
 
-def require_eigenpair(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> None:
-    """Raise InvalidEigenpairError unless the pair passes :func:`check_eigenpair`."""
-    residual = check_eigenpair(matrix, pair, tol)
+def require_eigenpair(a: np.ndarray, pair: Eigenpair, tol: float = DEFAULT_TOL) -> None:
+    """Raise InvalidEigenpairError unless the pair passes :func:`check_eigenpair`
+    on ``a``, a matrix that :func:`as_matrix` returned."""
+    residual = _residual(a, pair, tol)
     if residual > tol:
         raise InvalidEigenpairError(
             f"eigenpair residual {residual:.3e} exceeds tolerance {tol:.3e}")

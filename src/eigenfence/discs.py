@@ -6,15 +6,23 @@ order and subtract the bottom-half sum from the top-half sum (the middle
 element is skipped when the count is odd).  The radius is nonnegative by
 construction because the top half dominates the bottom half.  The same
 gap, with the diagonal in place of the 0, is the ``tau_inf`` semi-norm's
-column gap, and with the 0 on a shifted column it is a refined radius:
-:func:`sorted_columns` sorts the off-diagonal entries with the diagonal
-last, and :func:`row_gaps` inserts the one value into that sort.  So every
-such quantity of a matrix comes from one sort of its columns, in
-``O(n^2 log n)`` time and ``O(n^2)`` memory, and :mod:`eigenfence.refine`
-and :mod:`eigenfence.bounds` read theirs from the sort of B.  The discs
-are returned as a :class:`~eigenfence.geometry.DiscUnion`, whose
-membership, box and JSON live in :mod:`eigenfence.geometry` with the
-other region kinds.
+column gap, and with the 0 on a shifted column it is a refined radius.
+
+None of them needs the whole sort, only each column split at its middle:
+:func:`split_columns` puts the middle order statistics of the off-diagonal
+entries in their slots, the larger entries before them and the smaller
+after, with the diagonal last, and :func:`row_gaps` inserts the one value
+next to those slots.  Below ``SPLIT_SELECT`` rows the split is a sort; from
+it on it selects with one kth, in expected ``O(n^2)`` time, and leaves each
+half in an order of its own, so a gap may round differently than on a
+sort: ``refinement(B).discs["F"]``, read from B's split, equals
+:func:`second_type_discs_of_transpose` of F bit for bit only below
+``SPLIT_SELECT``, and within the rounding contract from it on.  So every such
+quantity of a matrix comes from one split of its columns, in ``O(n^2)``
+memory, and :mod:`eigenfence.refine` and :mod:`eigenfence.bounds` read
+theirs from the split of B.  The discs are returned as a
+:class:`~eigenfence.geometry.DiscUnion`, whose membership, box and JSON
+live in :mod:`eigenfence.geometry` with the other region kinds.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .core import SizeError, as_matrix
 from .geometry import DiscUnion
 
 #: Rows and columns per square tile of the transposed copy in
-#: :func:`sorted_columns`.  On x86-64, ``.T.copy()`` of a 1024x1024 array
+#: :func:`split_columns`.  On x86-64, ``.T.copy()`` of a 1024x1024 array
 #: took 4.5-5.8 ms, as the power-of-two row stride makes its strided reads
 #: collide in the cache, against 1.9-2.4 ms in tiles of 256.  At the other
 #: sizes from 385 to 1025 these tiles stayed within 0.06 ms of it, where
@@ -33,16 +41,48 @@ from .geometry import DiscUnion
 #: n = 1024 (the sweep is in ROADMAP item 6).
 TRANSPOSE_BLOCK = 256
 
+#: Smallest n at which :func:`split_columns` selects instead of sorting:
+#: below it numpy's SIMD sort was faster on x86-64 (the sweep is in ROADMAP
+#: item 6).
+SPLIT_SELECT = 512
 
-def sorted_columns(matrix) -> np.ndarray:
-    """Each column of M as a row: its off-diagonal entries in non-increasing
-    order, then ``-inf`` where its diagonal entry was.
+#: Entries per row block of the odd-n ``argmax`` in :func:`split_columns`
+#: (512 KiB of float64): ``argmax`` copies the smaller halves it scans, and
+#: a block of them stays in cache where all of them would add half an n^2
+#: block to the peak memory.
+SPLIT_BLOCK = 1 << 16
 
-    The result is a reversed view of a C-contiguous copy sorted along rows,
-    so :func:`row_gaps` sums each column in the same order as a 1-D sum
-    would.  The copy is the transpose built in square tiles of
-    ``TRANSPOSE_BLOCK`` (one tile up to that size): it moves the same
-    floats as ``M.T.copy()``, without that copy's cache stall at a
+
+def _partition(rows: np.ndarray, kth: int) -> None:
+    """Partition each row in place at ``kth``: numpy places that entry only,
+    and leaves each side in an order it does not document."""
+    rows.partition(kth, axis=1)
+
+
+def split_columns(matrix) -> np.ndarray:
+    """Each column of M as a row, split at its middle: its n - 1 off-diagonal
+    entries, then ``-inf`` where its diagonal entry was.
+
+    The layout, with ``h = n // 2``: slot ``h - 1`` holds the column's h-th
+    largest off-diagonal entry, and for odd n slot h its (h+1)-th largest.
+    The entries before the slots are no smaller than them and those after
+    no larger, in any order.  Each entry is one of the column's floats,
+    unchanged: :func:`row_gaps` sums the two halves,
+    :func:`~eigenfence.refine.refinement` reads the slots as its shifts,
+    and :func:`split_extremes` finds each column's extremes.
+
+    Below ``SPLIT_SELECT`` rows the entries are sorted, in non-increasing
+    order, which is one such layout.  From it on, one ``partition`` with one
+    kth (numpy's SIMD quickselect on x86-64; two kth values run its scalar
+    introselect) puts the h-th largest in its slot in expected ``O(n^2)``
+    time, and for odd n an ``argmax`` over the smaller half, in row blocks
+    of ``SPLIT_BLOCK`` entries, swaps the (h+1)-th largest into the slot
+    after it.
+
+    The result is a reversed view of a C-contiguous copy, so :func:`row_gaps`
+    sums each half along a row.  The copy is the transpose built in square
+    tiles of ``TRANSPOSE_BLOCK`` (one tile up to that size): it moves the
+    same floats as ``M.T.copy()``, without that copy's cache stall at a
     power-of-two row stride.
     """
     m = np.asarray(matrix, dtype=float)
@@ -50,30 +90,59 @@ def sorted_columns(matrix) -> np.ndarray:
     for i in range(0, m.shape[0], step):
         for j in range(0, m.shape[1], step):
             t[j:j + step, i:i + step] = m[i:i + step, j:j + step].T
-    np.fill_diagonal(t, -np.inf)
-    t.sort(axis=1)
+    n = len(t)
+    if n < SPLIT_SELECT:
+        np.fill_diagonal(t, -np.inf)
+        t.sort(axis=1)
+        return t[:, ::-1]
+    # ascending in the buffer: the diagonal's -inf first, the h-th largest at n - h
+    h, i = n // 2, np.arange(n)
+    t[i, i] = t[:, 0].copy()
+    t[:, 0] = -np.inf
+    _partition(t[:, 1:], n - h - 1)
+    if n % 2:   # the (h+1)-th largest, the largest of the smaller half, next to it
+        rows = max(1, SPLIT_BLOCK // n)
+        for r in range(0, n, rows):
+            block, k = t[r:r + rows], i[:min(rows, n - r)]
+            at = block[:, 1:h + 1].argmax(axis=1) + 1
+            found = block[k, at]
+            block[k, at] = block[:, h]
+            block[:, h] = found
     return t[:, ::-1]
+
+
+def split_extremes(desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``desc``, a :func:`split_columns` split, the largest and
+    the smallest of its n - 1 values: the ends of a sort (below
+    ``SPLIT_SELECT``), read in ``O(n)``, or the extremes of a selection's
+    top and bottom halves, in one pass over them."""
+    n = desc.shape[1]
+    if n < SPLIT_SELECT:
+        return desc[:, 0], desc[:, n - 2]
+    h, up = n // 2, desc[:, ::-1]   # ascending: -inf, the bottom half, the slots, the top half
+    return up[:, n - h:].max(axis=1), up[:, 1:h + 1].min(axis=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def row_gaps(desc: np.ndarray, x) -> np.ndarray:
-    """Per row of ``desc`` (a :func:`sorted_columns` sort: n - 1 values in
-    non-increasing order, then a last slot that is never read) with the
-    value ``x`` (a scalar or one per row) inserted: the sum of the top
-    ``h = n // 2`` of those n values minus the sum of the bottom ``h``.
+    """Per row of ``desc`` (a :func:`split_columns` split: n - 1 values split
+    at their middle, then a last slot that is never read) with the value
+    ``x`` (a scalar or one per row) inserted: the sum of the top ``h = n // 2``
+    of those n values minus the sum of the bottom ``h``.
 
     Nothing moves: the top h are the leading ``h - 1`` values and
     ``max(desc[h-1], x)``, the bottom h are ``min(desc[n-h-1], x)`` and the
     ``h - 1`` values after it.  Each of the two is written into its slot
     for its half's sum (the slots are one column for even n, two adjacent
     ones for odd n) and both are put back after, so ``desc`` must be
-    writable and is left as it was.  With x = 0 and fewer than 8 values
-    per half, numpy sums in order and adding 0 is exact, so the gaps are
-    those of a sort with the 0 inserted, bit for bit; otherwise they are
-    within rounding of them.  A row whose half sums overflow is summed
-    again as paired differences of the same two halves, each >= 0 (the
-    two inserted slots paired with each other), so its gap is inf only
-    when the gap itself is above the float range.
+    writable and is left as it was.  On a sort (below ``SPLIT_SELECT``),
+    with x = 0 and fewer than 8 values per half, numpy sums in order and
+    adding 0 is exact, so the gaps are those of a sort with the 0 inserted,
+    bit for bit; otherwise, and on a selection's halves in their own order,
+    they are within rounding of them.  A row whose half sums overflow is
+    summed again as paired differences of the same two halves, each >= 0
+    (the two inserted slots paired with each other), so its gap is inf
+    only when the gap itself is above the float range.
     """
     h = desc.shape[1] // 2
     top, bottom, slots = desc[:, :h], desc[:, -h - 1:-1], desc[:, h - 1:-h].copy()
@@ -90,11 +159,11 @@ def row_gaps(desc: np.ndarray, x) -> np.ndarray:
 
 def second_type_discs_of_transpose(matrix, _desc=None) -> DiscUnion:
     """Second-type discs of M^T: centers m_ii, radii from the columns of M.
-    ``_desc`` is M's :func:`sorted_columns`, when the caller has it."""
+    ``_desc`` is M's :func:`split_columns`, when the caller has it."""
     m = as_matrix(matrix)
     if len(m) < 3:
         raise SizeError(f"second-type discs need n >= 3, got n = {len(m)}")
-    radii = row_gaps(sorted_columns(m) if _desc is None else _desc, 0.0)
+    radii = row_gaps(split_columns(m) if _desc is None else _desc, 0.0)
     return DiscUnion._named("second-type discs", np.column_stack((np.diagonal(m), radii)))
 
 

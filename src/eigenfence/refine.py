@@ -6,19 +6,27 @@ matrix whose second-type region is contained in that of B^T and still
 holds every non-trivial eigenvalue.  Even sizes use one shifted matrix F;
 odd sizes use a pair F, G whose per-column disc intersections form the
 refined region, a :class:`~eigenfence.geometry.PairIntersectionUnion`.
-:func:`refinement` builds both parities from one sort of the columns and
+:func:`refinement` builds both parities from one split of the columns
+(:func:`~eigenfence.discs.split_columns`: a sort below ``SPLIT_SELECT``
+rows, a one-kth selection in expected ``O(n^2)`` time from it on) and
 checks the constant row sum once, with :func:`row_sum_constant`;
 :func:`refine_even` and :func:`refine_odd` call it and insist on a parity.
+The shifts are the split's middle order statistics, the same floats at
+every n.
 
-That one sort of B also gives the second-type discs of F and G.  A column
-shift keeps the order of a column's entries, so column j of F (or G),
-sorted with its diagonal last, is row j of B's sort plus the shift, entry
-by entry: the same floats in the same order as sorting F or G, and
+That one split of B also gives the second-type discs of F and G.  A
+column shift keeps the order of a column's entries, so row j of B's split
+plus the shift, entry by entry, is a split of column j of F (or G), and
 :func:`~eigenfence.discs.row_gaps` inserts the mandated 0 into it as it
-would into a sort of F.  A refinement and its region cost one column sort.
+would into F's own.  Below ``SPLIT_SELECT`` both are sorts, so
+``refinement(B).discs["F"]`` equals
+:func:`~eigenfence.discs.second_type_discs_of_transpose` of F bit for
+bit; from it on, F's own selection may leave its halves in another order,
+and the two agree within rounding.  A refinement and its region cost one
+column split.
 
 So a refinement stores its shifts, and of size ``n^2`` only B (a
-read-only B by reference) and B's sort.  F and G are fully determined by
+read-only B by reference) and B's split.  F and G are fully determined by
 B and the shifts: each read of ``F``, ``G`` or ``matrices`` builds
 ``B + e * off^T`` anew, with no cache.  The refined discs, the region and
 the disc bounds never build them; the CLI's ``refine`` document and the
@@ -35,16 +43,20 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import EvenSizeError, NotConstantRowSumError, OddSizeError, SizeError, as_matrix
-from .discs import row_gaps, sorted_columns
+from .discs import row_gaps, split_columns, split_extremes
 from .geometry import DiscUnion, PairIntersectionUnion
 
 #: Relative tolerance on the spread of the row sums of a constant row-sum matrix.
 ROW_SUM_TOL = 1e-9
 
+#: Entries per row block of a shifted split in :func:`_shifted_discs`
+#: (512 KiB of float64); a single row is the smallest block.
+SHIFT_BLOCK = 1 << 16
+
 
 class _Shifted:
     """What both refinements share.  Their dataclass fields are the shifts
-    only: :func:`refinement` leaves B in ``_b`` and the sort of its columns
+    only: :func:`refinement` leaves B in ``_b`` and the split of its columns
     in ``_desc``, outside the fields, and each shifted matrix
     ``B + e * off^T`` is built from them when it is read."""
 
@@ -61,7 +73,7 @@ class _Shifted:
     def discs(self) -> Mapping[str, DiscUnion]:
         """Second-type disc union of M^T for each shifted matrix M, by name:
         :func:`~eigenfence.discs.second_type_discs_of_transpose` of M,
-        without building or sorting M.  Built on first use and read-only."""
+        without building or splitting M.  Built on first use and read-only."""
         return MappingProxyType({name: _shifted_discs(self._b, self._desc, off)
                                  for name, off in self._offsets.items()})
 
@@ -131,12 +143,19 @@ def row_sum_constant(matrix) -> float:
 
 def _shifted_discs(b: np.ndarray, desc: np.ndarray, off: np.ndarray) -> DiscUnion:
     """Second-type discs of the transpose of ``B + e * off^T``, from B and
-    its :func:`~eigenfence.discs.sorted_columns` ``desc``: the centers are
+    its :func:`~eigenfence.discs.split_columns` ``desc``: the centers are
     ``diag(B) + off``, the same floats as that matrix's diagonal.  The add
-    runs on the ascending, C-contiguous buffer behind ``desc`` and the sums
-    through its reversed view, as they would through a sort of the shifted
-    matrix."""
-    radii = row_gaps((desc[:, ::-1] + off[:, None])[:, ::-1], 0.0)
+    runs on the C-contiguous buffer behind ``desc``, in row blocks of
+    ``SHIFT_BLOCK`` entries, and the sums through each block's reversed
+    view: each row is summed as it would be in one shifted copy of the
+    whole split, which is never built."""
+    n = len(desc)
+    buf, rows = desc[:, ::-1], max(1, SHIFT_BLOCK // n)
+    block, radii = np.empty((min(rows, n), n)), np.empty(n)
+    for r in range(0, n, rows):
+        part = block[:min(rows, n - r)]
+        np.add(buf[r:r + rows], off[r:r + rows, None], out=part)
+        radii[r:r + rows] = row_gaps(part[:, ::-1], 0.0)
     return DiscUnion._named("refined discs", np.column_stack((np.diagonal(b) + off, radii)))
 
 
@@ -145,38 +164,40 @@ def refinement(matrix, _desc=None) -> EvenRefinement | OddRefinement:
     """The refinement of a constant row-sum matrix for its parity: the
     shifts of F for even n, of the pair F, G for odd n.
 
-    The one column sort here serves the shifts and, through the
+    The one column split here serves the shifts and, through the
     refinement's ``discs`` and :meth:`region`, the refined discs too; F
     and G are built only when read.  The refinement holds B: a read-only
     B by reference, a writable one as a read-only copy.  Raises
     OverflowError when a shifted entry is above the float range.
-    ``_desc`` is B's :func:`~eigenfence.discs.sorted_columns`, when the
+    ``_desc`` is B's :func:`~eigenfence.discs.split_columns`, when the
     caller has it.
 
     That range check reads ``2n`` sums per shifted matrix, not its ``n^2``
     entries.  Column j of F (or G) is column j of B plus ``off_j``, entry
     by entry (``x - s`` and ``x + (-s)`` are the same IEEE operation).
     Rounding is monotone, so every such sum lies between the sums of the
-    column's extremes, ``max(desc[j, 0], b_jj) + off_j`` and
-    ``min(desc[j, n-2], b_jj) + off_j``, where ``desc`` is the sort of
-    B's columns with the diagonal (``-inf``) last.  Both extremes are
-    entries of the column, and B and ``off`` are finite, so a sum is inf
-    only by overflow and never NaN: the column is finite if and only if
-    those two sums are.
+    column's extremes and ``off_j``: the larger of its diagonal entry and
+    its largest off-diagonal one, and the smaller of its diagonal entry
+    and its smallest off-diagonal one, which
+    :func:`~eigenfence.discs.split_extremes` finds in ``desc``, the split
+    of B's columns.  Both extremes are entries of the column, and B and
+    ``off`` are finite, so a sum is inf only by overflow and never NaN: the
+    column is finite if and only if those two sums are.
     """
     b = as_matrix(matrix)
     n = b.shape[0]
     if n < 3:
         raise SizeError(f"refinement needs n >= 3, got n = {n}")
     row_sum_constant(b)
-    desc = sorted_columns(b) if _desc is None else _desc
+    desc = split_columns(b) if _desc is None else _desc
     h = n // 2
     if n % 2 == 0:
         ref = EvenRefinement(shifts=desc[:, h - 1].copy())
     else:
         ref = OddRefinement(f_shifts=-desc[:, h - 1], g_shifts=-desc[:, h])
+    top, bottom = split_extremes(desc)
     d = np.diagonal(b)
-    ends = np.maximum(desc[:, 0], d), np.minimum(desc[:, n - 2], d)
+    ends = np.maximum(top, d), np.minimum(bottom, d)
     if not all(np.isfinite(end + off).all() for off in ref._offsets.values() for end in ends):
         raise OverflowError("refinement: an entry of F or G is above the float range")
     if b.flags.writeable:

@@ -70,9 +70,11 @@ def total(values) -> Fraction:
 
 
 def descending(values) -> list[Fraction]:
-    """The values in non-increasing order; their floats order them first,
-    and only values with equal floats are compared exactly."""
-    return sorted(values, key=lambda v: (float(v), v), reverse=True)
+    """The dyadic values in non-increasing order, compared exactly as
+    integers over their largest denominator, as :func:`total` sums them."""
+    values = list(values)
+    d = max((v.denominator for v in values), default=1)
+    return sorted(values, key=lambda v: v.numerator * (d // v.denominator), reverse=True)
 
 
 def gap(values) -> Fraction:

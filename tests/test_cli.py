@@ -410,7 +410,7 @@ def count_calls(monkeypatch, module, name):
 
 def test_each_command_prepares_once(shear4, monkeypatch, capsys):
     from eigenfence import core, refine, similarity
-    checks = count_calls(monkeypatch, core, "check_eigenpair")
+    checks = count_calls(monkeypatch, core, "_residual")
     shears = count_calls(monkeypatch, similarity, "desingularize")
     refinements = count_calls(monkeypatch, refine, "refinement")
     assert main(["render", shear4, "--out", "-", "--layers", "classic,second,refined"]) == 0

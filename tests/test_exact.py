@@ -6,11 +6,14 @@ ovals.
 
 Inputs: every square matrix in :mod:`cases`, Hypothesis matrices at
 n = 3..40 of both parities with ties and signed zeros (and for ``tau1``
-at n on both sides of ``bounds.TAU1_SCREEN``), and seeded matrices at
-n = 64 and 129.
+at n on both sides of ``bounds.TAU1_SCREEN``), the same with
+``discs.SPLIT_SELECT`` at 3, so that the columns are split by selection,
+and seeded matrices at n = 64 and 129, and at n = 512 and 513, the first
+sizes that select.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from eigenfence import (
     NotConstantRowSumError,
     bounds,
     classic_discs,
+    discs,
     obr_set,
     refinement,
     second_type_discs_of_transpose,
@@ -91,7 +95,8 @@ def check_refinement(b):
         # one IEEE operation per entry: the exact shifted entry, correctly rounded
         assert ref.matrices[name].tolist() == [[float(x) for x in row] for row in f]
         table = ref.discs[name].discs
-        assert (table == second_type_discs_of_transpose(ref.matrices[name]).discs).all()
+        if n < discs.SPLIT_SELECT:   # both sorts; from it on each is within the contract
+            assert (table == second_type_discs_of_transpose(ref.matrices[name]).discs).all()
         sums = exact.abs_column_sums(f)
         for got, want, size in zip(table[:, 1], exact.second_type_radii(f), sums):
             assert exact.within(got, want, exact.gamma(n + 1) * size)
@@ -135,12 +140,23 @@ def test_refinement_against_exact_arithmetic(parity, data):
     check_refinement(with_row_sums(data.draw(matrices(parity))))
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_selection_against_exact_arithmetic(parity, data):
+    m = data.draw(matrices(parity))
+    with mock.patch.object(discs, "SPLIT_SELECT", 3):
+        check_radii_and_tau_inf(m)
+        check_refinement(with_row_sums(m))
+
+
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [64, 129])
+@pytest.mark.parametrize("n", [64, 129, discs.SPLIT_SELECT, discs.SPLIT_SELECT + 1])
 def test_seeded_large_matrices_against_exact_arithmetic(n, kind):
     m = seeded_matrix(n, n, kind)
     check_radii_and_tau_inf(m)
-    check_tau1(m)
+    if n < discs.SPLIT_SELECT:   # tau1 does not split; exact, it costs n^3 big-integer terms
+        check_tau1(m)
     check_refinement(with_row_sums(m))
 
 

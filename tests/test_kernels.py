@@ -21,12 +21,14 @@ from hypothesis import strategies as st
 
 import cases
 import exact
-from eigenfence import bounds, refine_even, refine_odd, refinement
+from eigenfence import bounds, discs, refine, refine_even, refine_odd, refinement
 from eigenfence.discs import (
+    SPLIT_SELECT,
     TRANSPOSE_BLOCK,
     row_gaps,
     second_type_discs_of_transpose,
-    sorted_columns,
+    split_columns,
+    split_extremes,
 )
 from eigenfence.similarity import SimilarityResult
 
@@ -62,8 +64,8 @@ def kth_largest_offdiag(m, j, k):
 
 
 def sorted_columns_by_transposed_copy(m, diag=-np.inf):
-    """:func:`sorted_columns` as one whole-array transposed copy; ``diag``
-    replaces the diagonal (None keeps it)."""
+    """The sort of M's columns, as one whole-array transposed copy sorted
+    along rows; ``diag`` replaces the diagonal (None keeps it)."""
     t = np.asarray(m, dtype=float).T.copy()
     if diag is not None:
         np.fill_diagonal(t, diag)
@@ -83,34 +85,79 @@ def same_bits(a, b):
                                                  np.ascontiguousarray(b).view(np.int64))
 
 
-T = TRANSPOSE_BLOCK
+def assert_split_of(got, want):
+    """``got`` holds the layout of :func:`split_columns` for the sort
+    ``want``: its slots hold the sort's entries there, each half the sort's
+    half as a multiset, and its last slot the ``-inf`` of the diagonal;
+    :func:`split_extremes` finds the sort's ends in it.  Entries compare by
+    value, so only the sign of a zero may differ: 0.0 and -0.0 tie, and a
+    selection may leave either one in a slot."""
+    n = got.shape[1]
+    h = n // 2
+    assert got[:, ::-1].flags.c_contiguous   # row_gaps sums along the rows of its buffer
+    assert np.array_equal(got[:, h - 1:n - h], want[:, h - 1:n - h])
+    for half in (np.s_[:h - 1], np.s_[n - h:n - 1]):
+        assert np.array_equal(np.sort(got[:, half], axis=1), np.sort(want[:, half], axis=1))
+    assert (got[:, -1] == -np.inf).all()
+    top, bottom = split_extremes(got)
+    assert np.array_equal(top, want[:, 0]) and np.array_equal(bottom, want[:, n - 2])
+
+
+T, S = TRANSPOSE_BLOCK, SPLIT_SELECT
 
 
 @pytest.mark.parametrize("mode", [None, 0.0, -np.inf])
-@pytest.mark.parametrize("n", sorted({3, 4, T - 1, T, T + 1, 2 * T, 1024, 1025}))
+@pytest.mark.parametrize("n", sorted({3, 4, T - 1, T, T + 1, S - 1, S, S + 1, 1024, 1025}))
 def test_sorted_columns_is_the_sort_of_the_transposed_copy(n, mode):
-    """The one sort, diagonal last, is the sort of the transposed copy with
-    a diagonal of -inf, bit for bit.  ``mode`` is what the diagonal held in
-    the other sorts it replaced: the diagonal itself (None, for
-    ``tau_inf``) or the mandated 0.  :func:`row_gaps` inserting that value
-    gives the gaps of that sort, within twice the contract of
-    :mod:`exact` (both are within it of the exact gaps), and leaves the
-    one sort as it was."""
+    """The one split, diagonal last, against the sort of the transposed
+    copy with a diagonal of -inf: below ``SPLIT_SELECT`` it is that sort,
+    bit for bit, and from it on it holds that sort's split.  ``mode`` is
+    what the diagonal held in the other sorts it replaced: the diagonal
+    itself (None, for ``tau_inf``) or the mandated 0.  :func:`row_gaps`
+    inserting that value gives the gaps of that sort, within twice the
+    contract of :mod:`exact` (both are within it of the exact gaps), and
+    leaves the split as it was."""
     m = ties_and_signed_zeros(n, seed=n)
     inputs = [m, np.asfortranarray(m), ties_and_signed_zeros(2 * n, seed=n)[::2, 1::2],
               m.astype(np.int64)]
     for matrix in inputs:
-        got, want = sorted_columns(matrix), sorted_columns_by_transposed_copy(matrix)
-        assert same_bits(got, want)
-        # a reversed view of a C-contiguous buffer, which row_gaps sums along rows
-        assert got[:, ::-1].flags.c_contiguous
+        got, want = split_columns(matrix), sorted_columns_by_transposed_copy(matrix)
+        if n < SPLIT_SELECT:
+            assert same_bits(got, want)
+        assert_split_of(got, want)
         if mode == -np.inf:
             continue
+        split = got.copy()
         gaps = row_gaps(got, np.diagonal(matrix) if mode is None else mode)
-        assert same_bits(got, want)
+        assert same_bits(got, split)
         reference = [gap_1d(row) for row in sorted_columns_by_transposed_copy(matrix, mode)]
         bound = 2 * float(exact.gamma(n)) * (1 + 1e-12) * np.abs(matrix).sum(axis=0)
         assert (np.abs(gaps - reference) <= bound).all()
+
+
+def scrambled_partition(rows, kth):
+    """numpy's partition, then each side of ``kth`` shuffled: all that the
+    documentation of ``partition`` promises."""
+    rows.partition(kth, axis=1)
+    rng = np.random.default_rng(kth)
+    for row in rows:
+        row[:kth], row[kth + 1:] = rng.permutation(row[:kth]), rng.permutation(row[kth + 1:])
+
+
+@pytest.mark.parametrize("partition", [discs._partition, scrambled_partition], ids=["numpy", "scrambled"])
+@pytest.mark.parametrize("block", [discs.SPLIT_BLOCK, 1, 20])
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_selection_splits_small_matrices(parity, block, partition, data):
+    """With ``SPLIT_SELECT`` at 3, the selection path splits matrices of
+    every size from 3 on, with many ties and signed zeros: odd sizes in one
+    block of rows, one row a block or a few, and after numpy's partition or
+    one whose sides are in any order."""
+    m = data.draw(matrices(parity, ZEROS_TOO))
+    with mock.patch.object(discs, "SPLIT_SELECT", 3), mock.patch.object(discs, "SPLIT_BLOCK", block), \
+            mock.patch.object(discs, "_partition", partition):
+        assert_split_of(split_columns(m), sorted_columns_by_transposed_copy(m))
 
 
 #: Entries of the far-range matrices are multiples of this: 255 of them is
@@ -147,7 +194,22 @@ def test_refinement_refuses_exactly_the_shifts_that_overflow(parity, data):
     """The O(n) range check of :func:`refinement` refuses a B if and only if
     an entry of F (or G) is not finite; otherwise F, G, the shifts and the
     refined discs are the formulas on the whole matrices."""
+    check_range_refusal(data.draw(far_range_row_sum_matrices(parity)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_refinement_of_a_selection_refuses_exactly_the_shifts_that_overflow(parity, data):
+    """The same, with ``SPLIT_SELECT`` at 3: the column extremes come from
+    the halves of a selection."""
     b = data.draw(far_range_row_sum_matrices(parity))
+    with mock.patch.object(discs, "SPLIT_SELECT", 3):
+        check_range_refusal(b)
+
+
+def check_range_refusal(b):
     n = len(b)
     def kth(k):
         return np.array([kth_largest_offdiag(b, j, k) for j in range(n)])
@@ -181,7 +243,7 @@ def test_refinement_refuses_exactly_the_shifts_that_overflow(parity, data):
 def test_second_type_radii_match_per_column(parity, data):
     m = data.draw(matrices(parity))
     n = m.shape[0]
-    radii = row_gaps(sorted_columns(m), 0.0)
+    radii = row_gaps(split_columns(m), 0.0)
     for j in range(n):
         off = np.delete(m[:, j], j)
         assert radii[j] == cases.second_type_radius(off)
@@ -197,7 +259,7 @@ def test_second_type_radii_match_per_column(parity, data):
 def test_refinement_shifts_match_kth_largest_offdiag(parity, data):
     b = row_sum_matrix(data.draw(matrices(parity)))
     n = b.shape[0]
-    desc = sorted_columns(b)
+    desc = split_columns(b)
     for j in range(n):
         assert desc[j, :n - 1].tolist() == sorted(np.delete(b[:, j], j).tolist(), reverse=True)
     if n % 2 == 0:
@@ -224,6 +286,19 @@ def test_refined_discs_match_sorting_the_shifted_matrices(parity, data):
     reach = {r.name: r.value for r in bounds.prepared_reports(sim, kinds=())}
     for name, m in ref.matrices.items():
         assert reach[f"m_{name}"] == second_type_discs_of_transpose(m).max_abs().value
+
+
+@pytest.mark.parametrize("block", [refine.SHIFT_BLOCK, 1, 3000])
+@pytest.mark.parametrize("n", [6, 7, S, S + 1])
+def test_refined_discs_in_row_blocks_are_one_shifted_copy(n, block):
+    """The refined radii, summed over row blocks of B's split plus the
+    shifts, are those of one shifted copy of the whole split, bit for bit."""
+    b = row_sum_matrix(ties_and_signed_zeros(n, seed=n))
+    ref = refinement(b)
+    with mock.patch.object(refine, "SHIFT_BLOCK", block):
+        got = {name: d.discs[:, 1] for name, d in ref.discs.items()}
+    for name, off in ref._offsets.items():
+        assert same_bits(got[name], row_gaps((ref._desc[:, ::-1] + off[:, None])[:, ::-1], 0.0))
 
 
 @pytest.mark.parametrize("parity", [0, 1])

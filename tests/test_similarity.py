@@ -199,3 +199,22 @@ def test_prepare_checks_only_the_given_pair():
     np.testing.assert_allclose(sim.B.sum(axis=1), 5.0, rtol=1e-8)
     with pytest.raises(InvalidEigenpairError):
         prepare(a, Eigenpair(5.1, pair.vector))
+
+
+@pytest.mark.parametrize("a, pair", [(cases.PERRON6_A, cases.PERRON6_PAIR),
+                                     (cases.SHEAR4_A, cases.SHEAR4_PAIR)], ids=["diagonal", "shear"])
+def test_prepare_validates_a_once(a, pair, monkeypatch):
+    """One finiteness pass over A per prepare: the pair's residual is taken
+    on the matrix that the one validation returned."""
+    from eigenfence import core, similarity
+    calls = []
+    validate = core.as_matrix
+
+    def counted(matrix):
+        calls.append(matrix)
+        return validate(matrix)
+
+    for module in (core, similarity):
+        monkeypatch.setattr(module, "as_matrix", counted)
+    prepare(a, pair)
+    assert len(calls) == 1
