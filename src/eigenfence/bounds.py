@@ -13,9 +13,9 @@ refinements F, G):
 
 Costs: the disc bounds of B, F and G and ``tau_inf(B)`` share one split
 of B's columns (:func:`~eigenfence.discs.split_columns`, diagonal last: a
-sort below ``SPLIT_SELECT`` rows, from it on a one-kth selection in
-expected ``O(n^2)`` time) in ``O(n^2)`` memory, and ``tau_inf`` of each
-higher power splits that power.  From ``SPLIT_SELECT`` on, ``m_F`` and
+sort below ``SPLIT_SELECT`` rows, from it on a one-kth selection, in
+expected ``O(n^2)`` time with numpy 2.4 on AVX-512) in ``O(n^2)`` memory,
+and ``tau_inf`` of each higher power splits that power.  From ``SPLIT_SELECT`` on, ``m_F`` and
 ``m_G`` come from B's split plus the shifts, whose halves may be in
 another order than F's own split: they agree with the discs of F and G
 within rounding, bit for bit only below it; ``tau1``
@@ -45,16 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import DEFAULT_TOL, Eigenpair, as_matrix
 from .discs import row_gaps, second_type_discs_of_transpose, split_columns
 from .refine import refinement
 from .similarity import SimilarityResult, prepare
-
-#: Entries per row-pair temporary in :func:`tau1` (512 KiB of float64);
-#: a single row against all others is the smallest block.  Its float32
-#: screen gives the same bytes to a column tile, held twice, and to a
-#: group of offsets' maxima.
-TAU1_BLOCK = 1 << 16
 
 #: Smallest n at which :func:`tau1` screens its row pairs in float32 before
 #: summing the few that can hold the maximum in float64: from n = 32 on
@@ -95,7 +90,7 @@ def tau1(matrix) -> float:
     Every float64 distance is one pair's ``np.abs(m[i] - m[j]).sum()``,
     numpy's pairwise sum over one contiguous row, taken for a block of
     rows against a range of rows at a time in one buffer of about
-    ``max(2 TAU1_BLOCK, n^2)`` entries, reused by every block: a fresh
+    ``max(2 core.BLOCK_ENTRIES, n^2)`` entries, reused by every block: a fresh
     temporary per block costs a page fault per 4 KiB whenever it lands
     above the allocator's mmap threshold.  The buffer starts on a cache
     line: ``malloc`` only promises 16 bytes, and with 64-byte vector
@@ -160,11 +155,12 @@ def tau1(matrix) -> float:
     n = m.shape[0]
     if n < 2:
         return 0.0
-    rows = min(n, max(1, TAU1_BLOCK // (n * n)))
+    block = core.BLOCK_ENTRIES
+    rows = min(n, max(1, block // (n * n)))
     screen = n >= TAU1_SCREEN
-    tiles = -(-n // max(1, TAU1_BLOCK // n))
-    width = -(-n // tiles)   # balanced tiles of at most TAU1_BLOCK / n columns
-    group = min(n // 2, max(1, 2 * TAU1_BLOCK // (n * width)))
+    tiles = -(-n // max(1, block // n))
+    width = -(-n // tiles)   # balanced tiles of at most block / n columns
+    group = min(n // 2, max(1, 2 * block // (n * width)))
     at = -(-group * n * width // 16) * 16   # the doubled tile starts on a cache line too
     size = max(rows * n * n, (at + 2 * n * width) // 2 if screen else 0)
     raw = np.empty(size + CACHE_LINE // 8)

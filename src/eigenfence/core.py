@@ -15,6 +15,15 @@ import numpy as np
 #: Default residual tolerance accepted for a claimed eigenpair.
 DEFAULT_TOL = 1e-9
 
+#: Entries per block of the kernels that walk an n x n array a few rows at
+#: a time (512 KiB of float64, so a block stays in cache): the odd-n scan
+#: of :func:`~eigenfence.discs.split_columns`, the shifted split of
+#: :func:`~eigenfence.refine._shifted_discs` and the row-pair temporary of
+#: :func:`~eigenfence.bounds.tau1`, whose float32 screen gives the same
+#: bytes to a column tile, held twice, and to a group of offsets' maxima.
+#: A single row is the smallest block.  Each kernel reads it when called.
+BLOCK_ENTRIES = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # Errors

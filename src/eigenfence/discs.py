@@ -13,9 +13,11 @@ None of them needs the whole sort, only each column split at its middle:
 entries in their slots, the larger entries before them and the smaller
 after, with the diagonal last, and :func:`row_gaps` inserts the one value
 next to those slots.  Below ``SPLIT_SELECT`` rows the split is a sort; from
-it on it selects with one kth, in expected ``O(n^2)`` time, and leaves each
-half in an order of its own, so a gap may round differently than on a
-sort: ``refinement(B).discs["F"]``, read from B's split, equals
+it on it selects with one kth (with numpy 2.4 on AVX-512 a SIMD
+quickselect, in expected ``O(n^2)`` time; other numpy releases and CPUs
+are unmeasured), and leaves each half in an order of its own, so a gap
+may round differently than on a sort: ``refinement(B).discs["F"]``, read
+from B's split, equals
 :func:`second_type_discs_of_transpose` of F bit for bit only below
 ``SPLIT_SELECT``, and within the rounding contract from it on.  So every such
 quantity of a matrix comes from one split of its columns, in ``O(n^2)``
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import core
 from .core import SizeError, as_matrix
 from .geometry import DiscUnion
 
@@ -42,15 +45,13 @@ from .geometry import DiscUnion
 TRANSPOSE_BLOCK = 256
 
 #: Smallest n at which :func:`split_columns` selects instead of sorting:
-#: below it numpy's SIMD sort was faster on x86-64 (the sweep is in ROADMAP
-#: item 6).
+#: below it numpy's SIMD sort was faster.  Measured only with numpy 2.4 on
+#: an x86-64 CPU with AVX-512, where one-kth ``partition`` dispatches to a
+#: SIMD quickselect (the sweep is in ROADMAP item 6).  Other numpy releases
+#: and CPUs are unmeasured: where ``partition`` runs the scalar introselect,
+#: selection may be slower than the sort from here on (21.7 against 6.2 ms
+#: at n = 1024, ROADMAP's dead ends); the results are correct either way.
 SPLIT_SELECT = 512
-
-#: Entries per row block of the odd-n ``argmax`` in :func:`split_columns`
-#: (512 KiB of float64): ``argmax`` copies the smaller halves it scans, and
-#: a block of them stays in cache where all of them would add half an n^2
-#: block to the peak memory.
-SPLIT_BLOCK = 1 << 16
 
 
 def _partition(rows: np.ndarray, kth: int) -> None:
@@ -67,17 +68,17 @@ def split_columns(matrix) -> np.ndarray:
     largest off-diagonal entry, and for odd n slot h its (h+1)-th largest.
     The entries before the slots are no smaller than them and those after
     no larger, in any order.  Each entry is one of the column's floats,
-    unchanged: :func:`row_gaps` sums the two halves,
-    :func:`~eigenfence.refine.refinement` reads the slots as its shifts,
-    and :func:`split_extremes` finds each column's extremes.
+    unchanged: :func:`row_gaps` sums the two halves, and
+    :func:`~eigenfence.refine.refinement` reads the slots as its shifts.
 
     Below ``SPLIT_SELECT`` rows the entries are sorted, in non-increasing
     order, which is one such layout.  From it on, one ``partition`` with one
-    kth (numpy's SIMD quickselect on x86-64; two kth values run its scalar
-    introselect) puts the h-th largest in its slot in expected ``O(n^2)``
-    time, and for odd n an ``argmax`` over the smaller half, in row blocks
-    of ``SPLIT_BLOCK`` entries, swaps the (h+1)-th largest into the slot
-    after it.
+    kth puts the h-th largest in its slot, and for odd n an ``argmax`` over
+    the smaller half, in row blocks of ``core.BLOCK_ENTRIES`` entries (it
+    copies what it scans), swaps the (h+1)-th largest into the slot after
+    it.  With numpy 2.4 on AVX-512 that ``partition`` is a SIMD quickselect,
+    expected ``O(n^2)`` time in all; two kth values would run its scalar
+    introselect, and other numpy releases and CPUs are unmeasured.
 
     The result is a reversed view of a C-contiguous copy, so :func:`row_gaps`
     sums each half along a row.  The copy is the transpose built in square
@@ -101,7 +102,7 @@ def split_columns(matrix) -> np.ndarray:
     t[:, 0] = -np.inf
     _partition(t[:, 1:], n - h - 1)
     if n % 2:   # the (h+1)-th largest, the largest of the smaller half, next to it
-        rows = max(1, SPLIT_BLOCK // n)
+        rows = max(1, core.BLOCK_ENTRIES // n)
         for r in range(0, n, rows):
             block, k = t[r:r + rows], i[:min(rows, n - r)]
             at = block[:, 1:h + 1].argmax(axis=1) + 1
@@ -109,18 +110,6 @@ def split_columns(matrix) -> np.ndarray:
             block[k, at] = block[:, h]
             block[:, h] = found
     return t[:, ::-1]
-
-
-def split_extremes(desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``desc``, a :func:`split_columns` split, the largest and
-    the smallest of its n - 1 values: the ends of a sort (below
-    ``SPLIT_SELECT``), read in ``O(n)``, or the extremes of a selection's
-    top and bottom halves, in one pass over them."""
-    n = desc.shape[1]
-    if n < SPLIT_SELECT:
-        return desc[:, 0], desc[:, n - 2]
-    h, up = n // 2, desc[:, ::-1]   # ascending: -inf, the bottom half, the slots, the top half
-    return up[:, n - h:].max(axis=1), up[:, 1:h + 1].min(axis=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -8,9 +8,10 @@ odd sizes use a pair F, G whose per-column disc intersections form the
 refined region, a :class:`~eigenfence.geometry.PairIntersectionUnion`.
 :func:`refinement` builds both parities from one split of the columns
 (:func:`~eigenfence.discs.split_columns`: a sort below ``SPLIT_SELECT``
-rows, a one-kth selection in expected ``O(n^2)`` time from it on) and
-checks the constant row sum once, with :func:`row_sum_constant`;
-:func:`refine_even` and :func:`refine_odd` call it and insist on a parity.
+rows, a one-kth selection from it on, in expected ``O(n^2)`` time with
+numpy 2.4 on AVX-512) and checks the constant row sum once, with
+:func:`row_sum_constant`; :func:`refine_even` and :func:`refine_odd` call
+it and insist on a parity.
 The shifts are the split's middle order statistics, the same floats at
 every n.
 
@@ -42,16 +43,13 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import core
 from .core import EvenSizeError, NotConstantRowSumError, OddSizeError, SizeError, as_matrix
-from .discs import row_gaps, split_columns, split_extremes
+from .discs import row_gaps, split_columns
 from .geometry import DiscUnion, PairIntersectionUnion
 
 #: Relative tolerance on the spread of the row sums of a constant row-sum matrix.
 ROW_SUM_TOL = 1e-9
-
-#: Entries per row block of a shifted split in :func:`_shifted_discs`
-#: (512 KiB of float64); a single row is the smallest block.
-SHIFT_BLOCK = 1 << 16
 
 
 class _Shifted:
@@ -146,11 +144,11 @@ def _shifted_discs(b: np.ndarray, desc: np.ndarray, off: np.ndarray) -> DiscUnio
     its :func:`~eigenfence.discs.split_columns` ``desc``: the centers are
     ``diag(B) + off``, the same floats as that matrix's diagonal.  The add
     runs on the C-contiguous buffer behind ``desc``, in row blocks of
-    ``SHIFT_BLOCK`` entries, and the sums through each block's reversed
-    view: each row is summed as it would be in one shifted copy of the
-    whole split, which is never built."""
+    ``core.BLOCK_ENTRIES`` entries, and the sums through each block's
+    reversed view: each row is summed as it would be in one shifted copy of
+    the whole split, which is never built."""
     n = len(desc)
-    buf, rows = desc[:, ::-1], max(1, SHIFT_BLOCK // n)
+    buf, rows = desc[:, ::-1], max(1, core.BLOCK_ENTRIES // n)
     block, radii = np.empty((min(rows, n), n)), np.empty(n)
     for r in range(0, n, rows):
         part = block[:min(rows, n - r)]
@@ -176,13 +174,11 @@ def refinement(matrix, _desc=None) -> EvenRefinement | OddRefinement:
     entries.  Column j of F (or G) is column j of B plus ``off_j``, entry
     by entry (``x - s`` and ``x + (-s)`` are the same IEEE operation).
     Rounding is monotone, so every such sum lies between the sums of the
-    column's extremes and ``off_j``: the larger of its diagonal entry and
-    its largest off-diagonal one, and the smaller of its diagonal entry
-    and its smallest off-diagonal one, which
-    :func:`~eigenfence.discs.split_extremes` finds in ``desc``, the split
-    of B's columns.  Both extremes are entries of the column, and B and
-    ``off`` are finite, so a sum is inf only by overflow and never NaN: the
-    column is finite if and only if those two sums are.
+    column's largest and smallest entries and ``off_j``, which one pass
+    over B finds, diagonal included, whatever the split's layout.  Both
+    extremes are entries of the column, and B and ``off`` are finite, so a
+    sum is inf only by overflow and never NaN: the column is finite if and
+    only if those two sums are.
     """
     b = as_matrix(matrix)
     n = b.shape[0]
@@ -195,9 +191,7 @@ def refinement(matrix, _desc=None) -> EvenRefinement | OddRefinement:
         ref = EvenRefinement(shifts=desc[:, h - 1].copy())
     else:
         ref = OddRefinement(f_shifts=-desc[:, h - 1], g_shifts=-desc[:, h])
-    top, bottom = split_extremes(desc)
-    d = np.diagonal(b)
-    ends = np.maximum(top, d), np.minimum(bottom, d)
+    ends = b.max(axis=0), b.min(axis=0)
     if not all(np.isfinite(end + off).all() for off in ref._offsets.values() for end in ends):
         raise OverflowError("refinement: an entry of F or G is above the float range")
     if b.flags.writeable:

@@ -21,14 +21,13 @@ from hypothesis import strategies as st
 
 import cases
 import exact
-from eigenfence import bounds, discs, refine, refine_even, refine_odd, refinement
+from eigenfence import bounds, core, discs, refine_even, refine_odd, refinement
 from eigenfence.discs import (
     SPLIT_SELECT,
     TRANSPOSE_BLOCK,
     row_gaps,
     second_type_discs_of_transpose,
     split_columns,
-    split_extremes,
 )
 from eigenfence.similarity import SimilarityResult
 
@@ -88,10 +87,9 @@ def same_bits(a, b):
 def assert_split_of(got, want):
     """``got`` holds the layout of :func:`split_columns` for the sort
     ``want``: its slots hold the sort's entries there, each half the sort's
-    half as a multiset, and its last slot the ``-inf`` of the diagonal;
-    :func:`split_extremes` finds the sort's ends in it.  Entries compare by
-    value, so only the sign of a zero may differ: 0.0 and -0.0 tie, and a
-    selection may leave either one in a slot."""
+    half as a multiset, and its last slot the ``-inf`` of the diagonal.
+    Entries compare by value, so only the sign of a zero may differ: 0.0
+    and -0.0 tie, and a selection may leave either one in a slot."""
     n = got.shape[1]
     h = n // 2
     assert got[:, ::-1].flags.c_contiguous   # row_gaps sums along the rows of its buffer
@@ -99,8 +97,6 @@ def assert_split_of(got, want):
     for half in (np.s_[:h - 1], np.s_[n - h:n - 1]):
         assert np.array_equal(np.sort(got[:, half], axis=1), np.sort(want[:, half], axis=1))
     assert (got[:, -1] == -np.inf).all()
-    top, bottom = split_extremes(got)
-    assert np.array_equal(top, want[:, 0]) and np.array_equal(bottom, want[:, n - 2])
 
 
 T, S = TRANSPOSE_BLOCK, SPLIT_SELECT
@@ -145,7 +141,7 @@ def scrambled_partition(rows, kth):
 
 
 @pytest.mark.parametrize("partition", [discs._partition, scrambled_partition], ids=["numpy", "scrambled"])
-@pytest.mark.parametrize("block", [discs.SPLIT_BLOCK, 1, 20])
+@pytest.mark.parametrize("block", [core.BLOCK_ENTRIES, 1, 20])
 @pytest.mark.parametrize("parity", [0, 1])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -155,7 +151,7 @@ def test_selection_splits_small_matrices(parity, block, partition, data):
     block of rows, one row a block or a few, and after numpy's partition or
     one whose sides are in any order."""
     m = data.draw(matrices(parity, ZEROS_TOO))
-    with mock.patch.object(discs, "SPLIT_SELECT", 3), mock.patch.object(discs, "SPLIT_BLOCK", block), \
+    with mock.patch.object(discs, "SPLIT_SELECT", 3), mock.patch.object(core, "BLOCK_ENTRIES", block), \
             mock.patch.object(discs, "_partition", partition):
         assert_split_of(split_columns(m), sorted_columns_by_transposed_copy(m))
 
@@ -202,8 +198,8 @@ def test_refinement_refuses_exactly_the_shifts_that_overflow(parity, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_refinement_of_a_selection_refuses_exactly_the_shifts_that_overflow(parity, data):
-    """The same, with ``SPLIT_SELECT`` at 3: the column extremes come from
-    the halves of a selection."""
+    """The same, with ``SPLIT_SELECT`` at 3: the shifts come from a
+    selection."""
     b = data.draw(far_range_row_sum_matrices(parity))
     with mock.patch.object(discs, "SPLIT_SELECT", 3):
         check_range_refusal(b)
@@ -288,14 +284,14 @@ def test_refined_discs_match_sorting_the_shifted_matrices(parity, data):
         assert reach[f"m_{name}"] == second_type_discs_of_transpose(m).max_abs().value
 
 
-@pytest.mark.parametrize("block", [refine.SHIFT_BLOCK, 1, 3000])
+@pytest.mark.parametrize("block", [core.BLOCK_ENTRIES, 1, 3000])
 @pytest.mark.parametrize("n", [6, 7, S, S + 1])
 def test_refined_discs_in_row_blocks_are_one_shifted_copy(n, block):
     """The refined radii, summed over row blocks of B's split plus the
     shifts, are those of one shifted copy of the whole split, bit for bit."""
     b = row_sum_matrix(ties_and_signed_zeros(n, seed=n))
     ref = refinement(b)
-    with mock.patch.object(refine, "SHIFT_BLOCK", block):
+    with mock.patch.object(core, "BLOCK_ENTRIES", block):
         got = {name: d.discs[:, 1] for name, d in ref.discs.items()}
     for name, off in ref._offsets.items():
         assert same_bits(got[name], row_gaps((ref._desc[:, ::-1] + off[:, None])[:, ::-1], 0.0))
@@ -366,24 +362,24 @@ def tau1_half_scale(m):
                for i, j in itertools.combinations(range(m.shape[0]), 2))
 
 
-@pytest.mark.parametrize("block", [bounds.TAU1_BLOCK, 1, 300])
+@pytest.mark.parametrize("block", [core.BLOCK_ENTRIES, 1, 300])
 @pytest.mark.parametrize("parity", [0, 1])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_tau1_matches_pairwise_maximum(block, parity, data):
     m = data.draw(matrices(parity))
-    with mock.patch.object(bounds, "TAU1_BLOCK", block):
+    with mock.patch.object(core, "BLOCK_ENTRIES", block):
         assert bounds.tau1(m) == tau1_pairwise(m)
 
 
-@pytest.mark.parametrize("block", [bounds.TAU1_BLOCK, 1, 300])
+@pytest.mark.parametrize("block", [core.BLOCK_ENTRIES, 1, 300])
 @pytest.mark.parametrize("parity", [0, 1])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_tau1_screen_matches_pairwise_maximum(block, parity, data):
     # a screen from n = 2 on puts these small matrices through it
     m = data.draw(matrices(parity))
-    with mock.patch.object(bounds, "TAU1_BLOCK", block), mock.patch.object(bounds, "TAU1_SCREEN", 2):
+    with mock.patch.object(core, "BLOCK_ENTRIES", block), mock.patch.object(bounds, "TAU1_SCREEN", 2):
         assert bounds.tau1(m) == tau1_pairwise(m)
 
 
@@ -445,7 +441,7 @@ def test_tau1_certificate_covers_a_screen_off_by_its_whole_error_bound(monkeypat
         return (np.where(top, exact - error, exact + error) + sums[j] + sums[k]) / 2
 
     monkeypatch.setattr(bounds, "_screen", screen)
-    monkeypatch.setattr(bounds, "TAU1_BLOCK", 1)   # one row per block: no pair rechecked by the way
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 1)   # one row per block: no pair rechecked by the way
     assert bounds.tau1(m) == tau1_pairwise(m) == np.ldexp((5.0 + 2.0 ** -50) / 2, scale)
 
 
@@ -474,7 +470,7 @@ def test_tau1_screen_finds_a_planted_maximum_pair(parity, place, data):
     m = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed")).uniform(-1, 1, (n, n))
     width = -(-n // -(-n // c))   # the first tile boundary: c columns a tile, balanced
     m[a, width - 1] = m[b, width] = data.draw(st.sampled_from([-20.0, 20.0]), label="plant") * n
-    with mock.patch.object(bounds, "TAU1_SCREEN", 2), mock.patch.object(bounds, "TAU1_BLOCK", c * n):
+    with mock.patch.object(bounds, "TAU1_SCREEN", 2), mock.patch.object(core, "BLOCK_ENTRIES", c * n):
         assert bounds.tau1(m) == tau1_pairwise(m)
     assert tau1_pairwise(m) == float(np.abs(m[a] - m[b]).sum()) / 2
 
@@ -576,7 +572,7 @@ def test_tau1_rechecks_one_pair_of_a_random_positive_matrix(monkeypatch):
 @pytest.mark.parametrize("n", [41, 100])
 def test_tau1_blocked_at_larger_n(n):
     m = np.random.default_rng(n).standard_normal((n, n))
-    assert bounds.TAU1_BLOCK // (n * n) < n   # more than one block
+    assert core.BLOCK_ENTRIES // (n * n) < n   # more than one block
     assert bounds.tau1(m) == tau1_pairwise(m)
 
 

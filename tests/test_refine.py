@@ -24,7 +24,7 @@ from eigenfence import (
     sampled_subset,
     second_type_discs_of_transpose,
 )
-from eigenfence import bounds, discs, refine
+from eigenfence import bounds, core, discs, refine
 from eigenfence.cli import main
 from eigenfence.refine import row_sum_constant
 from eigenfence.similarity import SimilarityResult
@@ -269,7 +269,7 @@ def test_refinement_of_a_read_only_b_holds_one_matrix(n):
     """The refinement holds B's split, not F or G, and a read-only B by
     reference: one n^2 block of floats, where F (and G) stored would be
     two (three).  Its region peaks at B's split and one row block of it
-    shifted, ``SHIFT_BLOCK`` floats: all of it up to n = 256, a quarter at
+    shifted, ``core.BLOCK_ENTRIES`` floats: all of it up to n = 256, a quarter at
     n = 512, where one shifted copy of the whole split would pass 2."""
     b, floats = frozen_random_b(n), 8 * n * n
     held, _ = traced(lambda: refinement(b))
@@ -279,12 +279,12 @@ def test_refinement_of_a_read_only_b_holds_one_matrix(n):
         (refine_even if n % 2 == 0 else refine_odd)(b)
 
     # an odd split by selection scans its smaller halves in row blocks, and
-    # each scan copies half a block: SPLIT_BLOCK / 2 floats
-    scan = 4 * discs.SPLIT_BLOCK if n % 2 and n >= discs.SPLIT_SELECT else 0
+    # each scan copies half a block: BLOCK_ENTRIES / 2 floats
+    scan = 4 * core.BLOCK_ENTRIES if n % 2 and n >= discs.SPLIT_SELECT else 0
     held, peak = traced(discarded)
     assert peak <= 1.1 * floats + scan and held <= 0.1 * floats
     _, peak = traced(lambda: refined_region(b))
-    assert peak <= 1.2 * floats + 8 * refine.SHIFT_BLOCK
+    assert peak <= 1.2 * floats + 8 * core.BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("b", [cases.PERRON6_B, cases.PERRON7_B], ids=["even", "odd"])
