@@ -187,9 +187,9 @@ def far_range_row_sum_matrices(draw, parity):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_refinement_refuses_exactly_the_shifts_that_overflow(parity, data):
-    """The O(n) range check of :func:`refinement` refuses a B if and only if
-    an entry of F (or G) is not finite; otherwise F, G, the shifts and the
-    refined discs are the formulas on the whole matrices."""
+    """The range check of :func:`refinement`, on 2n sums, refuses a B if
+    and only if an entry of F (or G) is not finite; otherwise F, G, the
+    shifts and the refined discs are the formulas on the whole matrices."""
     check_range_refusal(data.draw(far_range_row_sum_matrices(parity)))
 
 
