@@ -20,7 +20,8 @@ membership (``contains_grid``, for rasters and sampled comparisons) comes
 from each primitive's closed-form x-sections on each grid row instead:
 ``O(rows * primitives)`` sections decide every point outside a thin,
 proven rounding band around the boundaries, and only the band's points
-reach ``contains_points``, so the answer is the same bit for bit.
+reach ``contains_points``, so the answer is the same bit for bit (a grid
+small enough for one membership block takes the exact path).
 Intersections are never converted to explicit shapes; membership
 predicates compose instead, and set comparisons are sampled (boundary
 points plus a grid over the bounding box).  This module imports no other
@@ -55,16 +56,13 @@ MEMBERSHIP_CHUNK = 64
 JSON_CHUNK = 1 << 14
 
 # The raster screen of :meth:`_Union.contains_grid`: bounds shrunk and grown
-# by _GRID_SHRINK, section margins of _GRID_MARGIN times the magnitudes
-# they cover, the largest grid or table entry it certifies, and its finest
-# x step relative to that entry.
+# by _GRID_SHRINK, end margins of _GRID_MARGIN times the magnitudes they
+# cover, the largest grid or table entry it certifies, and its finest x step
+# relative to that entry.
 _GRID_SHRINK = 2.0 ** -36
 _GRID_MARGIN = 2.0 ** -44
 _GRID_LIMIT = 2.0 ** 500
 _GRID_STEP = 2.0 ** -30
-
-#: (inner, outer) signs of the screen's margins, on their own leading axis.
-_INNER_OUTER = np.array([-1.0, 1.0])
 
 
 class MaxAbs(NamedTuple):
@@ -88,36 +86,64 @@ def _slack(table):
     return out
 
 
+def _root_radius(x, e, root):
+    """How far ``root``, the computed ``sqrt(max(x, 0))``, can be from
+    ``sqrt(max(X, 0))`` when ``|x - X| < e``: ``min(sqrt(e), e / root)``,
+    written ``e / max(root, sqrt(e))``, or ``sqrt(max(x + e, 0))`` when
+    ``x <= 0`` (see :meth:`_Union.contains_grid`)."""
+    return np.minimum(np.sqrt(np.minimum(np.maximum(x + e, 0.0), e)),
+                      e / np.maximum(root, np.sqrt(e)))
+
+
 def _disc_sections(c, r, y):
-    """Inner and outer x-sections ``(lo, hi)`` of the discs ``|z - c| <= r``
-    (slackened radii) on the rows ``y`` (one per disc, or broadcast
-    against it), each of shape ``(2, *c.shape)``: ``(x - c)^2 <=
-    rho^2 - y^2``, the margin on the right side before its root (see
-    :meth:`_Union.contains_grid`).  An empty section has ``hi = -inf``."""
-    sign = _INNER_OUTER.reshape((2,) + (1,) * c.ndim)
-    rho = r * (1.0 + sign * _GRID_SHRINK)
-    rho2, y2 = rho * rho, y * y
-    q = rho2 - y2 + sign * _GRID_MARGIN * (rho2 + y2)
+    """The x-section ``(lo, hi)`` of each disc ``|z - c| <= r`` (slackened
+    radii) on the rows ``y`` (one per disc, or broadcast against it), and
+    the radius of its ends: ``(x - c)^2 <= q`` with ``q = r^2 - y^2``, which
+    the bound change and the roundings move by less than
+    ``2^-34 (r^2 + y^2)`` (see :meth:`_Union.contains_grid`)."""
+    r2, y2 = r * r, y * y
+    q = r2 - y2
     w = np.sqrt(np.maximum(q, 0.0))
-    g = sign * _GRID_MARGIN * (np.abs(c) + w)
-    return c - w - g, np.where(q < 0.0, -np.inf, c + w + g)
+    radius = _root_radius(q, (4.0 * _GRID_SHRINK) * (r2 + y2), w) + _GRID_MARGIN * (np.abs(c) + w)
+    return c - w, c + w, radius
 
 
-def _count_at_most(xs, v):
-    """``np.searchsorted(xs, v, "right")`` for strictly increasing ``xs``
-    of two or more entries and ``v`` not NaN: the index estimated from the
-    mean spacing, kept where two exact comparisons confirm it, and searched
-    for elsewhere (on a ``linspace`` grid, only within a few ulps of a
-    grid point)."""
+def _counts_around(xs, v, r):
+    """``np.searchsorted(xs, v - r, "right")`` and ``np.searchsorted(xs,
+    v + r, "right")`` for strictly increasing ``xs`` of two or more
+    entries, ``v`` not NaN and ``r >= 0``, and the flat indices of the
+    ``v`` where the two may differ.  One index per ``v``, estimated from
+    the mean spacing, serves both where two exact comparisons confirm that
+    no grid point lies in ``(v - r, v + r]`` and the estimate is the count
+    below it; both are searched for elsewhere (in the band, and on a
+    ``linspace`` grid within a few ulps of a grid point)."""
     n = xs.size
-    f = np.clip((v - xs[0]) * ((n - 1) / (xs[-1] - xs[0])), -0.5, n - 1.0)
+    f = np.minimum(np.maximum((v - xs[0]) * ((n - 1) / (xs[-1] - xs[0])), -0.5), n - 1.0)
     k = f.astype(np.intp)            # truncation: 0 below 0, the floor above
     k += f >= 0.0
     padded = np.concatenate(([-np.inf], xs, [np.inf]))   # padded[k] is xs[k - 1]
-    off = (padded[k] > v) | (padded[k + 1] <= v)
-    if off.any():
-        k[off] = np.searchsorted(xs, v[off], "right")
-    return k
+    down, up = v - r, v + r
+    off = (padded[k] > down) | (padded[k + 1] <= up)
+    below, above = k, k.copy()
+    if not off.any():
+        return below, above, np.empty(0, dtype=np.intp)
+    at = np.flatnonzero(off)
+    np.put(below, at, np.searchsorted(xs, down.take(at), "right"))
+    np.put(above, at, np.searchsorted(xs, up.take(at), "right"))
+    return below, above, at
+
+
+def _spans(below, above, at, iy, n):
+    """Flat indices ``iy * n + k`` of a grid with rows of ``n`` points, for
+    every ``k`` from ``below`` up to ``above`` (exclusive), at the flat
+    indices ``at`` of arrays whose last axis runs along ``iy``."""
+    if not at.size:
+        return at
+    below = below.take(at)
+    length = above.take(at) - below
+    total = np.cumsum(length)
+    first = iy[at % iy.size] * n + below
+    return np.repeat(first - total + length, length) + np.arange(total[-1])
 
 
 def _records(keys: tuple[str, ...], rows: list, depth: int) -> list:
@@ -218,13 +244,19 @@ class _Union:
         """``contains_points(xs[None, :] + 1j * ys[:, None])``, bit for bit:
         the ``(len(ys), len(xs))`` membership of a grid.
 
-        On each row ``y`` a primitive is at most two x-intervals in closed
-        form (the kinds' ``_sections``).  The screen builds an inner and an
-        outer set from them, with ``inner ⊆ accepted ⊆ outer`` (proved
-        below), fills each row's union of intervals with one
-        difference-array pass, and sends only the points of
-        ``outer \\ inner`` to :meth:`contains_points`, which stays the one
-        arbiter.  Its cost is ``O(rows x primitives)`` sections plus
+        A grid whose points times table rows fit in one ``MEMBERSHIP_BLOCK``
+        takes the exact path: there one block of :meth:`contains_points`
+        costs less than the screen's fixed cost.  On a larger grid, a
+        primitive is at most two x-intervals on each row ``y``, in closed
+        form (the kinds' ``_sections``), each computed once with a radius
+        per end.  Its ends moved in by their radii give an inner section and
+        moved out an outer one, with ``inner ⊆ accepted ⊆ outer`` (proved
+        below).  The screen fills each row's union of outer intervals with
+        one difference-array pass and takes it as the answer, except at the
+        grid points within an end's radius of that end (the band), which go
+        to :meth:`contains_points`, the one arbiter: a point of an outer
+        section outside the bands of both its ends lies in the inner
+        section.  Its cost is ``O(rows x primitives)`` sections plus
         ``O(rows x columns)`` for the fill.
 
         *Assumption*: ``np.abs`` of a complex number is within ``2^-40`` of
@@ -237,62 +269,97 @@ class _Union:
         accepts iff ``d <= r'`` and an oval iff ``fl(d1 d2) <= b'`` (the
         slackened bounds of :func:`_slack`), so every accepted point has
         ``D <= r' (1 + 2^-38)`` (or ``D1 D2 <= b' (1 + 2^-38)``), and every
-        point with ``D <= r' (1 - 2^-38)`` is accepted.  The outer set is
-        the real set of the bound grown to ``fl(r' (1 + 2^-36))``, the inner
-        one that of the bound shrunk to ``fl(r' (1 - 2^-36))``, both beyond
-        those limits.  No accepted point lies on a row with ``|y|`` above
-        the half-height grown by ``2^-36`` (``|y| <= D``, and
-        ``y^2 <= D1 D2``), so only the rows within it are screened.  The
-        sections are computed in floats: each squared quantity
-        (``rho^2 - y^2``, an oval's discriminant factor and ``s`` ends)
-        takes a few roundings, each at most ``u`` times a magnitude that
-        its margin is ``_GRID_MARGIN = 2^9 u`` times, and each end
-        ``c +- w`` likewise against ``_GRID_MARGIN (|c| + w)``.  Outer
-        margins widen and inner ones narrow, with room for their own
-        roundings, so each computed outer section holds the real one and
-        each computed inner section lies in it.  A square root comes after
-        its margin, so a near-tangent row costs a wider band, not a wrong
-        point.  A section ``(lo, hi]`` holds the grid points above ``lo``
-        and up to ``hi``; the outer ends are strictly beyond the real ones.
-        The slack keeps every slackened bound at least ``1e-9``, so every
-        squared margin is above ``2^-110``, far above an underflow's error.
+        point with ``D <= r' (1 - 2^-38)`` is accepted.  So the real set of
+        the bound grown to ``r' (1 + 2^-36)`` (``b' (1 + 2^-36)``) holds
+        every accepted point, and that of the bound shrunk to
+        ``r' (1 - 2^-36)`` only accepted ones.  No accepted point lies on a
+        row with ``|y|`` above the half-height grown by ``2^-36``
+        (``|y| <= D``, and ``y^2 <= D1 D2``), so only the rows within it
+        are screened.  Each end is computed once, from the slackened bound:
+        ``c -+ w`` with ``w = sqrt(max(q, 0))`` and ``q = r'^2 - y^2`` for a
+        disc, ``m -+ sqrt(max(s, 0))`` at the ends ``s`` of an oval's
+        interval of ``(x - m)^2`` (:meth:`CassiniUnion._sections`).  Its
+        radius bounds its distance from the real end of both changed bounds:
+
+        1. The quantity ``x`` a root is taken of is within ``e`` of its
+           real value ``X`` for either changed bound.  A disc's ``q`` moves
+           by ``2^-35 (1 + 2^-37) r'^2`` with the bound and rounds by
+           ``2.01 u (r'^2 + y^2)``, and ``e = 2^-34 (r'^2 + y^2)``.  An
+           oval's ``PQ = b'^2 - 4 h^2 y^2`` moves by ``2^-35 (1 + 2^-36)
+           Q^2`` with the bound and rounds by ``6.1 u Q^2``, so by step 2
+           its root is within ``sqrt(Q) min(sqrt(2^-34 Q), 2^-34 Q /
+           sqrt(max(P, 0)))`` (``sqrt(Q) sqrt(max(P + 2^-34 Q, 0))`` where
+           ``P <= 0``) plus ``2.01 u`` of itself; each ``s`` end adds
+           ``6 u (h^2 + y^2 + Q)`` of roundings to that, and its ``e`` is
+           ``_GRID_MARGIN (h^2 + y^2 + Q)`` plus that root's radius.
+        2. A root then moves by less than ``min(sqrt(e), e / sqrt(max(x,
+           0)))`` (:func:`_root_radius`): for ``x, X >= 0``,
+           ``|sqrt(x) - sqrt(X)| = |x - X| / (sqrt(x) + sqrt(X))``, which
+           is at most ``sqrt(|x - X|)`` and at most ``|x - X| / sqrt(x)``,
+           and ``max(., 0)`` moves no value farther.  Where ``x <= 0`` it
+           moves by less than ``sqrt(max(x + e, 0))``, as ``X < x + e``.
+           At a tangent row (``x`` near 0) the radius is about
+           ``sqrt(e)``: a wider band, not a wrong point.
+        3. An end ``c -+ w`` (or ``m -+ sqrt(s)``, whose center rounds
+           too) rounds by at most ``2.02 u (|c| + w)``, and moving it by
+           its radius rounds by ``u`` times its size: ``_GRID_MARGIN =
+           2^9 u`` times ``|c| + w``, added to the radius, covers both.
+
+        Each ``e`` is computed at least 1.4 times the error it covers, so
+        each radius is at least 1.18 times its bound (``sqrt(1.4)``; also
+        where ``x <= 0``, as ``(x + e) / (x + E) >= e / E`` for ``E <= e``),
+        room for its own roundings: each inner end lies within the real
+        inner section and each outer end strictly beyond the real outer
+        one.  A row that misses the primitive for a changed bound
+        (``q < 0``, or ``PQ < 0``) has, with ``max(., 0)``, a real section
+        that is one point, so the inner section, whose ends lie at or
+        beyond it, is empty.  An oval's lower
+        ``s`` end at or below ``-e`` is negative for both changed bounds:
+        the row is the one interval ``|x - m| <= sqrt(s_hi)``, which both
+        pieces then hold, with the upper end's radius.  A disc pair's
+        section is the tighter of its two discs' ends, with the larger of
+        their radii.  A section ``(lo, hi]`` holds the grid points above
+        ``lo`` and up to ``hi``.  The slack keeps every slackened bound at
+        least ``1e-9``, so every ``e`` is above ``2^-100``, far above an
+        underflow's error.
 
         The screen declines, and the whole grid takes the exact path,
-        unless the grid has a row, ``xs`` increases in steps of at least
-        ``2^-30`` of the largest magnitude ``M`` of the grid and the
-        slackened table, and ``M <= 2^500`` (no NaN).  Up to ``2^500`` no
-        square or product of the screen overflows and no distance of the
-        exact path does; a finer grid would lie mostly in the band, which
-        is about ``2^-35 M`` wide.  Sections run over blocks of
-        ``MEMBERSHIP_BLOCK // (4 len(ys))`` table rows, so memory stays
-        bounded.
+        unless ``xs`` increases in steps of at least ``2^-30`` of the
+        largest magnitude ``M`` of the grid and the slackened table, and
+        ``M <= 2^500`` (no NaN).  Up to ``2^500`` no square or product of
+        the screen overflows and no distance of the exact path does; a
+        finer grid would lie mostly in the band, which is about ``2^-33 M``
+        wide off the tangent rows.  A grid with no row is empty, so the
+        size rule above sends it to the exact path.  Sections run over
+        blocks of ``MEMBERSHIP_BLOCK // (4 len(ys))`` table rows, so memory
+        stays bounded.
         """
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         table = _slack(self.table)
+        if xs.size * ys.size * len(table) <= MEMBERSHIP_BLOCK:
+            return self.contains_points(xs[None, :] + 1j * ys[:, None])
         top = np.max([np.abs(a).max(initial=0.0) for a in (xs, ys, table)])   # NaN if any is
-        if not (xs.size >= 2 and ys.size and top <= _GRID_LIMIT
+        if not (xs.size >= 2 and top <= _GRID_LIMIT
                 and np.diff(xs).min() >= _GRID_STEP * top):
             return self.contains_points(xs[None, :] + 1j * ys[:, None])
-        # the difference array runs along x, one (inner, outer) pair of
-        # grid rows per x index, so its cumsum adds whole rows at a time;
-        # sections are taken only on the rows within a primitive's reach
-        rows = 2 * ys.size
-        fill = np.zeros((xs.size + 1) * rows, dtype=np.intp)
+        # the difference array of the outer sections runs along x, one grid
+        # row per x index, so its cumsum adds whole rows at a time; sections
+        # are taken only on the rows within a primitive's reach
+        fill = np.zeros((xs.size + 1) * ys.size, dtype=np.intp)
+        band = []
         step = max(1, MEMBERSHIP_BLOCK // (4 * ys.size))
         for c in range(0, len(table), step):
             block = table[c:c + step]
             reach = self._extents(block)[2] * (1.0 + _GRID_SHRINK)
             iy, ip = np.nonzero(np.abs(ys)[:, None] <= reach)
-            lo, hi = self._sections(block[ip], ys[iy])
-            start = _count_at_most(xs, lo)
-            stop = np.maximum(_count_at_most(xs, hi), start)
-            offset = iy + np.array([0, ys.size])[:, None, None]
-            np.add.at(fill, start * rows + offset, 1)
-            np.subtract.at(fill, stop * rows + offset, 1)
-        fill = fill.reshape(-1, rows)
-        counts = np.cumsum(fill, axis=0, out=fill)[:-1] > 0
-        inside = counts[:, :ys.size].T.copy()
-        band = np.flatnonzero(counts[:, ys.size:].T > inside)
+            lo, hi, r_lo, r_hi = self._sections(block[ip], ys[iy])
+            ends = _counts_around(xs, lo, r_lo), _counts_around(xs, hi, r_hi)
+            (start, _, _), (_, stop, _) = ends
+            np.add.at(fill, start * ys.size + iy, 1)
+            np.subtract.at(fill, np.maximum(stop, start) * ys.size + iy, 1)
+            band.extend(_spans(*end, iy, xs.size) for end in ends)
+        inside = (np.cumsum(fill.reshape(-1, ys.size), axis=0)[:-1] > 0).T.copy()
+        band = np.concatenate(band)   # a point in two ends' bands is tested twice
         if band.size:
             iy, ix = np.divmod(band, xs.size)
             inside.flat[band] = self.contains_points(xs[ix] + 1j * ys[iy])
@@ -369,8 +436,8 @@ class DiscUnion(_Union):
 
     @staticmethod
     def _sections(table, y):
-        lo, hi = _disc_sections(table[:, 0], table[:, 1], y)
-        return lo[:, None], hi[:, None]
+        lo, hi, radius = _disc_sections(table[:, 0], table[:, 1], y)
+        return lo[None], hi[None], radius[None], radius[None]
 
     @staticmethod
     def _reach(table):
@@ -410,8 +477,9 @@ class PairIntersectionUnion(_Union):
 
     @staticmethod
     def _sections(table, y):
-        lo, hi = _disc_sections(table[..., 0], table[..., 1], y[:, None])
-        return lo.max(axis=-1)[:, None], hi.min(axis=-1)[:, None]
+        lo, hi, radius = _disc_sections(table[..., 0], table[..., 1], y[:, None])
+        radius = radius.max(axis=-1)[None]
+        return lo.max(axis=-1)[None], hi.min(axis=-1)[None], radius, radius
 
     _reaches = staticmethod(DiscUnion._reach)
     _samples = staticmethod(DiscUnion._samples)
@@ -453,28 +521,27 @@ class CassiniUnion(_Union):
         ``s = (x - m)^2``, the oval is ``(s + h^2 + y^2)^2 - 4 h^2 s <= b^2``:
         ``s`` between ``a -+ sqrt(P Q)`` with ``a = h^2 - y^2``,
         ``P = b - 2|h y|`` and ``Q = b + 2|h y|``, and ``s >= 0``.  That is
-        one x-interval about ``m``, or two mirrored ones when the lower end
-        is positive.  The margins go on ``P`` (before its root) and on the
-        ends of ``s`` (before theirs)."""
-        sign = _INNER_OUTER[:, None]
+        two mirrored x-intervals about ``m``, ``|x - m|`` from
+        ``sqrt(s_lo)`` to ``sqrt(s_hi)``, which merge into one when
+        ``s_lo <= 0``.  Each end's radius follows the error ``e`` of the
+        ``s`` ends through their roots (see :meth:`_Union.contains_grid`)."""
         c1, c2, b = table.T
-        b = b * (1.0 + sign * _GRID_SHRINK)
         m, h = (c1 + c2) / 2.0, np.abs(c2 - c1) / 2.0
         h2, y2 = h * h, y * y
         a, hy = h2 - y2, 2.0 * h * np.abs(y)
         p, q = b - hy, b + hy
-        p += sign * _GRID_MARGIN * q
-        root = np.sqrt(np.maximum(p, 0.0)) * np.sqrt(q)
-        margin = sign * _GRID_MARGIN * (h2 + y2 + q)
-        s_hi, s_lo = a + root + margin, a - root - margin
-        x_hi = np.sqrt(np.maximum(s_hi, 0.0))
-        g = sign * _GRID_MARGIN * (np.abs(m) + x_hi)
-        # |x - m| in [x_lo, x_hi]; with s_lo <= 0 that is one interval,
-        # which the two pieces then both hold
-        x_lo = np.where(s_lo > 0.0, np.sqrt(np.maximum(s_lo, 0.0)), -x_hi)
-        lo = np.stack((m - x_hi - g, m + x_lo - g), axis=1)
-        hi = np.stack((m - x_lo + g, m + x_hi + g), axis=1)
-        return lo, np.where((s_hi < 0.0)[:, None], -np.inf, hi)
+        sp, sq = np.sqrt(np.maximum(p, 0.0)), np.sqrt(q)
+        root = sp * sq
+        e = _GRID_MARGIN * (h2 + y2 + q) + sq * _root_radius(p, (4.0 * _GRID_SHRINK) * q, sp)
+        # the s ends (s_hi, s_lo) and |x - m| at them, on one leading axis
+        sign = np.array([[-1.0], [1.0]])
+        s = a - sign * root
+        one = s[1] <= -e   # both pieces then hold the one interval |x - m| <= x_hi
+        s[1, one] = s[0, one]
+        x = np.sqrt(np.maximum(s, 0.0))
+        radius = _root_radius(s, e, x) + _GRID_MARGIN * (np.abs(m) + x)
+        np.negative(x[1], out=x[1], where=one)
+        return m + sign * x, m + sign * x[::-1], radius, radius[::-1]
 
     @np.errstate(over="ignore")
     def boundary_points(self, angles: int = 256) -> np.ndarray:

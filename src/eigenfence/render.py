@@ -32,6 +32,10 @@ AUTO_PAD = 0.10
 #: width and height of every document, in pixels
 SIZE_PX = 640
 
+#: the format of every coordinate and length in a document: ``_fmt`` and
+#: the contour paths of ``_raster_path``
+_NUM = "%.2f"
+
 
 @dataclass(frozen=True)
 class Scene:
@@ -95,7 +99,7 @@ def _squared(box: tuple[float, float, float, float]) -> tuple[float, float, floa
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+    return _NUM % x
 
 
 class _Transform:
@@ -182,8 +186,8 @@ def _raster_path(region, box, res: int, transform: _Transform) -> str:
     for loop in _march(padded):
         # grid coordinates minus the one-cell pad, then plane, then pixels
         px, py = transform.px(x0 + (loop[:, 0] - 1) * dx, y0 + (loop[:, 1] - 1) * dy)
-        parts.append("M" + "L".join(f"{_fmt(x)} {_fmt(y)}"
-                                     for x, y in zip(px.tolist(), py.tolist())) + "Z")
+        xy = np.stack((px, py), axis=1).ravel().tolist()
+        parts.append(("M" + "L".join([f"{_NUM} {_NUM}"] * len(loop)) + "Z") % tuple(xy))
     return "".join(parts)
 
 

@@ -1,9 +1,12 @@
-"""Exact reference for the column kernels, in stdlib ``fractions``.
+"""Exact reference for the column kernels, in Python integers.
 
-``Fraction(x)`` of a float is exact, so every quantity here is the exact
-value for the float input: second-type radii, the refinement shifts and
-shifted matrices, refined radii, ``tau_inf``, ``tau1`` and deleted row
-sums.
+A float is a dyadic rational, so a float matrix is exactly a matrix of
+Python ints over one power-of-two denominator, its entries' largest
+(:class:`Dyadic`).  Sums, differences and comparisons of its entries are
+then integer operations, and every quantity here is the exact value for
+the float input, as a stdlib ``Fraction``: second-type radii, the
+refinement shifts and shifted matrices, refined radii, ``tau_inf``,
+``tau1`` and deleted row sums.
 
 *Rounding contract.*  With unit roundoff ``u = 2^-53`` and
 ``gamma_n = n u / (1 - n u)`` (Higham, *Accuracy and Stability of
@@ -47,92 +50,102 @@ def gamma(n: int) -> Fraction:
     return n * U / (1 - n * U)
 
 
-def exact(matrix) -> list[list[Fraction]]:
-    """The float matrix as rows of exact fractions."""
-    return [[Fraction(x) for x in row] for row in np.asarray(matrix, dtype=float).tolist()]
+class Dyadic:
+    """A matrix of dyadic rationals: entry ``(i, j)`` is ``rows[i][j] / d``,
+    with ``rows`` lists of Python ints and ``d`` a power of two."""
+
+    __slots__ = ("rows", "d")
+
+    def __init__(self, rows: list[list[int]], d: int):
+        self.rows, self.d = rows, d
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
-def columns(q) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*q)]
+def exact(matrix) -> Dyadic:
+    """The float matrix, exactly, over its entries' largest denominator."""
+    ratios = [[x.as_integer_ratio() for x in row]
+              for row in np.asarray(matrix, dtype=float).tolist()]
+    d = max((den for row in ratios for _, den in row), default=1)
+    return Dyadic([[num * (d // den) for num, den in row] for row in ratios], d)
 
 
-def off_diagonal(q) -> list[list[Fraction]]:
+def floats(q: Dyadic) -> list[list[float]]:
+    """Each entry correctly rounded to a float (``int / int`` is)."""
+    return [[x / q.d for x in row] for row in q.rows]
+
+
+def columns(q: Dyadic) -> Dyadic:
+    return Dyadic([list(col) for col in zip(*q.rows)], q.d)
+
+
+def off_diagonal(q: Dyadic) -> list[list[int]]:
     """Each column's entries without its diagonal one."""
-    return [col[:j] + col[j + 1:] for j, col in enumerate(columns(q))]
+    return [col[:j] + col[j + 1:] for j, col in enumerate(columns(q).rows)]
 
 
-def total(values) -> Fraction:
-    """Exact sum of dyadic fractions (every float, and every sum of floats,
-    is one), over their largest denominator: ``sum`` would take a gcd per term."""
-    values = list(values)
-    d = max((v.denominator for v in values), default=1)
-    return Fraction(sum(v.numerator * (d // v.denominator) for v in values), d)
-
-
-def descending(values) -> list[Fraction]:
-    """The dyadic values in non-increasing order, compared exactly as
-    integers over their largest denominator, as :func:`total` sums them."""
-    values = list(values)
-    d = max((v.denominator for v in values), default=1)
-    return sorted(values, key=lambda v: v.numerator * (d // v.denominator), reverse=True)
-
-
-def gap(values) -> Fraction:
+def gap(values: list[int]) -> int:
     """Sum of the top half of the values minus the sum of the bottom half
     (the middle one skipped when the count is odd)."""
-    desc = descending(values)
+    desc = sorted(values, reverse=True)
     h = len(desc) // 2
-    return total(desc[:h]) - total(desc[len(desc) - h:])
+    return sum(desc[:h]) - sum(desc[len(desc) - h:])
 
 
-def second_type_radii(q) -> list[Fraction]:
+def _radii(q: Dyadic) -> list[int]:
+    """Numerators of :func:`second_type_radii` over ``q.d``."""
+    return [gap(col + [0]) for col in off_diagonal(q)]
+
+
+def second_type_radii(q: Dyadic) -> list[Fraction]:
     """Radius of each column: its off-diagonal entries and the mandated 0."""
-    return [gap(col + [Fraction(0)]) for col in off_diagonal(q)]
+    return [Fraction(r, q.d) for r in _radii(q)]
 
 
-def tau_inf(q) -> Fraction:
+def tau_inf(q: Dyadic) -> Fraction:
     """Largest gap of a column's n entries, diagonal included."""
-    return max(gap(col) for col in columns(q))
+    return Fraction(max(gap(col) for col in columns(q).rows), q.d)
 
 
-def tau1(q) -> Fraction:
-    """Half the largest L1 distance between two rows.  The rows are taken
-    as integers over the matrix's largest denominator, so each pair costs
-    integer arithmetic only."""
-    d = max((x.denominator for row in q for x in row), default=1)
-    rows = [[x.numerator * (d // x.denominator) for x in row] for row in q]
-    far = max((sum(abs(a - b) for a, b in zip(p, r)) for p, r in itertools.combinations(rows, 2)),
+def tau1(q: Dyadic) -> Fraction:
+    """Half the largest L1 distance between two rows."""
+    far = max((sum(abs(a - b) for a, b in zip(p, r)) for p, r in itertools.combinations(q.rows, 2)),
               default=0)
-    return Fraction(far, 2 * d)
+    return Fraction(far, 2 * q.d)
 
 
-def disc_bound(q) -> Fraction:
+def disc_bound(q: Dyadic) -> Fraction:
     """Reach of the second-type discs: the largest ``|m_jj| + r_j``."""
-    return max(abs(q[j][j]) + r for j, r in enumerate(second_type_radii(q)))
+    return Fraction(max(abs(q.rows[j][j]) + r for j, r in enumerate(_radii(q))), q.d)
 
 
-def offsets(q) -> dict[str, list[Fraction]]:
+def offsets(q: Dyadic) -> dict[str, list[Fraction]]:
     """What the refinement adds to each column, by shifted matrix: minus the
     (n/2)-th largest off-diagonal entry (F, even n), or minus the
     ((n-1)/2)-th (F) and ((n+1)/2)-th (G) largest (odd n)."""
     n = len(q)
-    desc = [descending(col) for col in off_diagonal(q)]
+    desc = [sorted(col, reverse=True) for col in off_diagonal(q)]
     ranks = {"F": n // 2} if n % 2 == 0 else {"F": (n - 1) // 2, "G": (n + 1) // 2}
-    return {name: [-col[k - 1] for col in desc] for name, k in ranks.items()}
+    return {name: [Fraction(-col[k - 1], q.d) for col in desc] for name, k in ranks.items()}
 
 
-def shifted(q, off) -> list[list[Fraction]]:
-    """``B + e off^T``."""
-    return [[x + s for x, s in zip(row, off)] for row in q]
+def shifted(q: Dyadic, off) -> Dyadic:
+    """``B + e off^T``, for dyadic ``off`` (such as :func:`offsets`)."""
+    off = list(map(Fraction, off))
+    d = max([q.d] + [s.denominator for s in off])
+    ints = [s.numerator * (d // s.denominator) for s in off]
+    scale = d // q.d
+    return Dyadic([[x * scale + s for x, s in zip(row, ints)] for row in q.rows], d)
 
 
-def deleted_row_sums(q) -> list[Fraction]:
+def deleted_row_sums(q: Dyadic) -> list[Fraction]:
     """Each row's absolute sum without its diagonal entry."""
-    return [total(abs(x) for k, x in enumerate(row) if k != i) for i, row in enumerate(q)]
+    return [Fraction(sum(map(abs, row)) - abs(row[i]), q.d) for i, row in enumerate(q.rows)]
 
 
-def abs_column_sums(q) -> list[Fraction]:
-    return [total(abs(x) for x in col) for col in columns(q)]
+def abs_column_sums(q: Dyadic) -> list[Fraction]:
+    return [Fraction(sum(map(abs, col)), q.d) for col in zip(*q.rows)]
 
 
 def within(got, want: Fraction, bound: Fraction) -> bool:

@@ -93,7 +93,7 @@ def check_refinement(b):
         assert [Fraction(x) for x in shifts[name].tolist()] == off
         f = exact.shifted(q, off)
         # one IEEE operation per entry: the exact shifted entry, correctly rounded
-        assert ref.matrices[name].tolist() == [[float(x) for x in row] for row in f]
+        assert ref.matrices[name].tolist() == exact.floats(f)
         table = ref.discs[name].discs
         if n < discs.SPLIT_SELECT:   # both sorts; from it on each is within the contract
             assert (table == second_type_discs_of_transpose(ref.matrices[name]).discs).all()

@@ -424,6 +424,115 @@ def test_contains_grid_on_edge_shapes(region):
             assert_grid_matches(scaled(region, s), xs * s, ys * s)
 
 
+#: Unions whose rows hold the screen's hardest ends: lemniscates and either
+#: side of one, equal foci, bound 0, tangent rows, and centers far larger
+#: than the radii.
+SECTION_SHAPES = [
+    DiscUnion([[0.0, 2.0], [3.0, 1.0], [0.5, 0.0]]),
+    DiscUnion([[1e4, 1e-3], [1e4 + 2e-3, 1.5e-3], [-1e4 / 3, 3e-3]]),
+    PairIntersectionUnion([[[0.0, 2.0], [2.0, 2.0]], [[-1.0, 1.0], [-1.0, 3.0]]]),
+    PairIntersectionUnion([[[1e4, 1e-3], [1e4 + 1e-3, 1e-3]], [[1e4, 2e-3], [1e4, 3e-3]]]),
+    CassiniUnion([[-1.0, 1.0, 1.0], [2.0, 6.0, 4.0], [-4.0, 4.0, 15.9], [-4.0, 4.0, 16.1]]),
+    CassiniUnion([[1.0, 1.0, 9.0], [0.0, 2.0, 0.0], [-3.0, 3.0, 0.0]]),
+    CassiniUnion([[1e4, 1e4 + 2e-3, 1e-6], [1e4 - 1e-3, 1e4 + 1e-3, 1e-6], [1e4, 1e4, 4e-6]]),
+]
+
+
+def oval_rows(region):
+    """Rows where a slackened oval's section changes shape: the tops of its
+    lobes or of the whole oval (``P = 0`` at ``|y| = b / 2h``; ``s_hi = 0``
+    at ``y^2 = b - h^2``) and the rows where the gap about ``m`` closes
+    (``s_lo = 0``, also at ``y^2 = b - h^2``)."""
+    if not isinstance(region, CassiniUnion):
+        return np.empty(0)
+    c1, c2, b = geometry._slack(region.ovals).T
+    h = np.abs(c2 - c1) / 2.0
+    tops = b[h > 0] / (2.0 * h[h > 0])
+    return np.concatenate((tops, np.sqrt(np.maximum(b - h * h, 0.0))))
+
+
+def assert_section_ends_bracket(region, ys):
+    """Each primitive's sections on the rows ``ys`` against the exact
+    predicate, one ulp around every computed end and around its centers: a
+    point of an inner section is accepted, and an accepted point lies in an
+    outer section.  Sections are taken on the rows within the grown
+    half-height, as the screen takes them."""
+    table = geometry._slack(region.table)
+    reach = region._extents(table)[2] * (1.0 + geometry._GRID_SHRINK)
+    iy, ip = np.nonzero(np.abs(ys)[:, None] <= reach)
+    lo, hi, r_lo, r_hi = region._sections(table[ip], ys[iy])
+    centers = table[ip].reshape(len(ip), -1)[:, :-1]
+    if isinstance(region, CassiniUnion):
+        centers = np.column_stack((centers, centers.mean(axis=1)))
+    ends = [lo, hi, lo - r_lo, lo + r_lo, hi - r_hi, hi + r_hi]
+    x = np.column_stack((near(np.concatenate(ends).T).reshape(len(iy), -1),
+                         near(centers.T).reshape(len(iy), -1)))
+    z = x + 1j * ys[iy, None]
+    accepted = region._inside(z, table[ip, None])
+    within = [(x > a[:, :, None]) & (x <= b[:, :, None])
+              for a, b in ((lo + r_lo, hi - r_hi), (lo - r_lo, hi + r_hi))]
+    inner, outer = (w.any(axis=0) for w in within)
+    assert not (inner & ~accepted).any()
+    assert not (accepted & ~outer).any()
+
+
+@pytest.mark.parametrize("kind", ["discs", "pairs", "ovals"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_section_ends_bracket_the_exact_predicate(kind, data):
+    cls = {"discs": DiscUnion, "pairs": PairIntersectionUnion, "ovals": CassiniUnion}[kind]
+    shapes = [r for r in SECTION_SHAPES if type(r) is cls]
+    region = data.draw(st.one_of(regions(kind), st.sampled_from(shapes)))
+    # 2^480 keeps every entry below the screen's 2^500; above it the screen declines
+    s = data.draw(st.sampled_from([1.0, 2.0 ** -600, 2.0 ** 480]))
+    region = scaled(region, s)
+    _xs, ys = critical_axes(region)[0]
+    rows = oval_rows(region)
+    ys = np.concatenate((ys, near(rows), near(-rows), near(near(rows))))
+    assert_section_ends_bracket(region, ys)
+
+
+@pytest.mark.parametrize("kind", ["discs", "pairs", "ovals", "intersection"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_screen_matches_contains_points_on_small_grids(kind, data):
+    # a block of one grid row's point-row pairs sends every grid of two
+    # rows or more through the screen (or its declining checks, at 2^600)
+    region = data.draw(grid_regions(kind))
+    grid = data.draw(st.sampled_from(["critical", "linspace", "integer"]))
+    if grid == "critical":
+        xs, ys = critical_axes(region)[data.draw(st.integers(0, 2))]
+    elif grid == "linspace":
+        x0, x1, y0, y1 = region.bounding_box()
+        pad = data.draw(st.floats(0.0, 2.0)) * max(x1 - x0, y1 - y0, 1.0)
+        xs = np.linspace(x0 - pad, x1 + pad, data.draw(st.integers(2, 80)) + 1)
+        ys = np.linspace(y0 - pad, y1 + pad, data.draw(st.integers(1, 80)))
+    else:
+        xs, ys = np.arange(-30.0, 31.0), np.arange(-25.0, 26.0)
+    for s in (1.0, 2.0 ** 600, 2.0 ** -600):
+        part, gx, gy = scaled(region, s), xs * s, ys * s
+        want = part.contains_points(gx[None, :] + 1j * gy[:, None])
+        with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", xs.size):
+            assert np.array_equal(part.contains_grid(gx, gy), want)
+
+
+@pytest.mark.parametrize("region, res, exact", [
+    (DiscUnion([[0.5, 2.0]]), 64, True),
+    (PairIntersectionUnion([[[0.0, 2.0], [1.0, 2.0]]] * 5), 64, True),
+    (PairIntersectionUnion([[[0.0, 2.0], [1.0, 2.0]]] * 5), 81, False),
+    (obr_set(np.arange(1.0, 145.0).reshape(12, 12)), 64, False),
+])
+def test_small_grids_take_the_exact_path(region, res, exact):
+    # the exact path on the whole grid when its points times table rows
+    # fit in one membership block
+    x0, x1, y0, y1 = region.bounding_box()
+    xs, ys = np.linspace(x0, x1, res), np.linspace(y0, y1, res)
+    got, seen = grid_run(region, xs, ys)
+    assert np.array_equal(got, region.contains_points(xs[None, :] + 1j * ys[:, None]))
+    assert (seen == [res * res]) == exact
+    assert (res * res * len(region) <= geometry.MEMBERSHIP_BLOCK) == exact
+
+
 class GridSpy:
     """A region that records the axes of every ``contains_grid`` call."""
 
@@ -472,18 +581,23 @@ def test_contains_grid_tests_only_the_band():
 ])
 def test_contains_grid_declines_what_it_cannot_certify(xs, ys):
     region = RegionIntersection((CassiniUnion([[-1.0, 1.0, 1.5]]), DiscUnion([[0.0, 1.5]])))
-    for part in (*region.parts, region):
-        got, seen = grid_run(part, xs, ys)
-        assert np.array_equal(got, part.contains_points(xs[None, :] + 1j * ys[:, None]))
-    # each union took the exact path on the whole grid
-    for part in region.parts:
-        assert grid_run(part, xs, ys)[1] == [xs.size * ys.size]
+    want = {part: part.contains_points(xs[None, :] + 1j * ys[:, None])
+            for part in (*region.parts, region)}
+    # an empty membership block keeps every grid with a point off the
+    # small-grid path, so the screen's own checks decline these
+    with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", 0):
+        for part in (*region.parts, region):
+            assert np.array_equal(grid_run(part, xs, ys)[0], want[part])
+        # each union took the exact path on the whole grid
+        for part in region.parts:
+            assert grid_run(part, xs, ys)[1] == [xs.size * ys.size]
 
 
 def test_far_range_table_declines():
     region = CassiniUnion([[2.0 ** 501, -(2.0 ** 501), 1.0], [0.0, 1.0, 2.0]])
     xs, ys = np.linspace(-3.0, 3.0, 31), np.linspace(-2.0, 2.0, 21)
-    got, seen = grid_run(region, xs, ys)
+    with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", 0):   # off the small-grid path
+        got, seen = grid_run(region, xs, ys)
     assert seen == [xs.size * ys.size]
     assert np.array_equal(got, region.contains_points(xs[None, :] + 1j * ys[:, None]))
 
@@ -512,5 +626,21 @@ def test_sampled_subset_matches_the_meshgrid_reference(data):
     for b in (region_b, region_a):
         got = sampled_subset(region_a, b, resolution)
         want = ref_sampled_subset(region_a, b, resolution)
+        assert got.is_subset == want.is_subset
+        assert repr(got.witness) == repr(want.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sampled_subset_through_the_screen_matches_the_meshgrid_reference(data):
+    # small grids take the exact path; a block of one grid row's point-row
+    # pairs sends these through the screen
+    kinds = st.sampled_from(["discs", "pairs", "ovals", "intersection"])
+    region_a, region_b = (data.draw(grid_regions(data.draw(kinds))) for _ in range(2))
+    resolution = data.draw(st.sampled_from([16, 17, 40]))
+    for b in (region_b, region_a):
+        want = ref_sampled_subset(region_a, b, resolution)
+        with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", resolution):
+            got = sampled_subset(region_a, b, resolution)
         assert got.is_subset == want.is_subset
         assert repr(got.witness) == repr(want.witness)

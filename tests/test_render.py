@@ -115,9 +115,11 @@ def test_golden_files(name):
     assert got == want
 
 
-@pytest.mark.parametrize("name", ["obr_intersection12", "refined_pairs15"])
+@pytest.mark.parametrize("name", ["cassini_intersection", "obr_intersection12", "odd_refinement",
+                                  "refined_pairs15"])
 def test_raster_tests_under_one_percent_exactly(name):
-    # the slow pictures shapes: the screen decides all but a thin band of the
+    # every golden raster (disc pairs at n = 7 and 15, four oval sets at
+    # n = 3, two at n = 12): the screen decides all but a thin band of the
     # 257^2 grid, and only that band reaches the exact predicate
     seen, exact = [], geometry._Union.contains_points
 
