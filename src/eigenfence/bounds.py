@@ -161,7 +161,8 @@ def tau1(matrix) -> float:
     tiles = -(-n // max(1, block // n))
     width = -(-n // tiles)   # balanced tiles of at most block / n columns
     group = min(n // 2, max(1, 2 * block // (n * width)))
-    at = -(-group * n * width // 16) * 16   # the doubled tile starts on a cache line too
+    line = CACHE_LINE // 4   # float32 entries per cache line
+    at = -(-group * n * width // line) * line   # the doubled tile starts on a cache line too
     size = max(rows * n * n, (at + 2 * n * width) // 2 if screen else 0)
     raw = np.empty(size + CACHE_LINE // 8)
     buf = raw[-raw.ctypes.data % CACHE_LINE // 8:][:size]

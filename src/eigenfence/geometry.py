@@ -9,12 +9,12 @@ reach, or a disc pair's either reach, are above the float range) and owns
 membership, the bounding box, the extremal modulus, boundary samples and
 JSON, while each kind supplies only its formulas.  JSON comes as dicts
 (``to_json``) or as the text ``json.dumps(..., indent=2)`` would write,
-formatted straight from the table (``iter_json``, and :func:`iterencode`
-for documents that hold regions and arrays).  Membership tests blocks of
-points against a chunk of primitives at once, in blocks of fixed size,
-with one relative slack for every kind (:func:`_slack`).  It takes at most
-``O(points * primitives)`` time, and a point leaves the later chunks of a
-large table once one chunk accepts it.
+formatted straight from the table (:func:`iterencode`, also for documents
+that hold regions and arrays).  Membership tests blocks of points against
+a chunk of primitives at once, in blocks of ``core.BLOCK_ENTRIES // 2``
+point-primitive pairs, with one relative slack for every kind
+(:func:`_slack`).  It takes at most ``O(points * primitives)`` time, and a
+point leaves the later chunks of a large table once one chunk accepts it.
 ``contains_points`` is the one exact membership predicate.  A grid's
 membership (``contains_grid``, for rasters and sampled comparisons) comes
 from each primitive's closed-form x-sections on each grid row instead:
@@ -24,8 +24,9 @@ reach ``contains_points``, so the answer is the same bit for bit (a grid
 small enough for one membership block takes the exact path).
 Intersections are never converted to explicit shapes; membership
 predicates compose instead, and set comparisons are sampled (boundary
-points plus a grid over the bounding box).  This module imports no other
-eigenfence module.
+points plus a grid over the bounding box).  Of the other eigenfence
+modules this one imports only :mod:`eigenfence.core`, for its block budget
+``BLOCK_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -39,14 +40,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import core
+
 #: Relative slack used by all membership predicates.
 MEMBERSHIP_EPS = 1e-9
-
-#: Point-primitive pairs per membership block (one point at least).  On x86-64,
-#: over a 257^2 raster, 2^12 ran 1024 discs 1.6x and Ostrowski-Brauer ovals
-#: 2-3.5x slower (per-call overhead), and 2^16 ran n = 64 ovals 2x slower in a
-#: fresh process (temporaries freshly paged in for every block).
-MEMBERSHIP_BLOCK = 1 << 15
 
 #: Table rows per membership chunk; a larger table is sorted by half-height
 #: and its later chunks see only the points earlier chunks left undecided.
@@ -214,10 +211,12 @@ class _Union:
 
     @np.errstate(over="ignore", invalid="ignore")
     def contains_points(self, z) -> np.ndarray:
-        """Points of z in the union.  A table of more than ``MEMBERSHIP_CHUNK``
-        rows is walked in chunks, largest half-height first, and each chunk
-        tests only the points no earlier chunk accepted; membership is an OR
-        over rows, so the order cannot change the answer.
+        """Points of z in the union.  The table, slackened once, is walked in
+        chunks of ``MEMBERSHIP_CHUNK`` rows, a larger one largest half-height
+        first, and each chunk tests, in blocks of ``core.BLOCK_ENTRIES // 2``
+        point-row pairs, only the points no earlier chunk accepted;
+        membership is an OR over rows, so the order cannot change the
+        answer.  The points run along the fast axis.
 
         A point and a center within the float range can be farther apart
         than it: ``|z - c|`` then overflows to inf, and inf is outside
@@ -227,26 +226,35 @@ class _Union:
         :meth:`CassiniUnion._inside`)."""
         z = np.asarray(z, dtype=complex)
         flat, table = z.ravel(), self.table
-        if len(table) <= MEMBERSHIP_CHUNK:
-            return self._any(flat, table).reshape(z.shape)
-        table = table[np.argsort(-self._extents(table)[2], kind="stable")]
-        hit = self._any(flat, table[:MEMBERSHIP_CHUNK])
-        todo = np.flatnonzero(~hit)
-        for c in range(MEMBERSHIP_CHUNK, len(table), MEMBERSHIP_CHUNK):
-            if not todo.size:
-                break
-            found = self._any(flat, table[c:c + MEMBERSHIP_CHUNK], todo)
-            hit[todo[found]] = True
-            todo = todo[~found]
+        if len(table) > MEMBERSHIP_CHUNK:
+            table = table[np.argsort(-self._extents(table)[2], kind="stable")]
+        table = _slack(table)[:, None]
+        todo = None   # every point, until the first chunk has run
+        for c in range(0, len(table), MEMBERSHIP_CHUNK):
+            if c:
+                todo = np.flatnonzero(~hit) if todo is None else todo[~found]
+                if not todo.size:
+                    break
+            points = flat if todo is None else flat[todo]
+            rows = table[c:c + MEMBERSHIP_CHUNK]
+            step = max(1, core.BLOCK_ENTRIES // 2 // len(rows))
+            found = np.empty(points.size, dtype=bool)
+            for i in range(0, points.size, step):
+                found[i:i + step] = self._inside(points[i:i + step], rows).any(axis=0)
+            if todo is None:
+                hit = found
+            else:
+                hit[todo[found]] = True
         return hit.reshape(z.shape)
 
     def contains_grid(self, xs, ys) -> np.ndarray:
         """``contains_points(xs[None, :] + 1j * ys[:, None])``, bit for bit:
         the ``(len(ys), len(xs))`` membership of a grid.
 
-        A grid whose points times table rows fit in one ``MEMBERSHIP_BLOCK``
-        takes the exact path: there one block of :meth:`contains_points`
-        costs less than the screen's fixed cost.  On a larger grid, a
+        A grid whose points times table rows fit in one membership block
+        (``core.BLOCK_ENTRIES // 2`` pairs) takes the exact path: there one
+        block of :meth:`contains_points` costs less than the screen's fixed
+        cost.  On a larger grid, a
         primitive is at most two x-intervals on each row ``y``, in closed
         form (the kinds' ``_sections``), each computed once with a radius
         per end.  Its ends moved in by their radii give an inner section and
@@ -331,23 +339,23 @@ class _Union:
         finer grid would lie mostly in the band, which is about ``2^-33 M``
         wide off the tangent rows.  A grid with no row is empty, so the
         size rule above sends it to the exact path.  Sections run over
-        blocks of ``MEMBERSHIP_BLOCK // (4 len(ys))`` table rows, so memory
+        blocks of ``core.BLOCK_ENTRIES // (8 len(ys))`` table rows, so memory
         stays bounded.
         """
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        table = _slack(self.table)
-        if xs.size * ys.size * len(table) <= MEMBERSHIP_BLOCK:
-            return self.contains_points(xs[None, :] + 1j * ys[:, None])
-        top = np.max([np.abs(a).max(initial=0.0) for a in (xs, ys, table)])   # NaN if any is
-        if not (xs.size >= 2 and top <= _GRID_LIMIT
-                and np.diff(xs).min() >= _GRID_STEP * top):
+        table, pairs = _slack(self.table), core.BLOCK_ENTRIES // 2
+        # the exact path for a grid of one membership block or one the screen
+        # declines; top, the largest magnitude, is NaN if any entry is
+        if (xs.size * ys.size * len(table) <= pairs or xs.size < 2
+                or not ((top := np.max([np.abs(a).max() for a in (xs, ys, table)])) <= _GRID_LIMIT
+                        and np.diff(xs).min() >= _GRID_STEP * top)):
             return self.contains_points(xs[None, :] + 1j * ys[:, None])
         # the difference array of the outer sections runs along x, one grid
         # row per x index, so its cumsum adds whole rows at a time; sections
         # are taken only on the rows within a primitive's reach
         fill = np.zeros((xs.size + 1) * ys.size, dtype=np.intp)
         band = []
-        step = max(1, MEMBERSHIP_BLOCK // (4 * ys.size))
+        step = max(1, pairs // (4 * ys.size))
         for c in range(0, len(table), step):
             block = table[c:c + step]
             reach = self._extents(block)[2] * (1.0 + _GRID_SHRINK)
@@ -364,20 +372,6 @@ class _Union:
             iy, ix = np.divmod(band, xs.size)
             inside.flat[band] = self.contains_points(xs[ix] + 1j * ys[iy])
         return inside
-
-    def _any(self, flat, rows, at=None) -> np.ndarray:
-        """Whether any of ``rows`` holds each point of ``flat`` (or of
-        ``flat[at]``).  Blocks of ``MEMBERSHIP_BLOCK`` point-row pairs keep
-        every temporary small, and the points of ``at`` are gathered one
-        block at a time; the points run along the fast axis."""
-        rows = _slack(rows)[:, None]
-        size = flat.size if at is None else at.size
-        out = np.empty(size, dtype=bool)
-        step = max(1, MEMBERSHIP_BLOCK // len(rows))
-        for i in range(0, size, step):
-            block = flat[i:i + step] if at is None else flat[at[i:i + step]]
-            out[i:i + step] = self._inside(block, rows).any(axis=0)
-        return out
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         x0, x1, h = self._extents(self.table)
@@ -399,15 +393,6 @@ class _Union:
     def to_json(self) -> dict:
         return {"kind": self._kind,
                 self._field: _records(self._keys, self.table.tolist(), len(self._shape) - 1)}
-
-    def iter_json(self, level: int = 0) -> Iterator[str]:
-        """The text of :meth:`to_json` as ``json.dumps(..., indent=2)`` writes
-        it, nested ``level`` deep, in pieces: the table goes a chunk of rows
-        per ``%`` format, with no dict per row."""
-        inner = "\n" + "  " * (level + 1)
-        yield f'{{{inner}"kind": "{self._kind}",{inner}"{self._field}": '
-        yield from _array_text(self.table, level + 1, self._keys)
-        yield "\n" + "  " * level + "}"
 
     @classmethod
     def from_json(cls, doc: dict):
@@ -625,10 +610,6 @@ class RegionIntersection:
     def to_json(self) -> dict:
         return {"kind": self._kind, "parts": [p.to_json() for p in self.parts]}
 
-    def iter_json(self, level: int = 0) -> Iterator[str]:
-        """The text of :meth:`to_json`, as :meth:`_Union.iter_json` writes it."""
-        return _text({"kind": self._kind, "parts": self.parts}, level)
-
     @classmethod
     def from_json(cls, doc: dict):
         return cls(tuple(region_from_json(p) for p in doc["parts"]))
@@ -729,8 +710,14 @@ def _text(doc, level: int) -> Iterator[str]:
         yield "\n" + "  " * level + brackets[1]
     elif isinstance(doc, np.ndarray):
         yield from _array_text(doc, level)
-    elif isinstance(doc, (_Union, RegionIntersection)):
-        yield from doc.iter_json(level)
+    elif isinstance(doc, _Union):
+        # its table goes a chunk of rows per % format, with no dict per row
+        inner = "\n" + "  " * (level + 1)
+        yield f'{{{inner}"kind": "{doc._kind}",{inner}"{doc._field}": '
+        yield from _array_text(doc.table, level + 1, doc._keys)
+        yield "\n" + "  " * level + "}"
+    elif isinstance(doc, RegionIntersection):
+        yield from _text({"kind": doc._kind, "parts": doc.parts}, level)
     else:
         raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 

@@ -249,17 +249,35 @@ ARRAYS = st.one_of(
                elements=FLOATS),
     hnp.arrays(st.sampled_from([np.int64, np.bool_, np.float32]),
                hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)))
+
+
+def unions(cls, shape):
+    """Small ``cls`` regions: one to three rows of ``shape``, bounds made nonnegative."""
+    def build(table):
+        table[..., -1] = np.abs(table[..., -1])
+        return cls(table)
+    rows = st.integers(1, 3).map(lambda n: (n, *shape))
+    return hnp.arrays(np.float64, rows, elements=st.floats(-1e3, 1e3)).map(build)
+
+
+UNIONS = st.one_of(unions(DiscUnion, (2,)), unions(PairIntersectionUnion, (2, 2)),
+                   unions(CassiniUnion, (3,)))
+REGIONS = st.one_of(UNIONS, st.lists(UNIONS, min_size=1, max_size=3)
+                    .map(lambda parts: RegionIntersection(tuple(parts))))
 DOCS = st.recursive(
-    st.one_of(SCALARS, ARRAYS),
+    st.one_of(SCALARS, ARRAYS, REGIONS),
     lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
                            st.dictionaries(TEXT, kids, max_size=4)),
     max_leaves=20)
 
 
 def plain(doc):
-    """``doc`` with every array replaced by its ``tolist()``."""
+    """``doc`` with every array replaced by its ``tolist()`` and every region
+    by its ``to_json()``."""
     if isinstance(doc, np.ndarray):
         return doc.tolist()
+    if isinstance(doc, (DiscUnion, PairIntersectionUnion, CassiniUnion, RegionIntersection)):
+        return doc.to_json()
     if isinstance(doc, dict):
         return {k: plain(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):

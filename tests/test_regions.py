@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from eigenfence import (CassiniUnion, DiscUnion, PairIntersectionUnion, RegionIntersection,
                         SubsetCheck, max_abs, obr_intersection, obr_set, region_from_json,
                         sampled_subset)
-from eigenfence import geometry
+from eigenfence import core, geometry
 from eigenfence.geometry import MEMBERSHIP_EPS
 
 # -- scalar reference: one primitive at a time --------------------------------
@@ -152,7 +152,7 @@ def exact_points(region):
     return np.concatenate([(c[:, None] + r[:, None] * unit).ravel() for c, r in rows])
 
 
-@pytest.mark.parametrize("block", [geometry.MEMBERSHIP_BLOCK, 1])
+@pytest.mark.parametrize("block", [core.BLOCK_ENTRIES // 2, 1])
 @pytest.mark.parametrize("kind", ["discs", "pairs", "ovals"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -162,7 +162,7 @@ def test_array_regions_match_scalar_reference(kind, block, data):
     y = data.draw(st.lists(st.floats(-40, 40), min_size=len(x), max_size=len(x)))
     z = np.concatenate((np.array(x) + 1j * np.array(y), exact_points(region)))
     for chunk in (geometry.MEMBERSHIP_CHUNK, 5, 1):   # one chunk, several, one row each
-        with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", block), \
+        with mock.patch.object(core, "BLOCK_ENTRIES", 2 * block), \
                 mock.patch.object(geometry, "MEMBERSHIP_CHUNK", chunk):
             hit = region.contains_points(z)
             assert np.array_equal(hit, ref_contains(region, z))
@@ -245,14 +245,16 @@ def test_later_chunks_see_only_undecided_points(kind, n):
     x0, x1, y0, y1 = region.bounding_box()
     z = rng.uniform(x0, x1, 500) + 1j * rng.uniform(y0, y1, 500)
     seen = []
-    any_rows = geometry._Union._any
+    inside = type(region)._inside
 
-    def spy(self, flat, rows, at=None):
-        seen.append((rows, flat if at is None else flat[at]))
-        return any_rows(self, flat, rows, at)
+    def spy(points, rows):
+        # rows: a chunk of the slackened table, an axis inserted; ref_contains
+        # slackens it once more, a change of 1e-9 that no point of z is near
+        seen.append((rows[:, 0], points))
+        return inside(points, rows)
 
     with mock.patch.object(geometry, "MEMBERSHIP_CHUNK", 8), \
-            mock.patch.object(geometry._Union, "_any", spy):
+            mock.patch.object(type(region), "_inside", staticmethod(spy)):
         hit = region.contains_points(z)
     assert np.array_equal(hit, ref_contains(region, z))
     assert len(seen) > 2 and np.array_equal(seen[0][1], z)
@@ -267,9 +269,21 @@ def test_later_chunks_see_only_undecided_points(kind, n):
     inner = z[ref_contains(type(region)(seen[0][0]), z)]   # points the first chunk accepts
     seen.clear()
     with mock.patch.object(geometry, "MEMBERSHIP_CHUNK", 8), \
-            mock.patch.object(geometry._Union, "_any", spy):
+            mock.patch.object(type(region), "_inside", staticmethod(spy)):
         assert region.contains_points(inner).all()
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_no_points_give_an_empty_answer(shape):
+    rng = np.random.default_rng(3)
+    # tables of at most and of more than one chunk of each kind (12 gives 66 ovals)
+    unions = [random_region(kind, rng, n) for kind, sizes in
+              (("discs", (3, 100)), ("pairs", (3, 100)), ("ovals", (3, 12))) for n in sizes]
+    assert [len(u) > geometry.MEMBERSHIP_CHUNK for u in unions] == [False, True] * 3
+    for region in (*unions, RegionIntersection(tuple(unions))):
+        hit = region.contains_points(np.empty(shape, dtype=complex))
+        assert hit.dtype == bool and hit.shape == shape
 
 
 def large_region(kind):
@@ -512,7 +526,7 @@ def test_screen_matches_contains_points_on_small_grids(kind, data):
     for s in (1.0, 2.0 ** 600, 2.0 ** -600):
         part, gx, gy = scaled(region, s), xs * s, ys * s
         want = part.contains_points(gx[None, :] + 1j * gy[:, None])
-        with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", xs.size):
+        with mock.patch.object(core, "BLOCK_ENTRIES", 2 * xs.size):
             assert np.array_equal(part.contains_grid(gx, gy), want)
 
 
@@ -530,7 +544,7 @@ def test_small_grids_take_the_exact_path(region, res, exact):
     got, seen = grid_run(region, xs, ys)
     assert np.array_equal(got, region.contains_points(xs[None, :] + 1j * ys[:, None]))
     assert (seen == [res * res]) == exact
-    assert (res * res * len(region) <= geometry.MEMBERSHIP_BLOCK) == exact
+    assert (res * res * len(region) <= core.BLOCK_ENTRIES // 2) == exact
 
 
 class GridSpy:
@@ -585,7 +599,7 @@ def test_contains_grid_declines_what_it_cannot_certify(xs, ys):
             for part in (*region.parts, region)}
     # an empty membership block keeps every grid with a point off the
     # small-grid path, so the screen's own checks decline these
-    with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", 0):
+    with mock.patch.object(core, "BLOCK_ENTRIES", 0):
         for part in (*region.parts, region):
             assert np.array_equal(grid_run(part, xs, ys)[0], want[part])
         # each union took the exact path on the whole grid
@@ -596,7 +610,7 @@ def test_contains_grid_declines_what_it_cannot_certify(xs, ys):
 def test_far_range_table_declines():
     region = CassiniUnion([[2.0 ** 501, -(2.0 ** 501), 1.0], [0.0, 1.0, 2.0]])
     xs, ys = np.linspace(-3.0, 3.0, 31), np.linspace(-2.0, 2.0, 21)
-    with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", 0):   # off the small-grid path
+    with mock.patch.object(core, "BLOCK_ENTRIES", 0):   # off the small-grid path
         got, seen = grid_run(region, xs, ys)
     assert seen == [xs.size * ys.size]
     assert np.array_equal(got, region.contains_points(xs[None, :] + 1j * ys[:, None]))
@@ -640,7 +654,7 @@ def test_sampled_subset_through_the_screen_matches_the_meshgrid_reference(data):
     resolution = data.draw(st.sampled_from([16, 17, 40]))
     for b in (region_b, region_a):
         want = ref_sampled_subset(region_a, b, resolution)
-        with mock.patch.object(geometry, "MEMBERSHIP_BLOCK", resolution):
+        with mock.patch.object(core, "BLOCK_ENTRIES", 2 * resolution):
             got = sampled_subset(region_a, b, resolution)
         assert got.is_subset == want.is_subset
         assert repr(got.witness) == repr(want.witness)
