@@ -28,13 +28,15 @@ and then in float64 only the pairs that float32 rounding cannot rule out
 (one pair on random matrices, every pair when all tie); a powered bound
 adds ``k - 1`` matrix products,
 ``O(k n^3)`` time, and :func:`standard_reports` walks B, B^2, ... once
-for all its powers.  The walk subtracts row 0 from B before the first
-product, a column shift the semi-norms do not see, so no product forms
-the ``lambda^k`` part; only rounding, about ``1e-16 lambda^k``, is left
-to grow.  From B^2 on, each power is walked at unit scale, its exponent
-kept apart, so no product overflows and a power-of-two scale of A passes
-through exactly; k >= 2 refuses a B that unit scale would change (its
-entries span more than the float range), and any bound above it.
+for all its powers.  From B^2 on, the walk takes powers of D, B with
+row 0 subtracted from every row: a column shift of B^k that the
+semi-norms do not see, and ``D e = 0``, so no product forms the
+``lambda^k`` part and the rounding along e is multiplied by 0 at every
+step instead of growing like ``lambda^k``.  D and each power are walked
+at unit scale, their exponents kept apart, so no product overflows and a
+power-of-two scale of A passes through exactly; k >= 2 refuses a B that
+unit scale would change (its entries span more than the float range),
+and any bound above it.
 """
 
 from __future__ import annotations
@@ -264,23 +266,28 @@ def _unit(p: np.ndarray, out=None):
 
 def _power(matrix: np.ndarray, k: int):
     """Yield ``(M, 0)``, then ``(P, x)`` with ``ldexp(P, x)`` equal to
-    ``M^j - e (row 0 of M^j)`` for j = 2..k: one product per step, one
-    power held, and every P at unit scale, so no product overflows.  Row 0
-    is subtracted once, from M, so no product forms the ``lambda^j`` part,
-    and a remaining part far below it is not flushed.  An M that unit scale
-    would change (an entry flushed) raises OverflowError."""
+    ``D^j`` for j = 2..k, where ``D = M - e (row 0 of M)``: one product by
+    D per step, one power held, and D and every P at unit scale, their
+    exponents kept apart, so no product overflows.  When ``M e = lambda
+    e``, ``D^j = M^j - e (row 0 of M^j)``, a column shift of ``M^j``
+    that neither semi-norm sees, and ``D e = 0``: each product multiplies
+    the rounding along e by 0, not by lambda, so P follows the remaining
+    spectrum.  An M that unit scale would change (an entry flushed) raises
+    OverflowError."""
     yield matrix, 0
     if k < 2:
         return
     unit, shift = _unit(matrix)
     if shift > 0 and not np.array_equal(np.ldexp(unit, shift), matrix):
         raise OverflowError("powers of B: the entries of B span more than the float range")
-    p, x = _unit(unit - unit[0])
-    x += shift
+    unit -= unit[0].copy()
+    d, shift_d = _unit(unit, out=unit)
+    shift_d += shift
+    p, x = d, shift_d
     for _ in range(2, k + 1):
-        p = p @ unit
+        p = p @ d
         p, s = _unit(p, out=p)
-        x += shift + s
+        x += shift_d + s
         yield p, x
 
 

@@ -23,7 +23,7 @@ DEFAULT_TOL = 1e-9
 #: bytes to a column tile, held twice, and to a group of offsets' maxima.
 #: Region membership in :mod:`~eigenfence.geometry` takes the same bytes as
 #: ``BLOCK_ENTRIES // 2`` complex point-primitive pairs per block, and so
-#: do a raster's blocks of grid sections and its small-grid rule.  On
+#: do a raster's blocks of grid sections.  On
 #: x86-64, over a 257^2 raster, 2^12 pairs ran 1024 discs 1.6x and
 #: Ostrowski-Brauer ovals 2-3.5x slower (per-call overhead), and 2^16 ran
 #: n = 64 ovals 2x slower in a fresh process (temporaries freshly paged in

@@ -20,8 +20,7 @@ membership (``contains_grid``, for rasters and sampled comparisons) comes
 from each primitive's closed-form x-sections on each grid row instead:
 ``O(rows * primitives)`` sections decide every point outside a thin,
 proven rounding band around the boundaries, and only the band's points
-reach ``contains_points``, so the answer is the same bit for bit (a grid
-small enough for one membership block takes the exact path).
+reach ``contains_points``, so the answer is the same bit for bit.
 Intersections are never converted to explicit shapes; membership
 predicates compose instead, and set comparisons are sampled (boundary
 points plus a grid over the bounding box).  Of the other eigenfence
@@ -45,8 +44,8 @@ from . import core
 #: Relative slack used by all membership predicates.
 MEMBERSHIP_EPS = 1e-9
 
-#: Table rows per membership chunk; a larger table is sorted by half-height
-#: and its later chunks see only the points earlier chunks left undecided.
+#: Table rows per membership chunk; the later chunks of a larger table see
+#: only the points earlier chunks left undecided.
 MEMBERSHIP_CHUNK = 64
 
 #: Floats per ``%`` format when a float array is written as JSON text.
@@ -212,11 +211,10 @@ class _Union:
     @np.errstate(over="ignore", invalid="ignore")
     def contains_points(self, z) -> np.ndarray:
         """Points of z in the union.  The table, slackened once, is walked in
-        chunks of ``MEMBERSHIP_CHUNK`` rows, a larger one largest half-height
-        first, and each chunk tests, in blocks of ``core.BLOCK_ENTRIES // 2``
-        point-row pairs, only the points no earlier chunk accepted;
-        membership is an OR over rows, so the order cannot change the
-        answer.  The points run along the fast axis.
+        its own row order in chunks of ``MEMBERSHIP_CHUNK`` rows, and each
+        chunk tests, in blocks of ``core.BLOCK_ENTRIES // 2`` point-row
+        pairs, only the points no earlier chunk accepted; membership is an
+        OR over rows.  The points run along the fast axis.
 
         A point and a center within the float range can be farther apart
         than it: ``|z - c|`` then overflows to inf, and inf is outside
@@ -225,10 +223,7 @@ class _Union:
         scale instead when a distance overflows (see
         :meth:`CassiniUnion._inside`)."""
         z = np.asarray(z, dtype=complex)
-        flat, table = z.ravel(), self.table
-        if len(table) > MEMBERSHIP_CHUNK:
-            table = table[np.argsort(-self._extents(table)[2], kind="stable")]
-        table = _slack(table)[:, None]
+        flat, table = z.ravel(), _slack(self.table)[:, None]
         todo = None   # every point, until the first chunk has run
         for c in range(0, len(table), MEMBERSHIP_CHUNK):
             if c:
@@ -251,11 +246,7 @@ class _Union:
         """``contains_points(xs[None, :] + 1j * ys[:, None])``, bit for bit:
         the ``(len(ys), len(xs))`` membership of a grid.
 
-        A grid whose points times table rows fit in one membership block
-        (``core.BLOCK_ENTRIES // 2`` pairs) takes the exact path: there one
-        block of :meth:`contains_points` costs less than the screen's fixed
-        cost.  On a larger grid, a
-        primitive is at most two x-intervals on each row ``y``, in closed
+        A primitive is at most two x-intervals on each row ``y``, in closed
         form (the kinds' ``_sections``), each computed once with a radius
         per end.  Its ends moved in by their radii give an inner section and
         moved out an outer one, with ``inner ⊆ accepted ⊆ outer`` (proved
@@ -337,16 +328,16 @@ class _Union:
         ``M <= 2^500`` (no NaN).  Up to ``2^500`` no square or product of
         the screen overflows and no distance of the exact path does; a
         finer grid would lie mostly in the band, which is about ``2^-33 M``
-        wide off the tangent rows.  A grid with no row is empty, so the
-        size rule above sends it to the exact path.  Sections run over
+        wide off the tangent rows.  A grid with no row (whose largest
+        magnitude is undefined) takes the exact path too.  Sections run over
         blocks of ``core.BLOCK_ENTRIES // (8 len(ys))`` table rows, so memory
         stays bounded.
         """
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        table, pairs = _slack(self.table), core.BLOCK_ENTRIES // 2
-        # the exact path for a grid of one membership block or one the screen
-        # declines; top, the largest magnitude, is NaN if any entry is
-        if (xs.size * ys.size * len(table) <= pairs or xs.size < 2
+        table = _slack(self.table)
+        # the exact path for a grid the screen declines; top, the largest
+        # magnitude, is NaN if any entry is
+        if (not ys.size or xs.size < 2
                 or not ((top := np.max([np.abs(a).max() for a in (xs, ys, table)])) <= _GRID_LIMIT
                         and np.diff(xs).min() >= _GRID_STEP * top)):
             return self.contains_points(xs[None, :] + 1j * ys[:, None])
@@ -355,7 +346,7 @@ class _Union:
         # are taken only on the rows within a primitive's reach
         fill = np.zeros((xs.size + 1) * ys.size, dtype=np.intp)
         band = []
-        step = max(1, pairs // (4 * ys.size))
+        step = max(1, core.BLOCK_ENTRIES // (8 * ys.size))
         for c in range(0, len(table), step):
             block = table[c:c + step]
             reach = self._extents(block)[2] * (1.0 + _GRID_SHRINK)

@@ -196,6 +196,21 @@ def test_powered_convergence_trend():
             assert last <= 1.3 * target
 
 
+def test_high_powers_follow_the_remaining_spectrum():
+    # lambda is about 80 and the remaining radius about 3.6: a walk that let
+    # the rounding along e grow like lambda^k read about 7 times the radius
+    rng = np.random.default_rng(0)
+    a = rng.random((160, 160))
+    values, vectors = np.linalg.eig(a)
+    top = np.argmax(values.real)
+    pair = Eigenpair(values[top].real, vectors[:, top].real)
+    others = np.linalg.eigvals(a)
+    rest = np.abs(np.delete(others, np.argmax(others.real))).max()
+    reports = {r.name: r.value for r in standard_reports(a, pair, ks=(32,))}
+    for name in ("tau1_k32", "tauinf_k32"):
+        assert rest <= reports[name] <= 1.1 * rest, name
+
+
 # ---------------------------------------------------------------------------
 # determinant bound
 # ---------------------------------------------------------------------------

@@ -263,8 +263,6 @@ def test_later_chunks_see_only_undecided_points(kind, n):
         assert np.array_equal(points, z[undecided])
         undecided &= ~ref_contains(type(region)(rows), z)
     assert 0 < seen[-1][1].size < z.size
-    h = np.concatenate([region._extents(rows)[2] for rows, _ in seen])
-    assert np.all(np.diff(h) <= 0)
 
     inner = z[ref_contains(type(region)(seen[0][0]), z)]   # points the first chunk accepts
     seen.clear()
@@ -407,9 +405,9 @@ def test_contains_grid_matches_contains_points(kind, data):
         ys = np.linspace(y0 - pad, y1 + pad, data.draw(st.integers(1, 80)))
     else:   # an integer viewport: integer centers and radii put points on circles
         xs, ys = np.arange(-30.0, 31.0), np.arange(-25.0, 26.0)
-    assert_grid_matches(region, xs, ys)
-    s = data.draw(st.sampled_from([2.0 ** 600, 2.0 ** -600]))
-    assert_grid_matches(scaled(region, s), xs * s, ys * s)
+    # through the screen, and at 2^600 through its declining checks
+    for s in (1.0, 2.0 ** 600, 2.0 ** -600):
+        assert_grid_matches(scaled(region, s), xs * s, ys * s)
 
 
 @pytest.mark.parametrize("region", [
@@ -461,8 +459,9 @@ def oval_rows(region):
         return np.empty(0)
     c1, c2, b = geometry._slack(region.ovals).T
     h = np.abs(c2 - c1) / 2.0
-    tops = b[h > 0] / (2.0 * h[h > 0])
-    return np.concatenate((tops, np.sqrt(np.maximum(b - h * h, 0.0))))
+    with np.errstate(over="ignore"):   # foci a few ulps apart: that top is above the float range
+        tops = b[h > 0] / (2.0 * h[h > 0])
+    return np.concatenate((tops[np.isfinite(tops)], np.sqrt(np.maximum(b - h * h, 0.0))))
 
 
 def assert_section_ends_bracket(region, ys):
@@ -504,47 +503,6 @@ def test_section_ends_bracket_the_exact_predicate(kind, data):
     rows = oval_rows(region)
     ys = np.concatenate((ys, near(rows), near(-rows), near(near(rows))))
     assert_section_ends_bracket(region, ys)
-
-
-@pytest.mark.parametrize("kind", ["discs", "pairs", "ovals", "intersection"])
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_screen_matches_contains_points_on_small_grids(kind, data):
-    # a block of one grid row's point-row pairs sends every grid of two
-    # rows or more through the screen (or its declining checks, at 2^600)
-    region = data.draw(grid_regions(kind))
-    grid = data.draw(st.sampled_from(["critical", "linspace", "integer"]))
-    if grid == "critical":
-        xs, ys = critical_axes(region)[data.draw(st.integers(0, 2))]
-    elif grid == "linspace":
-        x0, x1, y0, y1 = region.bounding_box()
-        pad = data.draw(st.floats(0.0, 2.0)) * max(x1 - x0, y1 - y0, 1.0)
-        xs = np.linspace(x0 - pad, x1 + pad, data.draw(st.integers(2, 80)) + 1)
-        ys = np.linspace(y0 - pad, y1 + pad, data.draw(st.integers(1, 80)))
-    else:
-        xs, ys = np.arange(-30.0, 31.0), np.arange(-25.0, 26.0)
-    for s in (1.0, 2.0 ** 600, 2.0 ** -600):
-        part, gx, gy = scaled(region, s), xs * s, ys * s
-        want = part.contains_points(gx[None, :] + 1j * gy[:, None])
-        with mock.patch.object(core, "BLOCK_ENTRIES", 2 * xs.size):
-            assert np.array_equal(part.contains_grid(gx, gy), want)
-
-
-@pytest.mark.parametrize("region, res, exact", [
-    (DiscUnion([[0.5, 2.0]]), 64, True),
-    (PairIntersectionUnion([[[0.0, 2.0], [1.0, 2.0]]] * 5), 64, True),
-    (PairIntersectionUnion([[[0.0, 2.0], [1.0, 2.0]]] * 5), 81, False),
-    (obr_set(np.arange(1.0, 145.0).reshape(12, 12)), 64, False),
-])
-def test_small_grids_take_the_exact_path(region, res, exact):
-    # the exact path on the whole grid when its points times table rows
-    # fit in one membership block
-    x0, x1, y0, y1 = region.bounding_box()
-    xs, ys = np.linspace(x0, x1, res), np.linspace(y0, y1, res)
-    got, seen = grid_run(region, xs, ys)
-    assert np.array_equal(got, region.contains_points(xs[None, :] + 1j * ys[:, None]))
-    assert (seen == [res * res]) == exact
-    assert (res * res * len(region) <= core.BLOCK_ENTRIES // 2) == exact
 
 
 class GridSpy:
@@ -597,21 +555,17 @@ def test_contains_grid_declines_what_it_cannot_certify(xs, ys):
     region = RegionIntersection((CassiniUnion([[-1.0, 1.0, 1.5]]), DiscUnion([[0.0, 1.5]])))
     want = {part: part.contains_points(xs[None, :] + 1j * ys[:, None])
             for part in (*region.parts, region)}
-    # an empty membership block keeps every grid with a point off the
-    # small-grid path, so the screen's own checks decline these
-    with mock.patch.object(core, "BLOCK_ENTRIES", 0):
-        for part in (*region.parts, region):
-            assert np.array_equal(grid_run(part, xs, ys)[0], want[part])
-        # each union took the exact path on the whole grid
-        for part in region.parts:
-            assert grid_run(part, xs, ys)[1] == [xs.size * ys.size]
+    for part in (*region.parts, region):
+        assert np.array_equal(grid_run(part, xs, ys)[0], want[part])
+    # each union took the exact path on the whole grid
+    for part in region.parts:
+        assert grid_run(part, xs, ys)[1] == [xs.size * ys.size]
 
 
 def test_far_range_table_declines():
     region = CassiniUnion([[2.0 ** 501, -(2.0 ** 501), 1.0], [0.0, 1.0, 2.0]])
     xs, ys = np.linspace(-3.0, 3.0, 31), np.linspace(-2.0, 2.0, 21)
-    with mock.patch.object(core, "BLOCK_ENTRIES", 0):   # off the small-grid path
-        got, seen = grid_run(region, xs, ys)
+    got, seen = grid_run(region, xs, ys)
     assert seen == [xs.size * ys.size]
     assert np.array_equal(got, region.contains_points(xs[None, :] + 1j * ys[:, None]))
 
@@ -640,21 +594,5 @@ def test_sampled_subset_matches_the_meshgrid_reference(data):
     for b in (region_b, region_a):
         got = sampled_subset(region_a, b, resolution)
         want = ref_sampled_subset(region_a, b, resolution)
-        assert got.is_subset == want.is_subset
-        assert repr(got.witness) == repr(want.witness)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_sampled_subset_through_the_screen_matches_the_meshgrid_reference(data):
-    # small grids take the exact path; a block of one grid row's point-row
-    # pairs sends these through the screen
-    kinds = st.sampled_from(["discs", "pairs", "ovals", "intersection"])
-    region_a, region_b = (data.draw(grid_regions(data.draw(kinds))) for _ in range(2))
-    resolution = data.draw(st.sampled_from([16, 17, 40]))
-    for b in (region_b, region_a):
-        want = ref_sampled_subset(region_a, b, resolution)
-        with mock.patch.object(core, "BLOCK_ENTRIES", 2 * resolution):
-            got = sampled_subset(region_a, b, resolution)
         assert got.is_subset == want.is_subset
         assert repr(got.witness) == repr(want.witness)
