@@ -405,9 +405,9 @@ def test_contains_grid_matches_contains_points(kind, data):
         ys = np.linspace(y0 - pad, y1 + pad, data.draw(st.integers(1, 80)))
     else:   # an integer viewport: integer centers and radii put points on circles
         xs, ys = np.arange(-30.0, 31.0), np.arange(-25.0, 26.0)
-    # through the screen, and at 2^600 through its declining checks
-    for s in (1.0, 2.0 ** 600, 2.0 ** -600):
-        assert_grid_matches(scaled(region, s), xs * s, ys * s)
+    assert_grid_matches(region, xs, ys)
+    s = data.draw(st.sampled_from([2.0 ** 600, 2.0 ** -600]))
+    assert_grid_matches(scaled(region, s), xs * s, ys * s)
 
 
 @pytest.mark.parametrize("region", [
@@ -503,6 +503,31 @@ def test_section_ends_bracket_the_exact_predicate(kind, data):
     rows = oval_rows(region)
     ys = np.concatenate((ys, near(rows), near(-rows), near(near(rows))))
     assert_section_ends_bracket(region, ys)
+
+
+@pytest.mark.parametrize("kind", ["discs", "pairs", "ovals", "intersection"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_screen_matches_contains_points_on_small_grids(kind, data):
+    # a block of one grid row's point-row pairs runs the screen over blocks
+    # of a few table rows, and the band's exact tests in small blocks (at
+    # 2^600 the screen declines and the whole grid takes the exact path)
+    region = data.draw(grid_regions(kind))
+    grid = data.draw(st.sampled_from(["critical", "linspace", "integer"]))
+    if grid == "critical":
+        xs, ys = critical_axes(region)[data.draw(st.integers(0, 2))]
+    elif grid == "linspace":
+        x0, x1, y0, y1 = region.bounding_box()
+        pad = data.draw(st.floats(0.0, 2.0)) * max(x1 - x0, y1 - y0, 1.0)
+        xs = np.linspace(x0 - pad, x1 + pad, data.draw(st.integers(2, 80)) + 1)
+        ys = np.linspace(y0 - pad, y1 + pad, data.draw(st.integers(1, 80)))
+    else:
+        xs, ys = np.arange(-30.0, 31.0), np.arange(-25.0, 26.0)
+    for s in (1.0, 2.0 ** 600, 2.0 ** -600):
+        part, gx, gy = scaled(region, s), xs * s, ys * s
+        want = part.contains_points(gx[None, :] + 1j * gy[:, None])
+        with mock.patch.object(core, "BLOCK_ENTRIES", 2 * xs.size):
+            assert np.array_equal(part.contains_grid(gx, gy), want)
 
 
 class GridSpy:
