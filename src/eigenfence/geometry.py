@@ -15,9 +15,13 @@ a chunk of primitives at once, in blocks of ``core.BLOCK_ENTRIES // 2``
 point-primitive pairs, with one relative slack for every kind
 (:func:`_slack`).  It takes at most ``O(points * primitives)`` time, and a
 point leaves the later chunks of a large table once one chunk accepts it.
-``contains_points`` is the one exact membership predicate.  A grid's
-membership (``contains_grid``, for rasters and sampled comparisons) comes
-from each primitive's closed-form x-sections on each grid row instead:
+An oval is always decided at a quarter of the scale (:func:`_in_oval`,
+which its boundary samples use too), where no distance overflows, so a
+point's answer depends only on that point and the region, never on the
+other points of the call.  ``contains_points`` is the one exact
+membership predicate.  A grid's membership (``contains_grid``, for
+rasters and sampled comparisons) comes from each primitive's closed-form
+x-sections on each grid row instead:
 ``O(rows * primitives)`` sections decide every point outside a thin,
 proven rounding band around the boundaries, and only the band's points
 reach ``contains_points``, so the answer is the same bit for bit.
@@ -80,6 +84,23 @@ def _slack(table):
     bound = table[..., -1]
     out[..., -1] = np.minimum(bound + MEMBERSHIP_EPS * (1.0 + bound), np.finfo(float).max)
     return out
+
+
+def _in_oval(quarter, c1, c2, bound):
+    """Whether the points ``z = 4 quarter`` lie in their ovals
+    ``|z - c1| |z - c2| <= bound`` (real foci, slackened bounds; all
+    broadcast against each other), decided at a quarter of the scale:
+    ``|quarter - c1/4| |quarter - c2/4| <= bound/16``.  There no distance
+    between points of the float range overflows, and a product that does
+    is inf, outside.  Dividing by 4 is exact above the subnormals, and the
+    slack keeps the bound above them, so the answer is the full-scale
+    test's wherever no coordinate or coordinate difference is below
+    ``2^-1020``; below, each quarter coordinate is within ``2^-1075`` of
+    its value.  Points are decided one by one: the answer does not depend
+    on the other points of a call."""
+    # complex foci: a float operand would be cast inside the broadcast loop
+    c1, c2 = (c1 / 4).astype(complex), (c2 / 4).astype(complex)
+    return np.abs(quarter - c1) * np.abs(quarter - c2) <= bound / 16
 
 
 def _root_radius(x, e, root):
@@ -217,11 +238,13 @@ class _Union:
         OR over rows.  The points run along the fast axis.
 
         A point and a center within the float range can be farther apart
-        than it: ``|z - c|`` then overflows to inf, and inf is outside
-        every table the range gate admits, as :func:`_slack` keeps each
-        threshold finite.  An oval's product is taken at a quarter of the
-        scale instead when a distance overflows (see
-        :meth:`CassiniUnion._inside`)."""
+        than it: a disc's ``|z - c|`` then overflows to inf, and inf is
+        outside every table the range gate admits, as :func:`_slack` keeps
+        each threshold finite.  An oval's product is always taken at a
+        quarter of the scale (:func:`_in_oval`), where no distance
+        overflows.  So each point's answer depends only on that point and
+        the table, not on the other points of the call or on the
+        blocks."""
         z = np.asarray(z, dtype=complex)
         flat, table = z.ravel(), _slack(self.table)[:, None]
         todo = None   # every point, until the first chunk has run
@@ -259,16 +282,31 @@ class _Union:
         ``O(rows x columns)`` for the fill.
 
         *Assumption*: ``np.abs`` of a complex number is within ``2^-40`` of
-        its value, relatively (libm's ``hypot`` is within 1 ulp).
+        its value, relatively, where the result is normal.  numpy's complex
+        modulus is its own routine, not ``np.hypot``; against exact
+        arithmetic it was within 2.35 ulps on 135k normal results (moduli
+        1e-300 to 1e307), and a tier-1 test checks ``2^-40`` on seeded
+        points.  A subnormal result was up to 8e-12 off relatively, but
+        below ``2^-1074`` absolutely, which the slack's floor covers.
 
         *Proof.*  Let ``u = 2^-53``.  ``contains_points`` takes
         ``d = |fl(x - c) + iy|`` (``y - 0`` is exact), so ``d = D (1 + t)``
-        with ``D`` the true distance and ``|t| < 2^-39``; an oval's product
-        ``fl(d1 d2)`` is ``D1 D2 (1 + t)`` with ``|t| < 2^-38``.  A disc
-        accepts iff ``d <= r'`` and an oval iff ``fl(d1 d2) <= b'`` (the
-        slackened bounds of :func:`_slack`), so every accepted point has
-        ``D <= r' (1 + 2^-38)`` (or ``D1 D2 <= b' (1 + 2^-38)``), and every
-        point with ``D <= r' (1 - 2^-38)`` is accepted.  So the real set of
+        with ``D`` the true distance and ``|t| < 2^-39``.  An oval is
+        always decided at a quarter of the scale (:func:`_in_oval`), its
+        product against ``b'/16``, which is exact, so a band point's answer
+        does not depend on the other points of the band.  Above the subnormals
+        ``x/4``, ``c/4`` and ``y/4`` are exact, so the quarter product is
+        exactly 1/16 of the full-scale ``fl(d1 d2)``, which is
+        ``D1 D2 (1 + t)`` with ``|t| < 2^-38``.  Below them the quarter
+        coordinates, differences and moduli are off by a few times
+        ``2^-1075`` at most, which moves the quarter product (its other
+        factor below ``2^500`` in the screen's domain) by under ``2^-560``,
+        far below ``2^-38 b'/16`` as ``b' >= 1e-9``, so the two bounds
+        below hold there too.  A disc accepts iff ``d <= r'`` and an oval
+        iff its product is at most ``b'/16`` (the slackened bounds of
+        :func:`_slack`), so every accepted point has ``D <= r' (1 +
+        2^-38)`` (or ``D1 D2 <= b' (1 + 2^-38)``), and every point with
+        ``D <= r' (1 - 2^-38)`` is accepted.  So the real set of
         the bound grown to ``r' (1 + 2^-36)`` (``b' (1 + 2^-36)``) holds
         every accepted point, and that of the bound shrunk to
         ``r' (1 - 2^-36)`` only accepted ones.  No accepted point lies on a
@@ -473,14 +511,7 @@ class CassiniUnion(_Union):
 
     @staticmethod
     def _inside(z, table):
-        c1, c2 = table[..., 0].astype(complex), table[..., 1].astype(complex)
-        d1, d2 = np.abs(z - c1), np.abs(z - c2)
-        if np.isfinite(d1).all() and np.isfinite(d2).all():
-            return d1 * d2 <= table[..., 2]
-        # inf times a distance of 0 is NaN, and times one below 1 can be in
-        # range: at a quarter of the scale no distance overflows, and the
-        # product scales back exactly (z / 4 is exact above the subnormals)
-        return 16 * (np.abs(z / 4 - c1 / 4) * np.abs(z / 4 - c2 / 4)) <= table[..., 2]
+        return _in_oval(z / 4, table[..., 0], table[..., 1], table[..., 2])
 
     @staticmethod
     def _extents(table):
@@ -523,24 +554,21 @@ class CassiniUnion(_Union):
     def boundary_points(self, angles: int = 256) -> np.ndarray:
         """Outermost membership crossings along rays from each focus, oval by
         oval (first focus, then second), by bisection on every ray at once.
-        The bisection keeps only accepted points, so every sample belongs to
-        its own oval.  It runs at a quarter of the scale, as :meth:`_inside`
-        does when a distance overflows: there no reach or distance
-        overflows (a far product is inf, outside), and the accepted points
-        scale back exactly."""
-        bound = _slack(self.ovals)[:, 2, None, None] / 16   # exact: the slack keeps it >= 1e-9
-        c1, c2, b = (col[:, None, None] for col in self.ovals.T)
-        c1, c2 = (c1 / 4).astype(complex), (c2 / 4).astype(complex)
-        reach = np.sqrt(b) / 4 + np.abs(c1 - c2) + 0.25
+        The bisection runs at a quarter of the scale, where no reach
+        overflows, and :func:`_in_oval` decides each of its points as
+        :meth:`contains_points` decides four times that point, the sample
+        it returns.  So every finite sample belongs to its own oval."""
+        bound = _slack(self.ovals)[:, 2, None, None]
+        c1, c2, b = self.ovals.T[..., None, None]
+        reach = np.sqrt(b) / 4 + np.abs(c1 / 4 - c2 / 4) + 0.25
         theta = np.linspace(0.0, 2.0 * np.pi, angles // 2, endpoint=False)
         directions = np.exp(1j * theta)
-        focus = np.concatenate((c1, c2), axis=1)
+        focus = np.concatenate((c1, c2), axis=1) / 4
         lo = np.zeros((len(self.ovals), 2, theta.size))
         hi = np.broadcast_to(reach, lo.shape)
         for _ in range(40):
             mid = (lo + hi) / 2.0
-            z = focus + mid * directions
-            inside = np.abs(z - c1) * np.abs(z - c2) <= bound
+            inside = _in_oval(focus + mid * directions, c1, c2, bound)
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
         return (4 * (focus + lo * directions)).ravel()

@@ -4,15 +4,23 @@ A float is a dyadic rational, so a float matrix is exactly a matrix of
 Python ints over one power-of-two denominator, its entries' largest
 (:class:`Dyadic`).  Sums, differences and comparisons of its entries are
 then integer operations, and every quantity here is the exact value for
-the float input, as a stdlib ``Fraction``: second-type radii, the
-refinement shifts and shifted matrices, refined radii, ``tau_inf``,
-``tau1`` and deleted row sums.
+the float input, as a stdlib ``Fraction``: the diagonal similarity and
+its row-sum defects, second-type radii, the refinement shifts and shifted
+matrices, refined radii, ``tau_inf``, ``tau1`` and deleted row sums.
 
 *Rounding contract.*  With unit roundoff ``u = 2^-53`` and
 ``gamma_n = n u / (1 - n u)`` (Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2nd ed., ch. 3-4), a float kernel on an n x n
 matrix M may differ from the exact value by at most
 
+* ``gamma_2 |a_ij v_j / v_i|`` for an entry of the diagonal similarity
+  ``B = S^-1 A S``, ``S = diag(v)``: ``fl(fl(v_j / v_i) a_ij)`` is two
+  roundings (:func:`similar`);
+* ``gamma_2 sum_j |a_ij v_j / v_i|`` between the exact sum of B's computed
+  row i and ``lambda + d_i``, the exact similar row's sum, with the
+  row-sum defect ``d_i = r_i / v_i`` of the residual ``r = A v - lambda v``
+  (:func:`row_sum_defects`), as each computed entry carries its own two
+  roundings;
 * ``gamma_n sum_i |m_ij|`` for the second-type radius of column j;
 * ``gamma_(n+1) sum_i |f_ij|`` for a refined radius, f the exact shifted
   column, whose float entries carry the rounding of the shift;
@@ -74,6 +82,22 @@ def exact(matrix) -> Dyadic:
 def floats(q: Dyadic) -> list[list[float]]:
     """Each entry correctly rounded to a float (``int / int`` is)."""
     return [[x / q.d for x in row] for row in q.rows]
+
+
+def similar(matrix, vector) -> list[list[Fraction]]:
+    """``a_ij v_j / v_i``: the diagonal similarity ``S^-1 A S`` of the float
+    A and v, with ``S = diag(v)``."""
+    v = list(map(Fraction, np.asarray(vector, dtype=float).tolist()))
+    return [[Fraction(a) * vj / vi for a, vj in zip(row, v)]
+            for row, vi in zip(np.asarray(matrix, dtype=float).tolist(), v)]
+
+
+def row_sum_defects(matrix, value: float, vector) -> list[Fraction]:
+    """``d_i = r_i / v_i`` with the residual ``r = A v - lambda v``: row i
+    of the exact :func:`similar` matrix sums to ``lambda + d_i``."""
+    v = list(map(Fraction, np.asarray(vector, dtype=float).tolist()))
+    return [(sum(map(Fraction.__mul__, map(Fraction, row), v)) - Fraction(value) * vi) / vi
+            for row, vi in zip(np.asarray(matrix, dtype=float).tolist(), v)]
 
 
 def columns(q: Dyadic) -> Dyadic:

@@ -1,15 +1,16 @@
 """The column kernels against exact arithmetic, within the contract of
-:mod:`exact`: second-type radii of B, the refinement's shifts (exactly),
-F and G (correctly rounded), their refined radii, ``tau_inf``, ``tau1``,
-and the deleted row sums of the classic discs and the Ostrowski-Brauer
-ovals.
+:mod:`exact`: the diagonal similarity B and its rows' sums, second-type
+radii of B, the refinement's shifts (exactly), F and G (correctly
+rounded), their refined radii, ``tau_inf``, ``tau1``, and the deleted row
+sums of the classic discs and the Ostrowski-Brauer ovals.
 
-Inputs: every square matrix in :mod:`cases`, Hypothesis matrices at
-n = 3..40 of both parities with ties and signed zeros (and for ``tau1``
-at n on both sides of ``bounds.TAU1_SCREEN``), the same with
-``discs.SPLIT_SELECT`` at 3, so that the columns are split by selection,
-and seeded matrices at n = 64 and 129, and at n = 512 and 513, the first
-sizes that select.
+Inputs: every eigenpair of :mod:`cases` on the diagonal path and a seeded
+n = 64 positive matrix with numpy's Perron pair (for B), every square
+matrix in :mod:`cases`, Hypothesis matrices at n = 3..40 of both
+parities with ties and signed zeros (and for ``tau1`` at n on both sides
+of ``bounds.TAU1_SCREEN``), the same with ``discs.SPLIT_SELECT`` at 3, so
+that the columns are split by selection, and seeded matrices at n = 64
+and 129, and at n = 512 and 513, the first sizes that select.
 """
 
 from fractions import Fraction
@@ -23,11 +24,13 @@ from hypothesis import strategies as st
 import cases
 import exact
 from eigenfence import (
+    Eigenpair,
     NotConstantRowSumError,
     bounds,
     classic_discs,
     discs,
     obr_set,
+    prepare,
     refinement,
     second_type_discs_of_transpose,
 )
@@ -101,6 +104,38 @@ def check_refinement(b):
         for got, want, size in zip(table[:, 1], exact.second_type_radii(f), sums):
             assert exact.within(got, want, exact.gamma(n + 1) * size)
         assert exact.within(reach[f"m_{name}"], exact.disc_bound(f), exact.gamma(n + 2) * max(sums))
+
+
+def check_similarity(a, pair):
+    """Each entry of the diagonal path's B, and the exact sum of each of its
+    rows against ``lambda + d_i``."""
+    sim = prepare(a, pair)
+    assert sim.k == 0
+    want = exact.similar(a, pair.vector)
+    g = exact.gamma(2)
+    for got, row, d in zip(sim.B.tolist(), want,
+                           exact.row_sum_defects(a, pair.value, pair.vector)):
+        for x, w in zip(got, row):
+            assert exact.within(x, w, g * abs(w))
+        assert abs(sum(map(Fraction, got)) - Fraction(pair.value) - d) <= g * sum(map(abs, row))
+
+
+#: Every eigenpair in :mod:`cases` whose vector has no zero component, by name.
+PAIRS = [pytest.param(getattr(cases, name[:-len("PAIR")] + "A"), pair, id=name)
+         for name, pair in sorted(vars(cases).items())
+         if isinstance(pair, Eigenpair) and np.all(pair.vector != 0)]
+
+
+@pytest.mark.parametrize("a, pair", PAIRS)
+def test_similarity_of_the_cases_against_exact_arithmetic(a, pair):
+    check_similarity(a, pair)
+
+
+def test_similarity_of_a_seeded_perron_pair_against_exact_arithmetic():
+    a = seeded_matrix(64, 64, "positive")
+    values, vectors = np.linalg.eig(a)
+    k = int(np.argmax(values.real))
+    check_similarity(a, Eigenpair(float(values[k].real), vectors[:, k].real))
 
 
 #: Every square matrix of n >= 3 in :mod:`cases`, by name.

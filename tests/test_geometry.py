@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from eigenfence import (
     PairIntersectionUnion,
     RegionIntersection,
     classic_discs,
+    core,
     max_abs,
     obr_set,
     prepare,
@@ -23,7 +25,7 @@ from eigenfence import (
     sampled_subset,
     second_type_discs_of_transpose,
 )
-from eigenfence.geometry import iterencode
+from eigenfence.geometry import _slack, iterencode
 
 
 def worked_region():
@@ -218,6 +220,35 @@ def test_membership_at_the_far_end_of_the_float_range(region, want):
     # the chunked walk of a large table runs the same kernel
     many = type(region)(np.concatenate([region.table] * 40))
     assert many.contains_points(z).tolist() == want
+
+
+def test_an_oval_answer_does_not_depend_on_the_other_points():
+    """A point beside another whose distance to a focus overflows, and in
+    blocks of one point, gets the answer it gets alone.  The point and the
+    bound are found at run time, as numpy's rounding decides which points
+    qualify: a point with tiny coordinates, whose full-scale and
+    quarter-scale products differ (its quarter is a rounded subnormal), and
+    a bound whose slackened value lies between the two, so the scale alone
+    decides."""
+    rng = np.random.default_rng(0)
+    parts = rng.uniform(1e-308, 8.9e-308, (2, 64)) * rng.choice([-1.0, 1.0], (2, 64))
+    z = parts[0] + 1j * parts[1]
+    full = np.abs(z) * np.abs(z - FAR)
+    quarter = 16 * (np.abs(z / 4) * np.abs(z / 4 - FAR / 4))
+    k = np.flatnonzero(full != quarter)[0]
+    lo, hi = sorted((full[k], quarter[k]))
+    b = (lo - 1e-9) / (1 + 1e-9)
+    for _ in range(100):
+        if lo <= _slack(np.array([0.0, FAR, b]))[2] < hi:
+            break
+        b = np.nextafter(b, np.inf)
+    else:
+        pytest.fail("no bound between the two products")
+    region = CassiniUnion([[0.0, FAR, b]])
+    alone = region.contains_points([z[k]]).tolist()
+    assert region.contains_points([z[k], -FAR]).tolist() == alone + [False]
+    with mock.patch.object(core, "BLOCK_ENTRIES", 2):
+        assert region.contains_points([z[k], -FAR]).tolist() == alone + [False]
 
 
 @pytest.mark.parametrize("ovals", [

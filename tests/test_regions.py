@@ -7,6 +7,7 @@ primitives in Python; the blocked array kernel must agree with it exactly
 
 import json
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,8 @@ def ref_in_disc(z, c, r):
 
 
 def ref_in_oval(z, c1, c2, b):
+    # full scale: the library's quarter scale gives the same answer wherever
+    # no coordinate or coordinate difference is below 2^-1020
     return np.abs(z - c1) * np.abs(z - c2) <= b + MEMBERSHIP_EPS * (1.0 + b)
 
 
@@ -387,6 +390,24 @@ def grid_regions(draw, kind):
         return draw(regions(kind))
     kinds = draw(st.lists(st.sampled_from(["discs", "pairs", "ovals"]), min_size=2, max_size=3))
     return RegionIntersection(tuple(draw(regions(k)) for k in kinds))
+
+
+def test_complex_modulus_is_within_the_screens_assumption():
+    """``contains_grid``'s proof assumes that ``np.abs`` of a complex number
+    is within ``2^-40`` of its value, relatively.  numpy's complex modulus
+    is its own routine, not ``np.hypot``; here it is checked against exact
+    arithmetic on seeded points of modulus 1e-300 to 1e307 in every
+    direction, every result normal: ``|a - s| <= 2^-40 s`` for ``s`` the
+    exact modulus is ``a^2`` between ``s^2 (1 -+ 2^-40)^2``."""
+    rng = np.random.default_rng(0)
+    r = 10.0 ** rng.uniform(-300.0, 307.0, 10000)
+    theta = rng.uniform(0.0, 2.0 * np.pi, r.size)
+    z = r * np.cos(theta) + 1j * r * np.sin(theta)
+    z[:4] = [1e-300, 1e307j, 1e307 + 1e-300j, 3e-300 - 4e-300j]   # axes, and a 3-4-5 modulus
+    low, high = (1 - Fraction(1, 2 ** 40)) ** 2, (1 + Fraction(1, 2 ** 40)) ** 2
+    for x, y, a in zip(z.real.tolist(), z.imag.tolist(), np.abs(z).tolist()):
+        square = Fraction(x) ** 2 + Fraction(y) ** 2
+        assert low * square <= Fraction(a) ** 2 <= high * square, (x, y, a)
 
 
 @pytest.mark.parametrize("kind", ["discs", "pairs", "ovals", "intersection"])
