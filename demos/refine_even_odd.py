@@ -24,7 +24,7 @@ pair6 = ef.Eigenpair(24.0, np.array([2, 1, 1, 1, 1, 1], dtype=float))
 
 B6 = ef.diag_similar(A6, pair6).B
 ref = ef.refine_even(B6)
-print("column shifts:", ref.shifts)
+print("column offsets added to B:", ref.offsets["F"])
 print("F =\n", ref.F)
 
 fine = ef.second_type_discs_of_transpose(ref.F)
@@ -50,7 +50,7 @@ pair7 = ef.Eigenpair(15.0, np.array([3, 2, 1, 1, 1, 1, 1], dtype=float))
 
 B7 = ef.diag_similar(A7, pair7).B
 odd = ef.refine_odd(B7)
-print("\nodd-size shifts for F:", odd.f_shifts, " for G:", odd.g_shifts)
+print("\nodd-size offsets for F:", odd.offsets["F"], " for G:", odd.offsets["G"])
 
 region = odd.region()
 print("disc pairs (F disc | G disc):")

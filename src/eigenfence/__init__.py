@@ -39,8 +39,7 @@ from .similarity import (
 )
 from .discs import classic_discs, second_type_discs_of_transpose
 from .refine import (
-    EvenRefinement,
-    OddRefinement,
+    Refinement,
     refine_even,
     refine_odd,
     refined_region,

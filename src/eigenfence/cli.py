@@ -22,7 +22,6 @@ is written, so a refusal prints nothing on stdout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -102,8 +101,9 @@ def _cmd_locate(args) -> int:
 def _cmd_refine(args) -> int:
     matrix, pair = _load_problem(args.problem)
     ref = refine.refinement(_prepare(matrix, pair, args.tol).B)
-    _emit({"row_sum": pair.value, **ref.matrices,
-           **{f.name: getattr(ref, f.name) for f in dataclasses.fields(ref)}, "region": ref.region()})
+    off = ref.offsets   # the even "shifts" are subtracted from B, the odd ones added
+    shifts = {"f_shifts": off["F"], "g_shifts": off["G"]} if "G" in off else {"shifts": -off["F"]}
+    _emit({"row_sum": pair.value, **ref.matrices, **shifts, "region": ref.region()})
     return EXIT_OK
 
 

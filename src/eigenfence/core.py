@@ -92,7 +92,7 @@ class ViewportError(EigenfenceError):
 # Types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eigenpair:
     """A known real eigenpair: eigenvalue ``value`` with eigenvector ``vector``."""
 
@@ -126,7 +126,8 @@ def as_matrix(obj) -> np.ndarray:
 
     A float64 ndarray comes back as itself, not a copy, so callers must
     not write into the result, and no function of this package does.
-    Only a refinement keeps its matrix: a read-only one by reference (what
+    Only a refinement keeps its matrix, as its ``B`` field next to its
+    column offsets and B's split: a read-only one by reference (what
     :func:`~eigenfence.similarity.prepare` returns), so its owner must not
     make it writable again, and a writable one as a read-only copy.
     Raises DimensionError for non-square input and ParseError for complex

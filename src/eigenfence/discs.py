@@ -69,7 +69,7 @@ def split_columns(matrix) -> np.ndarray:
     The entries before the slots are no smaller than them and those after
     no larger, in any order.  Each entry is one of the column's floats,
     unchanged: :func:`row_gaps` sums the two halves, and
-    :func:`~eigenfence.refine.refinement` reads the slots as its shifts.
+    :func:`~eigenfence.refine.refinement` negates the slots into its offsets.
 
     Below ``SPLIT_SELECT`` rows the entries are sorted, in non-increasing
     order, which is one such layout.  From it on, one ``partition`` with one

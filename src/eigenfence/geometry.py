@@ -552,12 +552,17 @@ class CassiniUnion(_Union):
 
     @np.errstate(over="ignore")
     def boundary_points(self, angles: int = 256) -> np.ndarray:
-        """Outermost membership crossings along rays from each focus, oval by
-        oval (first focus, then second), by bisection on every ray at once.
+        """Membership crossings along rays from each focus, oval by oval
+        (first focus, then second), by bisection on every ray at once.
+        Bisection finds a crossing, not always the outermost: a ray may
+        leave a waisted oval and enter it again farther out (4 of the 512
+        samples of ``[[-1, 1, 1.01]]``).  What holds is that each finite
+        sample is accepted by its oval and lies within
+        ``(sqrt(b) + |c1 - c2| + 1) 2^-40`` of a rejected point on its ray.
         The bisection runs at a quarter of the scale, where no reach
         overflows, and :func:`_in_oval` decides each of its points as
         :meth:`contains_points` decides four times that point, the sample
-        it returns.  So every finite sample belongs to its own oval."""
+        it returns."""
         bound = _slack(self.ovals)[:, 2, None, None]
         c1, c2, b = self.ovals.T[..., None, None]
         reach = np.sqrt(b) / 4 + np.abs(c1 / 4 - c2 / 4) + 0.25

@@ -21,7 +21,7 @@ from .core import ConvergenceError, SizeError, as_matrix
 MAX_N = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """All n eigenvalues (with multiplicity) sorted by modulus, descending."""
 

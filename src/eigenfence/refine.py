@@ -12,12 +12,13 @@ rows, a one-kth selection from it on, in expected ``O(n^2)`` time with
 numpy 2.4 on AVX-512) and checks the constant row sum once, with
 :func:`row_sum_constant`; :func:`refine_even` and :func:`refine_odd` call
 it and insist on a parity.
-The shifts are the split's middle order statistics, the same floats at
-every n.
+A refinement holds each shifted matrix as its per-column offsets from B,
+by name (``offsets["F"]``, and ``offsets["G"]`` for odd n): the negated
+middle order statistics of the split, the same floats at every n.
 
 That one split of B also gives the second-type discs of F and G.  A
 column shift keeps the order of a column's entries, so row j of B's split
-plus the shift, entry by entry, is a split of column j of F (or G), and
+plus the offset, entry by entry, is a split of column j of F (or G), and
 :func:`~eigenfence.discs.row_gaps` inserts the mandated 0 into it as it
 would into F's own.  Below ``SPLIT_SELECT`` both are sorts, so
 ``refinement(B).discs["F"]`` equals
@@ -26,9 +27,9 @@ bit; from it on, F's own selection may leave its halves in another order,
 and the two agree within rounding.  A refinement and its region cost one
 column split.
 
-So a refinement stores its shifts, and of size ``n^2`` only B (a
+So a refinement stores its offsets, and of size ``n^2`` only B (a
 read-only B by reference) and B's split.  F and G are fully determined by
-B and the shifts: each read of ``F``, ``G`` or ``matrices`` builds
+B and the offsets: each read of ``F``, ``G`` or ``matrices`` builds
 ``B + e * off^T`` anew, with no cache.  The refined discs, the region and
 the disc bounds never build them; the CLI's ``refine`` document and the
 Ostrowski-Brauer sets do.
@@ -37,7 +38,7 @@ Ostrowski-Brauer sets do.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -52,62 +53,47 @@ from .geometry import DiscUnion, PairIntersectionUnion
 ROW_SUM_TOL = 1e-9
 
 
-class _Shifted:
-    """What both refinements share.  Their dataclass fields are the shifts
-    only: :func:`refinement` leaves B in ``_b`` and the split of its columns
-    in ``_desc``, outside the fields, and each shifted matrix
-    ``B + e * off^T`` is built from them when it is read."""
+@dataclass(frozen=True, eq=False)
+class Refinement:
+    """The shifted matrices of a constant row-sum matrix B: F for even n,
+    F and G for odd n.  ``offsets`` maps each name to the read-only
+    per-column offsets added to B, so that matrix is
+    ``B + e * offsets[name]^T``, built from the read-only ``B`` on every
+    read.  ``split`` is B's
+    :func:`~eigenfence.discs.split_columns`, which the refined discs read."""
+
+    offsets: Mapping[str, np.ndarray]
+    B: np.ndarray = field(repr=False)
+    split: np.ndarray = field(repr=False)
 
     @property
     def matrices(self) -> dict[str, np.ndarray]:
         """Each shifted matrix by name, built on every read: nothing caches it."""
-        return {name: self._b + off for name, off in self._offsets.items()}
+        return {name: self.B + off for name, off in self.offsets.items()}
 
     @property
     def F(self) -> np.ndarray:
-        return self._b + self._offsets["F"]
+        return self.B + self.offsets["F"]
+
+    @property
+    def G(self) -> np.ndarray:
+        """The second shifted matrix; KeyError for even n, which has none."""
+        return self.B + self.offsets["G"]
 
     @cached_property
     def discs(self) -> Mapping[str, DiscUnion]:
         """Second-type disc union of M^T for each shifted matrix M, by name:
         :func:`~eigenfence.discs.second_type_discs_of_transpose` of M,
         without building or splitting M.  Built on first use and read-only."""
-        return MappingProxyType({name: _shifted_discs(self._b, self._desc, off)
-                                 for name, off in self._offsets.items()})
+        return MappingProxyType({name: _shifted_discs(self.B, self.split, off)
+                                 for name, off in self.offsets.items()})
 
-
-@dataclass(frozen=True)
-class EvenRefinement(_Shifted):
-    """Shifted matrix F = B - e * shifts^T for even n."""
-
-    shifts: np.ndarray
-
-    @property
-    def _offsets(self) -> dict[str, np.ndarray]:
-        return {"F": -self.shifts}
-
-    def region(self) -> DiscUnion:
-        """Refined region: the second-type disc union of F^T."""
-        return self.discs["F"]
-
-
-@dataclass(frozen=True)
-class OddRefinement(_Shifted):
-    """Shifted pair F = B + e * f_shifts^T, G = B + e * g_shifts^T for odd n."""
-
-    f_shifts: np.ndarray
-    g_shifts: np.ndarray
-
-    @property
-    def G(self) -> np.ndarray:
-        return self._b + self.g_shifts
-
-    @property
-    def _offsets(self) -> dict[str, np.ndarray]:
-        return {"F": self.f_shifts, "G": self.g_shifts}
-
-    def region(self) -> PairIntersectionUnion:
-        """Union over columns of (disc from F column j) ∩ (disc from G column j)."""
+    def region(self) -> DiscUnion | PairIntersectionUnion:
+        """Refined region.  Even n: the second-type disc union of F^T.  Odd
+        n: the union over columns of (disc from F column j) ∩ (disc from G
+        column j)."""
+        if len(self.offsets) == 1:
+            return self.discs["F"]
         return PairIntersectionUnion(np.stack([d.discs for d in self.discs.values()], axis=1))
 
 
@@ -158,27 +144,28 @@ def _shifted_discs(b: np.ndarray, desc: np.ndarray, off: np.ndarray) -> DiscUnio
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def refinement(matrix, _desc=None) -> EvenRefinement | OddRefinement:
+def refinement(matrix, _desc=None) -> Refinement:
     """The refinement of a constant row-sum matrix for its parity: the
-    shifts of F for even n, of the pair F, G for odd n.
+    offsets of F for even n, of the pair F, G for odd n.
 
-    The one column split here serves the shifts and, through the
-    refinement's ``discs`` and :meth:`region`, the refined discs too; F
-    and G are built only when read.  The refinement holds B: a read-only
-    B by reference, a writable one as a read-only copy.  Raises
-    OverflowError when a shifted entry is above the float range.
-    ``_desc`` is B's :func:`~eigenfence.discs.split_columns`, when the
-    caller has it.
+    With ``h = n // 2``, F adds to each column of B the negated h-th
+    largest off-diagonal entry of that column, and for odd n G the negated
+    (h+1)-th ("k-th largest" counts multiplicity).  The one column split
+    here serves the offsets and, through the refinement's ``discs`` and
+    :meth:`~Refinement.region`, the refined discs too; F and G are built
+    only when read.  The refinement holds B: a read-only B by reference, a
+    writable one as a read-only copy.  Raises OverflowError when a shifted
+    entry is above the float range.  ``_desc`` is B's
+    :func:`~eigenfence.discs.split_columns`, when the caller has it.
 
     That range check reads ``2n`` sums per shifted matrix, not its ``n^2``
     entries.  Column j of F (or G) is column j of B plus ``off_j``, entry
-    by entry (``x - s`` and ``x + (-s)`` are the same IEEE operation).
-    Rounding is monotone, so every such sum lies between the sums of the
-    column's largest and smallest entries and ``off_j``, which one pass
-    over B finds, diagonal included, whatever the split's layout.  Both
-    extremes are entries of the column, and B and ``off`` are finite, so a
-    sum is inf only by overflow and never NaN: the column is finite if and
-    only if those two sums are.
+    by entry.  Rounding is monotone, so every such sum lies between the
+    sums of the column's largest and smallest entries and ``off_j``, which
+    one pass over B finds, diagonal included, whatever the split's layout.
+    Both extremes are entries of the column, and B and ``off`` are finite,
+    so a sum is inf only by overflow and never NaN: the column is finite if
+    and only if those two sums are.
     """
     b = as_matrix(matrix)
     n = b.shape[0]
@@ -187,40 +174,31 @@ def refinement(matrix, _desc=None) -> EvenRefinement | OddRefinement:
     row_sum_constant(b)
     desc = split_columns(b) if _desc is None else _desc
     h = n // 2
-    if n % 2 == 0:
-        ref = EvenRefinement(shifts=desc[:, h - 1].copy())
-    else:
-        ref = OddRefinement(f_shifts=-desc[:, h - 1], g_shifts=-desc[:, h])
+    offsets = {"F": -desc[:, h - 1]} if n % 2 == 0 else {"F": -desc[:, h - 1], "G": -desc[:, h]}
     ends = b.max(axis=0), b.min(axis=0)
-    if not all(np.isfinite(end + off).all() for off in ref._offsets.values() for end in ends):
+    if not all(np.isfinite(end + off).all() for off in offsets.values() for end in ends):
         raise OverflowError("refinement: an entry of F or G is above the float range")
     if b.flags.writeable:
         b = b.copy()
-    for arr in (b, *vars(ref).values()):
+    for arr in (b, *offsets.values()):
         arr.setflags(write=False)
-    object.__setattr__(ref, "_b", b)
-    object.__setattr__(ref, "_desc", desc)
+    return Refinement(MappingProxyType(offsets), b, desc)
+
+
+def refine_even(matrix) -> Refinement:
+    """Even-size refinement: F subtracts the (n/2)-th largest off-diagonal per column."""
+    ref = refinement(matrix)
+    if "G" in ref.offsets:
+        raise OddSizeError(f"even-size refinement called with odd n = {len(ref.B)}")
     return ref
 
 
-def refine_even(matrix) -> EvenRefinement:
-    """Even-size refinement: subtract the (n/2)-th largest off-diagonal per column."""
+def refine_odd(matrix) -> Refinement:
+    """Odd-size refinement pair: F subtracts the ((n-1)/2)-th largest
+    off-diagonal per column, G the ((n+1)/2)-th."""
     ref = refinement(matrix)
-    if not isinstance(ref, EvenRefinement):
-        raise OddSizeError(f"even-size refinement called with odd n = {len(ref.f_shifts)}")
-    return ref
-
-
-def refine_odd(matrix) -> OddRefinement:
-    """Odd-size refinement pair.
-
-    Per column, F adds the negated ((n-1)/2)-th largest off-diagonal entry
-    and G the negated ((n+1)/2)-th largest ("k-th largest" counts
-    multiplicity).
-    """
-    ref = refinement(matrix)
-    if not isinstance(ref, OddRefinement):
-        raise EvenSizeError(f"odd-size refinement called with even n = {len(ref.shifts)}")
+    if "G" not in ref.offsets:
+        raise EvenSizeError(f"odd-size refinement called with even n = {len(ref.B)}")
     return ref
 
 

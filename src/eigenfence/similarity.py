@@ -39,7 +39,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityResult:
     """Constant row-sum matrix B similar to A, with ``B e = row_sum * e``.
 
@@ -69,7 +69,7 @@ def _scaled(matrix: np.ndarray, value: float, v: np.ndarray, k: int = 0) -> Simi
     return SimilarityResult(B=_frozen(b), row_sum=value, scaling=_frozen(v.copy()), k=k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Desingularization:
     """Similar matrix C with a zero-free eigenvector w.
 

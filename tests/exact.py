@@ -4,18 +4,26 @@ A float is a dyadic rational, so a float matrix is exactly a matrix of
 Python ints over one power-of-two denominator, its entries' largest
 (:class:`Dyadic`).  Sums, differences and comparisons of its entries are
 then integer operations, and every quantity here is the exact value for
-the float input, as a stdlib ``Fraction``: the diagonal similarity and
-its row-sum defects, second-type radii, the refinement shifts and shifted
-matrices, refined radii, ``tau_inf``, ``tau1`` and deleted row sums.
+the float input, as a stdlib ``Fraction``: the shear path's ``C`` and
+``w``, the diagonal similarity and its row-sum defects, second-type radii,
+the refinement shifts and shifted matrices, refined radii, ``tau_inf``,
+``tau1`` and deleted row sums.
 
 *Rounding contract.*  With unit roundoff ``u = 2^-53`` and
 ``gamma_n = n u / (1 - n u)`` (Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2nd ed., ch. 3-4), a float kernel on an n x n
 matrix M may differ from the exact value by at most
 
+* ``gamma_(k+1) t_ij`` for an entry of the shear path's
+  ``C = S P A P^T S^-1`` (:func:`sheared`), k the number of zero
+  components of v and ``t_ij`` the absolute sum of the permuted A entries
+  that ``c_ij`` combines: column k takes the sum of the k zero-block
+  columns away (``gamma_k``), and the first k rows add row k, one more
+  rounding; ``w`` is exact;
 * ``gamma_2 |a_ij v_j / v_i|`` for an entry of the diagonal similarity
   ``B = S^-1 A S``, ``S = diag(v)``: ``fl(fl(v_j / v_i) a_ij)`` is two
-  roundings (:func:`similar`);
+  roundings (:func:`similar`); on the shear path, of the computed C and
+  w in place of A and v;
 * ``gamma_2 sum_j |a_ij v_j / v_i|`` between the exact sum of B's computed
   row i and ``lambda + d_i``, the exact similar row's sum, with the
   row-sum defect ``d_i = r_i / v_i`` of the residual ``r = A v - lambda v``
@@ -90,6 +98,30 @@ def similar(matrix, vector) -> list[list[Fraction]]:
     v = list(map(Fraction, np.asarray(vector, dtype=float).tolist()))
     return [[Fraction(a) * vj / vi for a, vj in zip(row, v)]
             for row, vi in zip(np.asarray(matrix, dtype=float).tolist(), v)]
+
+
+def sheared(matrix, vector) -> tuple[Dyadic, list[Fraction], Dyadic]:
+    """The shear path of the float A and v: ``C = S P A P^T S^-1`` and
+    ``w = S P v``, and ``t = S |P A P^T| S``, the absolute sum of the
+    permuted A entries that each entry of C combines.
+
+    P moves the k zero components of v first, stably; S is the identity
+    plus ones in the first k rows of column k, and ``S^-1`` the same with
+    the ones negated.  Only exact zeros count here, where
+    :func:`~eigenfence.similarity.desingularize` also counts components
+    below ``ZERO_TOL_FACTOR max|v|``: the inputs must have none of those."""
+    v = np.asarray(vector, dtype=float).tolist()
+    order = [i for i, x in enumerate(v) if x == 0] + [i for i, x in enumerate(v) if x != 0]
+    k = v.count(0.0)
+    q = exact(matrix)
+    p = [[q.rows[i][j] for j in order] for i in order]
+
+    def shear(rows: list[list[int]], sign: int) -> Dyadic:
+        rows = [row[:k] + [row[k] + sign * sum(row[:k])] + row[k + 1:] for row in rows]
+        return Dyadic([[x + y for x, y in zip(row, rows[k])] for row in rows[:k]] + rows[k:], q.d)
+
+    w = [Fraction(v[order[k]] if i < k else v[j]) for i, j in enumerate(order)]
+    return shear(p, -1), w, shear([list(map(abs, row)) for row in p], 1)
 
 
 def row_sum_defects(matrix, value: float, vector) -> list[Fraction]:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -648,7 +647,8 @@ def library_docs(a, pair):
                                   "classic_rows": classic_discs(a, "rows").to_json()},
         ("refine",): {"row_sum": pair.value,
                       **{name: m.tolist() for name, m in ref.matrices.items()},
-                      **{f.name: getattr(ref, f.name).tolist() for f in dataclasses.fields(ref)},
+                      **({"shifts": (-ref.offsets["F"]).tolist()} if len(a) % 2 == 0 else
+                         {"f_shifts": ref.offsets["F"].tolist(), "g_shifts": ref.offsets["G"].tolist()}),
                       "region": ref.region().to_json()},
         ("obr",): cassini_intersection_region(a, pair).to_json(),
         ("validate",): {"residual": residual, "tol": DEFAULT_TOL, "valid": residual <= DEFAULT_TOL},

@@ -11,6 +11,9 @@ from eigenfence import (
     ParseError,
     as_matrix,
     check_eigenpair,
+    desingularize,
+    diag_similar,
+    eigenvalues,
     parse_matrix,
     parse_problem,
 )
@@ -141,3 +144,18 @@ def test_residual_zero_iff_exact_on_integers():
         lam = float(rng.integers(-4, 5))
         exact = np.array_equal(a @ v, lam * v)
         assert (check_eigenpair(a, Eigenpair(lam, v)) == 0.0) == exact
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Eigenpair(1.0, np.ones(3)),
+    lambda: diag_similar(cases.PERRON6_A, cases.PERRON6_PAIR),
+    lambda: desingularize(cases.SHEAR4_A, cases.SHEAR4_PAIR),
+    lambda: eigenvalues(cases.PERRON6_A),
+], ids=["Eigenpair", "SimilarityResult", "Desingularization", "Spectrum"])
+def test_records_holding_arrays_compare_by_identity(make):
+    """A record that holds arrays compares and hashes by identity, as the
+    region tables do: by value, ``==`` would ask an array for its truth."""
+    first, second = make(), make()
+    assert first != second and not first == second
+    assert first == first and second == second
+    assert hash(first) == hash(first) and hash(second) == hash(second)

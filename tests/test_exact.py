@@ -1,16 +1,18 @@
 """The column kernels against exact arithmetic, within the contract of
-:mod:`exact`: the diagonal similarity B and its rows' sums, second-type
-radii of B, the refinement's shifts (exactly), F and G (correctly
-rounded), their refined radii, ``tau_inf``, ``tau1``, and the deleted row
-sums of the classic discs and the Ostrowski-Brauer ovals.
+:mod:`exact`: the shear path's C and w, the similarity B of either path
+and its rows' sums, second-type radii of B, the refinement's shifts
+(exactly), F and G (correctly rounded), their refined radii,
+``tau_inf``, ``tau1``, and the deleted row sums of the classic discs and
+the Ostrowski-Brauer ovals.
 
-Inputs: every eigenpair of :mod:`cases` on the diagonal path and a seeded
-n = 64 positive matrix with numpy's Perron pair (for B), every square
-matrix in :mod:`cases`, Hypothesis matrices at n = 3..40 of both
-parities with ties and signed zeros (and for ``tau1`` at n on both sides
-of ``bounds.TAU1_SCREEN``), the same with ``discs.SPLIT_SELECT`` at 3, so
-that the columns are split by selection, and seeded matrices at n = 64
-and 129, and at n = 512 and 513, the first sizes that select.
+Inputs: every eigenpair of :mod:`cases`, on either path, a seeded n = 64
+positive matrix with numpy's Perron pair and a seeded n = 64
+block-triangular one whose pair has 10 zero components (for C and B),
+every square matrix in :mod:`cases`, Hypothesis matrices at n = 3..40 of
+both parities with ties and signed zeros (and for ``tau1`` at n on both
+sides of ``bounds.TAU1_SCREEN``), the same with ``discs.SPLIT_SELECT`` at
+3, so that the columns are split by selection, and seeded matrices at
+n = 64 and 129, and at n = 512 and 513, the first sizes that select.
 """
 
 from fractions import Fraction
@@ -28,6 +30,7 @@ from eigenfence import (
     NotConstantRowSumError,
     bounds,
     classic_discs,
+    desingularize,
     discs,
     obr_set,
     prepare,
@@ -91,9 +94,9 @@ def check_refinement(b):
     assert exact.within(reach["m_B"], exact.disc_bound(q),
                         exact.gamma(n + 1) * max(exact.abs_column_sums(q)))
     offsets = exact.offsets(q)
-    shifts = {"F": -ref.shifts} if n % 2 == 0 else {"F": ref.f_shifts, "G": ref.g_shifts}
+    assert list(ref.offsets) == list(offsets)
     for name, off in offsets.items():
-        assert [Fraction(x) for x in shifts[name].tolist()] == off
+        assert [Fraction(x) for x in ref.offsets[name].tolist()] == off
         f = exact.shifted(q, off)
         # one IEEE operation per entry: the exact shifted entry, correctly rounded
         assert ref.matrices[name].tolist() == exact.floats(f)
@@ -106,18 +109,37 @@ def check_refinement(b):
         assert exact.within(reach[f"m_{name}"], exact.disc_bound(f), exact.gamma(n + 2) * max(sums))
 
 
-def check_similarity(a, pair):
-    """Each entry of the diagonal path's B, and the exact sum of each of its
-    rows against ``lambda + d_i``."""
-    sim = prepare(a, pair)
-    assert sim.k == 0
-    want = exact.similar(a, pair.vector)
+def check_scaled(b, m, value, v):
+    """Each entry of ``B = S^-1 M S``, ``S = diag(v)``, and the exact sum of
+    each of its rows against ``lambda + d_i``."""
+    want = exact.similar(m, v)
     g = exact.gamma(2)
-    for got, row, d in zip(sim.B.tolist(), want,
-                           exact.row_sum_defects(a, pair.value, pair.vector)):
+    for got, row, d in zip(b.tolist(), want, exact.row_sum_defects(m, value, v)):
         for x, w in zip(got, row):
             assert exact.within(x, w, g * abs(w))
-        assert abs(sum(map(Fraction, got)) - Fraction(pair.value) - d) <= g * sum(map(abs, row))
+        assert abs(sum(map(Fraction, got)) - Fraction(value) - d) <= g * sum(map(abs, row))
+
+
+def check_similarity(a, pair):
+    """The diagonal path's B."""
+    sim = prepare(a, pair)
+    assert sim.k == 0
+    check_scaled(sim.B, a, pair.value, pair.vector)
+
+
+def check_shear(a, pair):
+    """The shear path's C entry by entry, its w exactly, and its B as the
+    diagonal similarity of that computed C and w."""
+    d = desingularize(a, pair)
+    c, w, sizes = exact.sheared(a, pair.vector)
+    g = exact.gamma(d.k + 1)
+    for got, want, size in zip(d.C.tolist(), c.rows, sizes.rows):
+        for x, y, t in zip(got, want, size):
+            assert exact.within(x, Fraction(y, c.d), g * Fraction(t, c.d))
+    assert [Fraction(x) for x in d.w.tolist()] == w
+    sim = prepare(a, pair)
+    assert sim.k == d.k
+    check_scaled(sim.B, d.C, pair.value, d.w)
 
 
 #: Every eigenpair in :mod:`cases` whose vector has no zero component, by name.
@@ -136,6 +158,26 @@ def test_similarity_of_a_seeded_perron_pair_against_exact_arithmetic():
     values, vectors = np.linalg.eig(a)
     k = int(np.argmax(values.real))
     check_similarity(a, Eigenpair(float(values[k].real), vectors[:, k].real))
+
+
+def test_shear_path_of_the_cases_against_exact_arithmetic():
+    check_shear(cases.SHEAR4_A, cases.SHEAR4_PAIR)
+
+
+def test_shear_path_of_a_seeded_block_triangular_pair_against_exact_arithmetic():
+    """``A = [[P, 0], [Q, R]]`` with positive blocks, P 10 x 10, and
+    ``v = (0, y)`` for numpy's Perron pair ``(lambda, y)`` of R, its rows and
+    columns permuted: the shear path removes 10 zeros."""
+    n, k = 64, 10
+    rng = np.random.default_rng(n)
+    a = rng.random((n, n)) + 0.05
+    a[:k, k:] = 0.0
+    values, vectors = np.linalg.eig(a[k:, k:])
+    top = int(np.argmax(values.real))
+    y = vectors[:, top].real
+    v = np.concatenate([np.zeros(k), y / y.sum()])
+    perm = rng.permutation(n)
+    check_shear(a[np.ix_(perm, perm)], Eigenpair(float(values[top].real), v[perm]))
 
 
 #: Every square matrix of n >= 3 in :mod:`cases`, by name.

@@ -328,3 +328,22 @@ def test_iterencode_refuses_what_json_refuses():
             json.dumps(plain(doc), indent=2)
         with pytest.raises(TypeError):
             "".join(iterencode(doc))
+
+
+# -- the absolute membership slack (ROADMAP item 14) ----------------------------
+# Both fail today and must pass once the slack follows the tables' rounding.
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+def test_a_tiny_disc_rejects_a_point_far_outside_it():
+    """``1e-9 (1 + r)`` of slack dwarfs a disc of radius 2^-41: a point
+    ten radii beyond its edge is accepted."""
+    assert not DiscUnion([[2.0**-40, 2.0**-41]]).contains_points(15 * 2.0**-40)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+def test_a_far_disc_accepts_its_own_boundary():
+    """Near 1e8 a float is rounded by up to half an ulp, 7.45e-9, seven
+    times the slack ``1e-9 (1 + 1e-3)``: 26 of these 64 boundary samples,
+    each rounded off the circle, are rejected."""
+    z = 1e8 + 1e-3 * np.exp(2j * np.pi * np.arange(64) / 64)
+    assert DiscUnion([[1e8, 1e-3]]).contains_points(z).all()

@@ -211,18 +211,19 @@ def check_range_refusal(b):
         return np.array([kth_largest_offdiag(b, j, k) for j in range(n)])
     with np.errstate(over="ignore"):
         if n % 2 == 0:
-            shifts = {"shifts": kth(n // 2)}
-            matrices = {"F": b - shifts["shifts"]}
+            offsets = {"F": -kth(n // 2)}
         else:
-            shifts = {"f_shifts": -kth((n - 1) // 2), "g_shifts": -kth((n + 1) // 2)}
-            matrices = {"F": b + shifts["f_shifts"], "G": b + shifts["g_shifts"]}
+            offsets = {"F": -kth((n - 1) // 2), "G": -kth((n + 1) // 2)}
+        matrices = {name: b + off for name, off in offsets.items()}
     if not all(np.isfinite(m).all() for m in matrices.values()):
         with pytest.raises(OverflowError, match="^refinement: "):
             refinement(b)
         return
     ref = refinement(b)
-    for name, m in {**matrices, **shifts}.items():
+    assert list(ref.offsets) == list(offsets)
+    for name, m in matrices.items():
         assert same_bits(getattr(ref, name), m)
+        assert same_bits(ref.offsets[name], offsets[name])
     try:
         want = {name: second_type_discs_of_transpose(m).discs for name, m in matrices.items()}
     except OverflowError:
@@ -259,12 +260,12 @@ def test_refinement_shifts_match_kth_largest_offdiag(parity, data):
     for j in range(n):
         assert desc[j, :n - 1].tolist() == sorted(np.delete(b[:, j], j).tolist(), reverse=True)
     if n % 2 == 0:
-        shifts = refine_even(b).shifts
-        assert shifts.tolist() == [kth_largest_offdiag(b, j, n // 2) for j in range(n)]
+        off = refine_even(b).offsets
+        assert off["F"].tolist() == [-kth_largest_offdiag(b, j, n // 2) for j in range(n)]
     else:
-        ref = refine_odd(b)
-        assert ref.f_shifts.tolist() == [-kth_largest_offdiag(b, j, (n - 1) // 2) for j in range(n)]
-        assert ref.g_shifts.tolist() == [-kth_largest_offdiag(b, j, (n + 1) // 2) for j in range(n)]
+        off = refine_odd(b).offsets
+        assert off["F"].tolist() == [-kth_largest_offdiag(b, j, (n - 1) // 2) for j in range(n)]
+        assert off["G"].tolist() == [-kth_largest_offdiag(b, j, (n + 1) // 2) for j in range(n)]
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -293,8 +294,8 @@ def test_refined_discs_in_row_blocks_are_one_shifted_copy(n, block):
     ref = refinement(b)
     with mock.patch.object(core, "BLOCK_ENTRIES", block):
         got = {name: d.discs[:, 1] for name, d in ref.discs.items()}
-    for name, off in ref._offsets.items():
-        assert same_bits(got[name], row_gaps((ref._desc[:, ::-1] + off[:, None])[:, ::-1], 0.0))
+    for name, off in ref.offsets.items():
+        assert same_bits(got[name], row_gaps((ref.split[:, ::-1] + off[:, None])[:, ::-1], 0.0))
 
 
 @pytest.mark.parametrize("parity", [0, 1])

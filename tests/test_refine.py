@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from eigenfence.similarity import SimilarityResult
 def test_even_worked_6x6():
     ref = refine_even(cases.PERRON6_B)
     np.testing.assert_array_equal(ref.F, cases.PERRON6_F)
-    np.testing.assert_array_equal(ref.shifts, [2, 4, 6, 2, 3, 4])
+    np.testing.assert_array_equal(ref.offsets["F"], [-2, -4, -6, -2, -3, -4])
 
 
 def test_even_disc_list():
@@ -49,7 +48,7 @@ def test_even_shear4():
 def test_even_zero_matrix():
     ref = refine_even(np.zeros((4, 4)))
     np.testing.assert_array_equal(ref.F, np.zeros((4, 4)))
-    np.testing.assert_array_equal(ref.shifts, np.zeros(4))
+    np.testing.assert_array_equal(ref.offsets["F"], np.zeros(4))
 
 
 def test_even_rejects_odd():
@@ -223,13 +222,8 @@ def test_refinement_carries_its_region():
 @pytest.mark.parametrize("b", [cases.PERRON6_B, cases.PERRON7_B], ids=["even", "odd"])
 def test_refinement_stores_its_shifts_and_builds_f_and_g_when_read(b):
     ref = refinement(b)
-    names = [f.name for f in dataclasses.fields(ref)]
-    if len(b) % 2 == 0:
-        assert names == ["shifts"]
-        want = {"F": b - ref.shifts}
-    else:
-        assert names == ["f_shifts", "g_shifts"]
-        want = {"F": b + ref.f_shifts, "G": b + ref.g_shifts}
+    assert list(ref.offsets) == (["F"] if len(b) % 2 == 0 else ["F", "G"])
+    want = {name: b + off for name, off in ref.offsets.items()}
     assert list(ref.matrices) == list(want)
     for name, m in want.items():
         got = getattr(ref, name)
@@ -292,9 +286,8 @@ def test_regions_and_bounds_never_build_f_or_g(b, monkeypatch):
     def unread(name):
         return property(lambda self: pytest.fail(f"{name} was built"))
 
-    for cls, name in ((refine._Shifted, "matrices"), (refine._Shifted, "F"),
-                      (refine.OddRefinement, "G")):
-        monkeypatch.setattr(cls, name, unread(name))
+    for name in ("matrices", "F", "G"):
+        monkeypatch.setattr(refine.Refinement, name, unread(name))
     n = len(b)
     sim = SimilarityResult(B=b, row_sum=float(b[0].sum()), scaling=np.ones(n))
     bounds.prepared_reports(sim, ks=(1, 2), include_det=True)
