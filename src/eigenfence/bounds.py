@@ -15,7 +15,8 @@ Costs: the disc bounds of B, F and G and ``tau_inf(B)`` share one split
 of B's columns (:func:`~eigenfence.discs.split_columns`, diagonal last: a
 sort below ``SPLIT_SELECT`` rows, from it on a one-kth selection, in
 expected ``O(n^2)`` time with numpy 2.4 on AVX-512) in ``O(n^2)`` memory,
-and ``tau_inf`` of each higher power splits that power.  From ``SPLIT_SELECT`` on, ``m_F`` and
+read-only (nothing writes it), and ``tau_inf`` of each higher power splits
+that power.  From ``SPLIT_SELECT`` on, ``m_F`` and
 ``m_G`` come from B's split plus the shifts, whose halves may be in
 another order than F's own split: they agree with the discs of F and G
 within rounding, bit for bit only below it; ``tau1``

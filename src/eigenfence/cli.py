@@ -131,13 +131,14 @@ def _cmd_render(args) -> int:
     layer_names = [s.strip() for s in args.layers.split(",") if s.strip()]
     b = _prepare(matrix, pair, args.tol).B if {"second", "refined"} & set(layer_names) else None
     build = {"classic": lambda: (discs.classic_discs(matrix, "columns"), render.GRAY),
-             "second": lambda: (discs.second_type_discs_of_transpose(b), render.BLUE),
-             "refined": lambda: (refine.refined_region(b), render.TURQUOISE)}
+             "second": lambda: (discs.second_type_discs_of_transpose(b, split), render.BLUE),
+             "refined": lambda: (refine.refinement(b, split).region(), render.TURQUOISE)}
     for name in layer_names:
         if name not in build:
             raise InputError(f"unknown layer {name!r} (choose from {','.join(build)})")
     if not layer_names and not args.eigs:
         raise InputError("nothing to draw: --layers names no layer and --eigs is off")
+    split = None if b is None else discs.split_columns(b)   # one split serves both layers
     layers = [(*build[name](), 1.0) for name in layer_names]
     points = []
     if args.eigs:

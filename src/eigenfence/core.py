@@ -17,8 +17,8 @@ DEFAULT_TOL = 1e-9
 
 #: Entries per block of the kernels that walk an n x n array a few rows at
 #: a time (512 KiB of float64, so a block stays in cache): the odd-n scan
-#: of :func:`~eigenfence.discs.split_columns`, the shifted split of
-#: :func:`~eigenfence.refine._shifted_discs` and the row-pair temporary of
+#: of :func:`~eigenfence.discs.split_columns`, the scratch block of
+#: :func:`~eigenfence.discs.row_gaps` and the row-pair temporary of
 #: :func:`~eigenfence.bounds.tau1`, whose float32 screen gives the same
 #: bytes to a column tile, held twice, and to a group of offsets' maxima.
 #: Region membership in :mod:`~eigenfence.geometry` takes the same bytes as

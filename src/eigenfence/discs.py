@@ -12,7 +12,8 @@ None of them needs the whole sort, only each column split at its middle:
 :func:`split_columns` puts the middle order statistics of the off-diagonal
 entries in their slots, the larger entries before them and the smaller
 after, with the diagonal last, and :func:`row_gaps` inserts the one value
-next to those slots.  Below ``SPLIT_SELECT`` rows the split is a sort; from
+next to those slots in a scratch copy; the split is read-only.  Below
+``SPLIT_SELECT`` rows the split is a sort; from
 it on it selects with one kth (with numpy 2.4 on AVX-512 a SIMD
 quickselect, in expected ``O(n^2)`` time; other numpy releases and CPUs
 are unmeasured), and leaves each half in an order of its own, so a gap
@@ -80,11 +81,11 @@ def split_columns(matrix) -> np.ndarray:
     expected ``O(n^2)`` time in all; two kth values would run its scalar
     introselect, and other numpy releases and CPUs are unmeasured.
 
-    The result is a reversed view of a C-contiguous copy, so :func:`row_gaps`
-    sums each half along a row.  The copy is the transpose built in square
-    tiles of ``TRANSPOSE_BLOCK`` (one tile up to that size): it moves the
-    same floats as ``M.T.copy()``, without that copy's cache stall at a
-    power-of-two row stride.
+    The result is a read-only reversed view of a C-contiguous copy, whose
+    rows :func:`row_gaps` copies in memory order.  The copy is the transpose
+    built in square tiles of ``TRANSPOSE_BLOCK`` (one tile up to that size):
+    it moves the same floats as ``M.T.copy()``, without that copy's cache
+    stall at a power-of-two row stride.
     """
     m = np.asarray(matrix, dtype=float)
     t, step = np.empty(m.shape[::-1]), TRANSPOSE_BLOCK
@@ -95,54 +96,66 @@ def split_columns(matrix) -> np.ndarray:
     if n < SPLIT_SELECT:
         np.fill_diagonal(t, -np.inf)
         t.sort(axis=1)
-        return t[:, ::-1]
-    # ascending in the buffer: the diagonal's -inf first, the h-th largest at n - h
-    h, i = n // 2, np.arange(n)
-    t[i, i] = t[:, 0].copy()
-    t[:, 0] = -np.inf
-    _partition(t[:, 1:], n - h - 1)
-    if n % 2:   # the (h+1)-th largest, the largest of the smaller half, next to it
-        rows = max(1, core.BLOCK_ENTRIES // n)
-        for r in range(0, n, rows):
-            block, k = t[r:r + rows], i[:min(rows, n - r)]
-            at = block[:, 1:h + 1].argmax(axis=1) + 1
-            found = block[k, at]
-            block[k, at] = block[:, h]
-            block[:, h] = found
+    else:   # ascending in the buffer: the diagonal's -inf first, the h-th largest at n - h
+        h, i = n // 2, np.arange(n)
+        t[i, i] = t[:, 0].copy()
+        t[:, 0] = -np.inf
+        _partition(t[:, 1:], n - h - 1)
+        if n % 2:   # the (h+1)-th largest, the largest of the smaller half, next to it
+            rows = max(1, core.BLOCK_ENTRIES // n)
+            for r in range(0, n, rows):
+                block, k = t[r:r + rows], i[:min(rows, n - r)]
+                at = block[:, 1:h + 1].argmax(axis=1) + 1
+                found = block[k, at]
+                block[k, at] = block[:, h]
+                block[:, h] = found
+    t.setflags(write=False)
     return t[:, ::-1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def row_gaps(desc: np.ndarray, x) -> np.ndarray:
-    """Per row of ``desc`` (a :func:`split_columns` split: n - 1 values split
-    at their middle, then a last slot that is never read) with the value
-    ``x`` (a scalar or one per row) inserted: the sum of the top ``h = n // 2``
-    of those n values minus the sum of the bottom ``h``.
+def row_gaps(split: np.ndarray, x, off=-0.0) -> np.ndarray:
+    """Per row of ``split`` (a :func:`split_columns` split: n - 1 values split
+    at their middle, then a last slot that is never read) plus ``off`` (a
+    scalar or one per row; a shift keeps the layout), with the value ``x``
+    (a scalar or one per row) inserted: the sum of the top ``h = n // 2`` of
+    those n values minus the sum of the bottom ``h``.
 
-    Nothing moves: the top h are the leading ``h - 1`` values and
-    ``max(desc[h-1], x)``, the bottom h are ``min(desc[n-h-1], x)`` and the
-    ``h - 1`` values after it.  Each of the two is written into its slot
-    for its half's sum (the slots are one column for even n, two adjacent
-    ones for odd n) and both are put back after, so ``desc`` must be
-    writable and is left as it was.  On a sort (below ``SPLIT_SELECT``),
-    with x = 0 and fewer than 8 values per half, numpy sums in order and
-    adding 0 is exact, so the gaps are those of a sort with the 0 inserted,
-    bit for bit; otherwise, and on a selection's halves in their own order,
-    they are within rounding of them.  A row whose half sums overflow is
-    summed again as paired differences of the same two halves, each >= 0
-    (the two inserted slots paired with each other), so its gap is inf
-    only when the gap itself is above the float range.
+    ``split`` is only read.  Each row block of ``core.BLOCK_ENTRIES``
+    entries plus the offsets goes into one scratch block laid out like the
+    split, so the add runs in memory order (a scalar offset stays one
+    value: numpy adds it about twice as fast as a column), and each row is
+    summed there on its own, so no gap depends on the block size.  The
+    default offset, -0.0, changes no float, signed zeros included.  The
+    top h are the leading ``h - 1`` values and ``max(split[h-1], x)``, the
+    bottom h ``min(split[n-h-1], x)`` and the ``h - 1`` values after it,
+    each written into its slot of the block for its half's sum (one column
+    for even n, two adjacent ones for odd n).  On a sort (below
+    ``SPLIT_SELECT``), with x = 0 and fewer than 8 values per half, numpy
+    sums in order and adding 0 is exact, so the gaps are those of a sort
+    with the 0 inserted, bit for bit; otherwise, and on a selection's
+    halves in their own order, they are within rounding of them.  A row
+    whose half sums overflow is summed again as paired differences of the
+    same two halves, each >= 0 (the two inserted slots paired with each
+    other), so its gap is inf only when the gap itself is above the float
+    range.
     """
-    h = desc.shape[1] // 2
-    top, bottom, slots = desc[:, :h], desc[:, -h - 1:-1], desc[:, h - 1:-h].copy()
-    np.maximum(slots[:, 0], x, out=top[:, -1])
-    gaps = top.sum(axis=1)
-    np.minimum(slots[:, -1], x, out=bottom[:, 0])
-    gaps -= bottom.sum(axis=1)
-    desc[:, h - 1:-h] = slots
-    if not gaps.max() < np.inf:   # each gap is >= 0, inf or NaN
-        ends = np.maximum(slots[:, 0], x) - np.minimum(slots[:, -1], x)
-        gaps = np.where(gaps < np.inf, gaps, (top[:, :-1] - bottom[:, 1:]).sum(axis=1) + ends)
+    m, n = split.shape
+    h, rows = n // 2, max(1, core.BLOCK_ENTRIES // n)
+    x, off = np.full(m, x), np.asarray(off, float).reshape(-1, 1)
+    block, gaps = np.empty((min(rows, m), n)), np.empty(m)
+    for r in range(0, m, rows):
+        part, xr = block[:min(rows, m - r), ::-1], x[r:r + rows]
+        np.add(split[r:r + rows], off[r:r + rows] if len(off) > 1 else off, out=part)
+        top, bottom = part[:, :h], part[:, -h - 1:-1]
+        hi, lo = np.maximum(part[:, h - 1], xr), np.minimum(part[:, -h - 1], xr)
+        top[:, -1] = hi
+        g = top.sum(axis=1)
+        bottom[:, 0] = lo
+        g -= bottom.sum(axis=1)
+        if not g.max() < np.inf:   # each gap is >= 0, inf or NaN
+            g = np.where(g < np.inf, g, (top[:, :-1] - bottom[:, 1:]).sum(axis=1) + (hi - lo))
+        gaps[r:r + rows] = g
     return gaps
 
 

@@ -18,9 +18,10 @@ middle order statistics of the split, the same floats at every n.
 
 That one split of B also gives the second-type discs of F and G.  A
 column shift keeps the order of a column's entries, so row j of B's split
-plus the offset, entry by entry, is a split of column j of F (or G), and
-:func:`~eigenfence.discs.row_gaps` inserts the mandated 0 into it as it
-would into F's own.  Below ``SPLIT_SELECT`` both are sorts, so
+plus the offset, entry by entry, is a split of column j of F (or G):
+:func:`~eigenfence.discs.row_gaps` adds the offsets to a scratch copy of
+each row block of B's split and inserts the mandated 0 there, as it would
+into F's own.  Below ``SPLIT_SELECT`` both are sorts, so
 ``refinement(B).discs["F"]`` equals
 :func:`~eigenfence.discs.second_type_discs_of_transpose` of F bit for
 bit; from it on, F's own selection may leave its halves in another order,
@@ -28,7 +29,8 @@ and the two agree within rounding.  A refinement and its region cost one
 column split.
 
 So a refinement stores its offsets, and of size ``n^2`` only B (a
-read-only B by reference) and B's split.  F and G are fully determined by
+read-only B by reference) and B's read-only split, which the refined
+discs read on first use.  F and G are fully determined by
 B and the offsets: each read of ``F``, ``G`` or ``matrices`` builds
 ``B + e * off^T`` anew, with no cache.  The refined discs, the region and
 the disc bounds never build them; the CLI's ``refine`` document and the
@@ -44,7 +46,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import core
 from .core import EvenSizeError, NotConstantRowSumError, OddSizeError, SizeError, as_matrix
 from .discs import row_gaps, split_columns
 from .geometry import DiscUnion, PairIntersectionUnion
@@ -59,7 +60,7 @@ class Refinement:
     F and G for odd n.  ``offsets`` maps each name to the read-only
     per-column offsets added to B, so that matrix is
     ``B + e * offsets[name]^T``, built from the read-only ``B`` on every
-    read.  ``split`` is B's
+    read.  ``split`` is B's read-only
     :func:`~eigenfence.discs.split_columns`, which the refined discs read."""
 
     offsets: Mapping[str, np.ndarray]
@@ -85,8 +86,9 @@ class Refinement:
         """Second-type disc union of M^T for each shifted matrix M, by name:
         :func:`~eigenfence.discs.second_type_discs_of_transpose` of M,
         without building or splitting M.  Built on first use and read-only."""
-        return MappingProxyType({name: _shifted_discs(self.B, self.split, off)
-                                 for name, off in self.offsets.items()})
+        return MappingProxyType({name: DiscUnion._named("refined discs", np.column_stack(
+            (np.diagonal(self.B) + off, row_gaps(self.split, 0.0, off))))
+            for name, off in self.offsets.items()})
 
     def region(self) -> DiscUnion | PairIntersectionUnion:
         """Refined region.  Even n: the second-type disc union of F^T.  Odd
@@ -123,24 +125,6 @@ def row_sum_constant(matrix) -> float:
         raise NotConstantRowSumError(
             f"row sums spread {spread:.3e} exceeds tolerance (mean sum {lam:g})")
     return lam
-
-
-def _shifted_discs(b: np.ndarray, desc: np.ndarray, off: np.ndarray) -> DiscUnion:
-    """Second-type discs of the transpose of ``B + e * off^T``, from B and
-    its :func:`~eigenfence.discs.split_columns` ``desc``: the centers are
-    ``diag(B) + off``, the same floats as that matrix's diagonal.  The add
-    runs on the C-contiguous buffer behind ``desc``, in row blocks of
-    ``core.BLOCK_ENTRIES`` entries, and the sums through each block's
-    reversed view: each row is summed as it would be in one shifted copy of
-    the whole split, which is never built."""
-    n = len(desc)
-    buf, rows = desc[:, ::-1], max(1, core.BLOCK_ENTRIES // n)
-    block, radii = np.empty((min(rows, n), n)), np.empty(n)
-    for r in range(0, n, rows):
-        part = block[:min(rows, n - r)]
-        np.add(buf[r:r + rows], off[r:r + rows, None], out=part)
-        radii[r:r + rows] = row_gaps(part[:, ::-1], 0.0)
-    return DiscUnion._named("refined discs", np.column_stack((np.diagonal(b) + off, radii)))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -613,6 +613,16 @@ def test_gate_defect_pair_validates(tmp_path, capsys):
     assert strict_json(capsys.readouterr().out)["valid"] is True
 
 
+def test_gate_defect_pair_renders_without_a_refinement(tmp_path, monkeypatch, capsys):
+    """A render without the refined layer builds no refinement, so its
+    row-sum check does not refuse this pair."""
+    from eigenfence import refine
+    refinements = count_calls(monkeypatch, refine, "refinement")
+    assert main(["render", gate_defect_problem(tmp_path), "--out", "-",
+                 "--layers", "classic,second"]) == 0
+    assert refinements == []
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 @pytest.mark.parametrize("command", ["refine", "bound", "obr"])
 def test_gate_defect_pair_passes_every_command(tmp_path, capsys, command):

@@ -285,17 +285,38 @@ def test_refined_discs_match_sorting_the_shifted_matrices(parity, data):
         assert reach[f"m_{name}"] == second_type_discs_of_transpose(m).max_abs().value
 
 
+def gaps_of_one_copy(split, x, off=-0.0):
+    """:func:`row_gaps` of ``split`` plus ``off``, from one copy of the whole
+    split: ``x`` written into its slots, and each half summed along the
+    reversed rows of the copy's buffer (no half sum here overflows)."""
+    h = split.shape[1] // 2
+    desc = (split[:, ::-1] + np.asarray(off)[..., None])[:, ::-1]
+    top, bottom = np.maximum(desc[:, h - 1], x), np.minimum(desc[:, -h - 1], x)
+    desc[:, h - 1] = top
+    gaps = desc[:, :h].sum(axis=1)
+    desc[:, -h - 1] = bottom
+    return gaps - desc[:, -h - 1:-1].sum(axis=1)
+
+
 @pytest.mark.parametrize("block", [core.BLOCK_ENTRIES, 1, 3000])
 @pytest.mark.parametrize("n", [6, 7, S, S + 1])
 def test_refined_discs_in_row_blocks_are_one_shifted_copy(n, block):
-    """The refined radii, summed over row blocks of B's split plus the
-    shifts, are those of one shifted copy of the whole split, bit for bit."""
+    """Every gap read from B's split in row blocks, the refined radii (the
+    split plus the shifts), B's second-type radii and ``tau_inf(B)``, is
+    that of one (shifted) copy of the whole split, bit for bit."""
     b = row_sum_matrix(ties_and_signed_zeros(n, seed=n))
     ref = refinement(b)
     with mock.patch.object(core, "BLOCK_ENTRIES", block):
         got = {name: d.discs[:, 1] for name, d in ref.discs.items()}
+        radii = second_type_discs_of_transpose(b, ref.split).discs[:, 1]
+        columns = row_gaps(ref.split, np.diagonal(b))
+        tau = bounds.tau_inf(b, ref.split)
     for name, off in ref.offsets.items():
+        assert same_bits(got[name], gaps_of_one_copy(ref.split, 0.0, off))
         assert same_bits(got[name], row_gaps((ref.split[:, ::-1] + off[:, None])[:, ::-1], 0.0))
+    assert same_bits(radii, gaps_of_one_copy(ref.split, 0.0))
+    assert same_bits(columns, gaps_of_one_copy(ref.split, np.diagonal(b)))
+    assert same_bits(np.array([tau]), np.array([columns.max()]))
 
 
 @pytest.mark.parametrize("parity", [0, 1])

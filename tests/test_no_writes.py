@@ -22,6 +22,7 @@ from eigenfence import (
     refinement,
     second_type_discs_of_transpose,
 )
+from eigenfence.discs import split_columns
 
 
 def frozen(m):
@@ -77,3 +78,32 @@ def test_entry_points_leave_b_unchanged(name, problem):
     before = b.tobytes()
     ON_B[name](b)
     assert b.tobytes() == before
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_a_split_refuses_writes(problem):
+    b = frozen(prepare(*PROBLEMS[problem]).B)
+    for split in (split_columns(b), refinement(b).split):
+        with pytest.raises(ValueError):
+            split[:] = 0.0
+
+
+def test_a_refinement_reads_the_split_it_was_built_from():
+    """The refined discs are read on first use, from the refinement's split,
+    which nothing can zero before that (column 0 would get radius 2)."""
+    ref = refinement(cases.PERRON6_B)
+    with pytest.raises(ValueError):
+        ref.split[:] = 0.0
+    assert ref.region().discs[0, 1] == 10.0
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_entry_points_leave_a_shared_split_unchanged(problem):
+    b = frozen(prepare(*PROBLEMS[problem]).B)
+    split = split_columns(b)
+    split.setflags(write=False)
+    before = split.tobytes()
+    second_type_discs_of_transpose(b, split)
+    bounds.tau_inf(b, split)
+    refinement(b, split).region()
+    assert split.tobytes() == before

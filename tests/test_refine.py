@@ -326,7 +326,10 @@ PROBLEMS = Path(__file__).parent.parent / "demos" / "problems"
     # one split of B serves m_B, m_F (and m_G) and tau_inf(B); then B^2 and B^3
     (["bound", "--k", "3"], 3),
     # and B^(n-1)
-    (["bound", "--k", "3", "--det"], 4)])
+    (["bound", "--k", "3", "--det"], 4),
+    # one split of B serves the second-type discs and the refined region
+    (["render", "--out", "-", "--layers", "second,refined"], 1),
+    (["render", "--out", "-", "--layers", "second"], 1)])
 def test_commands_sort_the_columns_of_b_once(problem, command, splits, monkeypatch, capsys):
     calls = count_splits(monkeypatch)
     assert main([command[0], str(PROBLEMS / f"{problem}.json"), *command[1:]]) == 0
