@@ -17,15 +17,15 @@ A1 = np.array([[0, 1, 0], [2, 5, 4], [0, 3, 0]], dtype=float)
 pair1 = ef.Eigenpair(7.0, np.array([1, 7, 3], dtype=float))
 
 B1 = ef.diag_similar(A1, pair1).B
-odd = ef.refine_odd(B1)
-print("G =\n", odd.G)
+G1 = ef.refine_odd(B1).matrices["G"]
+print("G =\n", G1)
 print("rows of zeros make every oval bound collapse to 0")
 
-ovals = ef.obr_set(odd.G)
+ovals = ef.obr_set(G1)
 for c1, c2, bound in ovals.ovals.tolist():
     print(f"  oval centers ({c1:g}, {c2:g}) bound {bound:g}")
 
-both = ef.RegionIntersection((ef.obr_set(odd.G), ef.obr_set(odd.G.T)))
+both = ef.RegionIntersection((ef.obr_set(G1), ef.obr_set(G1.T)))
 for z in (0.0, -2.0, 0.5, -1.0, 1j):
     print(f"  {z} member: {both.contains_points(z)}")
 print("the remaining eigenvalues 0 and -2 are the only members")

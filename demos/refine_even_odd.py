@@ -24,10 +24,11 @@ pair6 = ef.Eigenpair(24.0, np.array([2, 1, 1, 1, 1, 1], dtype=float))
 
 B6 = ef.diag_similar(A6, pair6).B
 ref = ef.refine_even(B6)
+F6 = ref.matrices["F"]
 print("column offsets added to B:", ref.offsets["F"])
-print("F =\n", ref.F)
+print("F =\n", F6)
 
-fine = ef.second_type_discs_of_transpose(ref.F)
+fine = ef.second_type_discs_of_transpose(F6)
 coarse = ef.second_type_discs_of_transpose(B6)
 print("refined discs:", [tuple(d) for d in fine.discs.tolist()])
 print("refined region inside the original:",

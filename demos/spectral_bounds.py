@@ -19,7 +19,7 @@ A = np.array([
 pair = ef.Eigenpair(24.0, np.array([1, 2, 2, 1], dtype=float))
 
 B = ef.diag_similar(A, pair).B
-F = ef.refine_even(B).F
+F = ef.refine_even(B).matrices["F"]
 print("B =\n", B)
 print("F =\n", F)
 

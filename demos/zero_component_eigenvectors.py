@@ -25,10 +25,10 @@ print("C = shear(permuted A):\n", d.C)
 print("new eigenvector w:", d.w, " (no zeros, C w = 0)")
 
 # C already has constant row sums (w = e here), so refine directly
-ref = ef.refine_even(d.C)
-print("\nrefined matrix F:\n", ref.F)
+F = ef.refine_even(d.C).matrices["F"]
+print("\nrefined matrix F:\n", F)
 
-region = ef.second_type_discs_of_transpose(ref.F)
+region = ef.second_type_discs_of_transpose(F)
 print("refined discs:", [tuple(disc) for disc in region.discs.tolist()])
 
 print("\nspectrum of A:", np.round(ef.eigenvalues(A).values.real, 6))

@@ -247,22 +247,19 @@ class _Union:
         blocks."""
         z = np.asarray(z, dtype=complex)
         flat, table = z.ravel(), _slack(self.table)[:, None]
-        todo = None   # every point, until the first chunk has run
+        hit, todo = np.zeros(flat.size, dtype=bool), slice(None)   # a view: no gather
         for c in range(0, len(table), MEMBERSHIP_CHUNK):
             if c:
-                todo = np.flatnonzero(~hit) if todo is None else todo[~found]
+                todo = np.flatnonzero(~hit)
                 if not todo.size:
                     break
-            points = flat if todo is None else flat[todo]
+            points = flat[todo]
             rows = table[c:c + MEMBERSHIP_CHUNK]
             step = max(1, core.BLOCK_ENTRIES // 2 // len(rows))
             found = np.empty(points.size, dtype=bool)
             for i in range(0, points.size, step):
                 found[i:i + step] = self._inside(points[i:i + step], rows).any(axis=0)
-            if todo is None:
-                hit = found
-            else:
-                hit[todo[found]] = True
+            hit[todo] = found
         return hit.reshape(z.shape)
 
     def contains_grid(self, xs, ys) -> np.ndarray:

@@ -31,7 +31,7 @@ column split.
 So a refinement stores its offsets, and of size ``n^2`` only B (a
 read-only B by reference) and B's read-only split, which the refined
 discs read on first use.  F and G are fully determined by
-B and the offsets: each read of ``F``, ``G`` or ``matrices`` builds
+B and the offsets: each read of ``matrices`` builds every
 ``B + e * off^T`` anew, with no cache.  The refined discs, the region and
 the disc bounds never build them; the CLI's ``refine`` document and the
 Ostrowski-Brauer sets do.
@@ -58,7 +58,7 @@ ROW_SUM_TOL = 1e-9
 class Refinement:
     """The shifted matrices of a constant row-sum matrix B: F for even n,
     F and G for odd n.  ``offsets`` maps each name to the read-only
-    per-column offsets added to B, so that matrix is
+    per-column offsets added to B, so that ``matrices[name]`` is
     ``B + e * offsets[name]^T``, built from the read-only ``B`` on every
     read.  ``split`` is B's read-only
     :func:`~eigenfence.discs.split_columns`, which the refined discs read."""
@@ -71,15 +71,6 @@ class Refinement:
     def matrices(self) -> dict[str, np.ndarray]:
         """Each shifted matrix by name, built on every read: nothing caches it."""
         return {name: self.B + off for name, off in self.offsets.items()}
-
-    @property
-    def F(self) -> np.ndarray:
-        return self.B + self.offsets["F"]
-
-    @property
-    def G(self) -> np.ndarray:
-        """The second shifted matrix; KeyError for even n, which has none."""
-        return self.B + self.offsets["G"]
 
     @cached_property
     def discs(self) -> Mapping[str, DiscUnion]:
@@ -137,9 +128,9 @@ def refinement(matrix, _desc=None) -> Refinement:
     (h+1)-th ("k-th largest" counts multiplicity).  The one column split
     here serves the offsets and, through the refinement's ``discs`` and
     :meth:`~Refinement.region`, the refined discs too; F and G are built
-    only when read.  The refinement holds B: a read-only B by reference, a
-    writable one as a read-only copy.  Raises OverflowError when a shifted
-    entry is above the float range.  ``_desc`` is B's
+    only when ``matrices`` is read.  The refinement holds B: a read-only B
+    by reference, a writable one as a read-only copy.  Raises OverflowError
+    when a shifted entry is above the float range.  ``_desc`` is B's
     :func:`~eigenfence.discs.split_columns`, when the caller has it.
 
     That range check reads ``2n`` sums per shifted matrix, not its ``n^2``

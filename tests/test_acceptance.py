@@ -98,9 +98,9 @@ def test_stretch3_region_escapes_classic():
 # -- gate 5: even-size refinement -----------------------------------------------
 
 def test_perron6_even_refinement():
-    ref = refine_even(cases.PERRON6_B)
-    assert np.array_equal(ref.F, cases.PERRON6_F)
-    fine = second_type_discs_of_transpose(ref.F)
+    f = refine_even(cases.PERRON6_B).matrices["F"]
+    assert np.array_equal(f, cases.PERRON6_F)
+    fine = second_type_discs_of_transpose(f)
     assert disc_list(fine) == cases.PERRON6_F_DISCS
     coarse = second_type_discs_of_transpose(cases.PERRON6_B)
     assert sampled_subset(fine, coarse, resolution=128).is_subset
@@ -109,11 +109,11 @@ def test_perron6_even_refinement():
 # -- gate 6: odd-size refinement -------------------------------------------------
 
 def test_perron7_odd_refinement():
-    ref = refine_odd(cases.PERRON7_B)
+    mats = refine_odd(cases.PERRON7_B).matrices
     # the two shifted matrices, exactly; per-column F/G labeling is
     # interchangeable for the region (see the swap-invariance unit test)
     for j in range(7):
-        ours = (ref.F[:, j].tolist(), ref.G[:, j].tolist())
+        ours = (mats["F"][:, j].tolist(), mats["G"][:, j].tolist())
         expected = (cases.PERRON7_F[:, j].tolist(), cases.PERRON7_G[:, j].tolist())
         assert ours == expected or ours == expected[::-1]
 
@@ -132,14 +132,14 @@ def test_perron7_odd_refinement():
 def test_shear4_desingularization():
     d = desingularize(cases.SHEAR4_A, cases.SHEAR4_PAIR)
     assert np.array_equal(d.C, cases.SHEAR4_C)
-    ref = refine_even(d.C)
-    assert np.array_equal(ref.F, cases.SHEAR4_F)
+    f = refine_even(d.C).matrices["F"]
+    assert np.array_equal(f, cases.SHEAR4_F)
 
     spec_a = np.sort_complex(eigenvalues(cases.SHEAR4_A).values)
     spec_c = np.sort_complex(eigenvalues(d.C).values)
     np.testing.assert_allclose(spec_a, spec_c, atol=1e-8)
 
-    region = second_type_discs_of_transpose(ref.F)
+    region = second_type_discs_of_transpose(f)
     for z in (-1.0, 1.0, 2.0):
         assert region.contains_points(z)
     # the known eigenvalue itself happens to fall inside here; informative only
@@ -282,12 +282,8 @@ def test_property_shift_equalities():
             rng = np.random.default_rng(seed)
             n = 3 + seed % 6
             b, _lam = random_row_sum_matrix(rng, n)
-            if n % 2 == 0:
-                mats = (refine_even(b).F,)
-            else:
-                ref = refine_odd(b)
-                mats = (ref.F, ref.G)
-            for m in mats:
+            mats = (refine_even(b) if n % 2 == 0 else refine_odd(b)).matrices
+            for m in mats.values():
                 assert abs(tau1(m) - tau1(b)) <= 1e-9
                 assert abs(tau_inf(m) - tau_inf(b)) <= 1e-9
 

