@@ -48,4 +48,4 @@ rng = np.random.default_rng(1)
 M = rng.integers(-5, 6, size=(5, 5)).astype(float)
 union = ef.obr_set(M)
 print("\nrandom 5x5: every eigenvalue inside its own oval union:",
-      all(union.contains_points(z) for z in ef.eigenvalues(M).values))
+      all(union.contains_points(z) for z in ef.eigenvalues(M)))

@@ -41,7 +41,7 @@ print("\nfarthest reach from origin: second-type",
 
 # the dense solver plays referee: every eigenvalue except 24 must be inside
 spectrum = ef.eigenvalues(A)
-print("\nspectrum:", np.round(spectrum.values, 3))
+print("\nspectrum:", np.round(spectrum, 3))
 for z in ef.nontrivial_values(spectrum, 24.0):
     print(f"  {z:.3f} inside region: {region.contains_points(z)}")
 print("known eigenvalue 24 inside region:", region.contains_points(24.0),

@@ -33,7 +33,7 @@ A = np.array([
 pair = ef.Eigenpair(24.0, np.array([2, 1, 1, 1, 1, 1], dtype=float))
 
 B = ef.diag_similar(A, pair).B
-points = tuple((complex(z), ef.BLACK) for z in ef.eigenvalues(A).values)
+points = tuple((complex(z), ef.BLACK) for z in ef.eigenvalues(A))
 
 save("disc_comparison.svg", ef.Scene(
     layers=((ef.classic_discs(A, "columns"), ef.GRAY, 1.0),
@@ -62,7 +62,7 @@ B7 = ef.diag_similar(A7, pair7).B
 save("odd_refinement.svg", ef.Scene(
     layers=((ef.second_type_discs_of_transpose(B7), ef.BLUE, 1.0),
             (ef.refined_region(B7), ef.TURQUOISE, 1.0)),
-    points=tuple((complex(z), ef.BLACK) for z in ef.eigenvalues(A7).values)))
+    points=tuple((complex(z), ef.BLACK) for z in ef.eigenvalues(A7))))
 
 # ---- four-way Cassini intersection -------------------------------------------
 

@@ -31,8 +31,8 @@ print("\nrefined matrix F:\n", F)
 region = ef.second_type_discs_of_transpose(F)
 print("refined discs:", [tuple(disc) for disc in region.discs.tolist()])
 
-print("\nspectrum of A:", np.round(ef.eigenvalues(A).values.real, 6))
-print("spectrum of C:", np.round(ef.eigenvalues(d.C).values.real, 6))
+print("\nspectrum of A:", np.round(ef.eigenvalues(A).real, 6))
+print("spectrum of C:", np.round(ef.eigenvalues(d.C).real, 6))
 for z in (-1.0, 1.0, 2.0):
     print(f"  remaining eigenvalue {z:+g} inside refined region:",
           region.contains_points(z))

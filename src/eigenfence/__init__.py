@@ -15,16 +15,12 @@ from .core import (
     DimensionError,
     EigenfenceError,
     Eigenpair,
-    EvenSizeError,
     InputError,
     InvalidEigenpairError,
-    NoZeroError,
     NotConstantRowSumError,
-    OddSizeError,
     ParseError,
     SizeError,
     ViewportError,
-    ZeroComponentError,
     as_matrix,
     check_eigenpair,
     parse_matrix,
@@ -66,7 +62,7 @@ from .geometry import (
     sampled_subset,
 )
 from .render import BLACK, BLUE, GRAY, TURQUOISE, YELLOW, Scene, render_svg
-from .oracle import Spectrum, determinant, eigenvalues, nontrivial_values
+from .oracle import determinant, eigenvalues, nontrivial_values
 
 __version__ = "0.1.0"
 

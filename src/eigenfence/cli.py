@@ -142,8 +142,7 @@ def _cmd_render(args) -> int:
     layers = [(*build[name](), 1.0) for name in layer_names]
     points = []
     if args.eigs:
-        spectrum = oracle.eigenvalues(matrix)
-        points = [(complex(z), render.BLACK) for z in spectrum.values]
+        points = [(complex(z), render.BLACK) for z in oracle.eigenvalues(matrix)]
     svg = render.render_svg(render.Scene(layers=tuple(layers), points=tuple(points)))
     if args.out == "-":
         sys.stdout.write(svg)
@@ -161,8 +160,7 @@ def _format_eigenvalue(z: complex) -> str:
 
 def _cmd_eig(args) -> int:
     matrix = parse_matrix(_read(args.matrix))
-    spectrum = oracle.eigenvalues(matrix)
-    for z in spectrum.values:
+    for z in oracle.eigenvalues(matrix):
         print(_format_eigenvalue(complex(z)))
     return EXIT_OK
 

@@ -41,7 +41,8 @@ class EigenfenceError(Exception):
 
 
 class InputError(EigenfenceError):
-    """Bad input data (text, JSON, shapes, invalid eigenpair)."""
+    """Bad input data (text, JSON, shapes, invalid eigenpair), or an
+    eigenvector whose zero components do not suit the similarity asked for."""
 
 
 class ParseError(InputError):
@@ -56,24 +57,9 @@ class InvalidEigenpairError(InputError):
     """The claimed (lambda, v) is not an eigenpair within tolerance."""
 
 
-class ZeroComponentError(EigenfenceError):
-    """Eigenvector has a (near-)zero component; desingularize first."""
-
-
-class NoZeroError(EigenfenceError):
-    """Desingularization requested but no component of v is zero."""
-
-
 class SizeError(EigenfenceError):
-    """Matrix dimension outside the supported range for this operation."""
-
-
-class OddSizeError(SizeError):
-    """Even-size-only operation called with odd n."""
-
-
-class EvenSizeError(SizeError):
-    """Odd-size-only operation called with even n."""
+    """Matrix dimension outside the supported range for this operation,
+    or of the wrong parity for a parity-specific refinement."""
 
 
 class NotConstantRowSumError(EigenfenceError):
@@ -130,13 +116,15 @@ def as_matrix(obj) -> np.ndarray:
     column offsets and B's split: a read-only one by reference (what
     :func:`~eigenfence.similarity.prepare` returns), so its owner must not
     make it writable again, and a writable one as a read-only copy.
-    Raises DimensionError for non-square input and ParseError for complex
-    or non-finite entries.
+    Raises DimensionError for non-square input and ParseError for string,
+    complex or non-finite entries.
     """
     try:
         a = np.asarray(obj)
         if a.dtype.kind == "c":
             raise ParseError("matrix entries must be real, got complex entries")
+        if a.dtype.kind in "US":   # astype would read "6" as 6.0
+            raise ParseError("not a numeric matrix: entries must be numbers, got strings")
         a = a.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:   # an int above the float range
         raise ParseError(f"not a numeric matrix: {exc}") from exc
@@ -204,8 +192,14 @@ def parse_problem(text: str) -> tuple[np.ndarray, Eigenpair | None]:
         return matrix, None
     field = "eigenvalue"   # the field being converted, named in the error
     try:
+        # float() and astype would read "24" as 24.0
+        if isinstance(doc[field], str):
+            raise TypeError("must be a number, got a string")
         value, field = float(doc[field]), "eigenvector"
-        pair = Eigenpair(value, np.asarray(doc[field], dtype=float))
+        vector = np.asarray(doc[field])
+        if vector.dtype.kind in "US":
+            raise TypeError("entries must be numbers, got strings")
+        pair = Eigenpair(value, vector)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad eigenpair data: {field}: {exc}") from exc
     if pair.n != matrix.shape[0]:

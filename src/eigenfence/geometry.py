@@ -756,12 +756,12 @@ def _float_text(x: float) -> str:
 
 def _array_text(array: np.ndarray, level: int, keys: tuple[str, ...] = ()) -> Iterator[str]:
     """:func:`_text` of ``array.tolist()``, its last axis as objects
-    with ``keys`` if given, one ``%`` format per chunk of rows."""
+    with ``keys`` if given, one ``%`` format per chunk of rows.  Only a
+    region's table has ``keys``, and it is a nonempty finite float array."""
     if (array.dtype.kind != "f" or array.ndim == 0 or array.size == 0
             or not np.isfinite(array).all()):
         # json's own spellings: empty containers, NaN/Infinity, ints and bools
-        rows = array.tolist()
-        yield from _text(_records(keys, rows, array.ndim - 2) if keys else rows, level)
+        yield from _text(array.tolist(), level)
         return
     array = np.ascontiguousarray(array, dtype=float)
     sep = ",\n" + "  " * (level + 1)

@@ -11,8 +11,6 @@ rare non-convergence it raises :class:`~eigenfence.core.ConvergenceError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ConvergenceError, SizeError, as_matrix
@@ -21,27 +19,13 @@ from .core import ConvergenceError, SizeError, as_matrix
 MAX_N = 64
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """All n eigenvalues (with multiplicity) sorted by modulus, descending."""
+def eigenvalues(matrix) -> np.ndarray:
+    """Full spectrum of a dense real matrix, n <= 64: all n eigenvalues
+    (with multiplicity) as a read-only array sorted by modulus, descending,
+    then by real and imaginary part, descending.
 
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def _sorted_spectrum(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
-    out = values[order]
-    out.setflags(write=False)
-    return out
-
-
-def eigenvalues(matrix) -> Spectrum:
-    """Full spectrum of a dense real matrix, n <= 64.
-
-    Complex values occur in conjugate pairs.
+    Complex values occur in conjugate pairs; the array is real (float64)
+    when every eigenvalue is real, complex otherwise, as numpy returns it.
     """
     a = as_matrix(matrix)
     n = a.shape[0]
@@ -51,7 +35,9 @@ def eigenvalues(matrix) -> Spectrum:
         values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    return Spectrum(values=_sorted_spectrum(values))
+    values = values[np.lexsort((-values.imag, -values.real, -np.abs(values)))]
+    values.setflags(write=False)
+    return values
 
 
 def determinant(matrix) -> float:
@@ -62,8 +48,8 @@ def determinant(matrix) -> float:
     return float(np.linalg.det(a))
 
 
-def nontrivial_values(spectrum: Spectrum, known: float) -> np.ndarray:
-    """Drop the single spectrum value closest to the known eigenvalue."""
-    values = spectrum.values
+def nontrivial_values(values: np.ndarray, known: float) -> np.ndarray:
+    """Drop the single value of ``values`` (a spectrum, as :func:`eigenvalues`
+    returns it) closest to the known eigenvalue."""
     drop = int(np.argmin(np.abs(values - known)))
     return np.delete(values, drop)

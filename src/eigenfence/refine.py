@@ -11,7 +11,7 @@ refined region, a :class:`~eigenfence.geometry.PairIntersectionUnion`.
 rows, a one-kth selection from it on, in expected ``O(n^2)`` time with
 numpy 2.4 on AVX-512) and checks the constant row sum once, with
 :func:`row_sum_constant`; :func:`refine_even` and :func:`refine_odd` call
-it and insist on a parity.
+it and insist on a parity, raising SizeError for the other one.
 A refinement holds each shifted matrix as its per-column offsets from B,
 by name (``offsets["F"]``, and ``offsets["G"]`` for odd n): the negated
 middle order statistics of the split, the same floats at every n.
@@ -46,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import EvenSizeError, NotConstantRowSumError, OddSizeError, SizeError, as_matrix
+from .core import NotConstantRowSumError, SizeError, as_matrix
 from .discs import row_gaps, split_columns
 from .geometry import DiscUnion, PairIntersectionUnion
 
@@ -161,19 +161,20 @@ def refinement(matrix, _desc=None) -> Refinement:
 
 
 def refine_even(matrix) -> Refinement:
-    """Even-size refinement: F subtracts the (n/2)-th largest off-diagonal per column."""
+    """Even-size refinement: F subtracts the (n/2)-th largest off-diagonal
+    per column.  Raises SizeError for odd n."""
     ref = refinement(matrix)
     if "G" in ref.offsets:
-        raise OddSizeError(f"even-size refinement called with odd n = {len(ref.B)}")
+        raise SizeError(f"even-size refinement called with odd n = {len(ref.B)}")
     return ref
 
 
 def refine_odd(matrix) -> Refinement:
     """Odd-size refinement pair: F subtracts the ((n-1)/2)-th largest
-    off-diagonal per column, G the ((n+1)/2)-th."""
+    off-diagonal per column, G the ((n+1)/2)-th.  Raises SizeError for even n."""
     ref = refinement(matrix)
     if "G" not in ref.offsets:
-        raise EvenSizeError(f"odd-size refinement called with even n = {len(ref.B)}")
+        raise SizeError(f"odd-size refinement called with even n = {len(ref.B)}")
     return ref
 
 

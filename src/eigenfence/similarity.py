@@ -5,7 +5,8 @@ Two constructions: the diagonal similarity ``B = S^-1 A S`` with
 permutation-plus-shear similarity that first repairs eigenvectors that do
 contain zeros.  :func:`prepare` is the one path from ``(A, pair)`` to B:
 it picks the construction, checks the eigenpair once and reports the path
-taken.
+taken.  Called on their own, :func:`diag_similar` and :func:`desingularize`
+each refuse the other construction's eigenvectors with InputError.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .core import (
     DEFAULT_TOL,
     Eigenpair,
     InputError,
-    NoZeroError,
-    ZeroComponentError,
     as_matrix,
     require_eigenpair,
 )
@@ -86,14 +85,15 @@ class Desingularization:
 def diag_similar(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> SimilarityResult:
     """Diagonal similarity ``b_ij = a_ij * v_j / v_i``.
 
-    Requires every component of v to be nonzero; use :func:`desingularize`
-    first otherwise.  The result does not change if v is rescaled.
+    Requires every component of v to be nonzero (InputError otherwise);
+    use :func:`desingularize` first.  The result does not change if v is
+    rescaled.
     """
     a = as_matrix(matrix)
     require_eigenpair(a, pair, tol)
     zero = zero_mask(pair.vector)
     if zero.any():
-        raise ZeroComponentError(
+        raise InputError(
             f"eigenvector has zero component(s) at {np.nonzero(zero)[0].tolist()}; "
             "desingularize first")
     return _scaled(a, pair.value, pair.vector)
@@ -108,7 +108,8 @@ def desingularize(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Desingul
     ``C = S P A P^T S^-1`` with eigenvector ``w = S P v`` free of zeros.
     The shear inverse is the same matrix with the ones negated, so C is
     assembled by row/column updates only; :func:`prepare` refuses an
-    entry of C above the float range.
+    entry of C above the float range.  Raises InputError when v has no
+    zero component.
     """
     a = as_matrix(matrix)
     require_eigenpair(a, pair, tol)
@@ -116,7 +117,7 @@ def desingularize(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> Desingul
     zero = zero_mask(v)
     k = int(zero.sum())
     if k == 0:
-        raise NoZeroError("eigenvector has no zero components; use diag_similar")
+        raise InputError("eigenvector has no zero components; use diag_similar")
 
     order = np.concatenate([np.nonzero(zero)[0], np.nonzero(~zero)[0]])
     c = a[np.ix_(order, order)]

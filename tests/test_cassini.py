@@ -53,7 +53,7 @@ def test_brauer_containment_random():
         n = int(rng.integers(2, 9))
         m = rng.integers(-9, 10, size=(n, n)).astype(float)
         union = obr_set(m)
-        for z in eigenvalues(m).values:
+        for z in eigenvalues(m):
             slack = min(abs(z - c1) * abs(z - c2) - bound
                         for c1, c2, bound in union.ovals.tolist())
             assert slack <= 1e-7, (m, z)

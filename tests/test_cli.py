@@ -281,6 +281,35 @@ def test_integer_above_the_float_range_is_an_input_error(tmp_path, capsys, field
         assert out.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("field, message", [
+    ("matrix", "not a numeric matrix: entries must be numbers, got strings"),
+    ("row", "not a numeric matrix: entries must be numbers, got strings"),
+    ("eigenvalue", "bad eigenpair data: eigenvalue: must be a number, got a string"),
+    ("eigenvector", "bad eigenpair data: eigenvector: entries must be numbers, got strings")],
+    ids=["matrix", "row", "eigenvalue", "eigenvector"])
+def test_json_strings_are_not_numbers(tmp_path, capsys, field, message):
+    """A number spelled as a JSON string is refused, not converted: every
+    command, ``eig`` included, exits 2 with one line naming the field."""
+    doc = {"matrix": cases.PERRON6_A.tolist(), "eigenvalue": 24.0,
+           "eigenvector": cases.PERRON6_PAIR.vector.tolist()}
+    if field == "matrix":
+        doc["matrix"] = [[str(x) for x in row] for row in doc["matrix"]]
+    elif field == "row":   # one string in a row of numbers, such as [12, "6", 6]
+        doc["matrix"][1][2] = str(doc["matrix"][1][2])
+    elif field == "eigenvalue":
+        doc["eigenvalue"] = "24"
+    else:
+        doc["eigenvector"] = [str(x) for x in doc["eigenvector"]]
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in (["validate"], ["locate"], ["refine"], ["bound"], ["obr"], ["eig"],
+                    ["render", "--out", "-"]):
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+
+
 def test_directory_as_problem_is_an_input_error(tmp_path, capsys):
     assert main(["locate", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

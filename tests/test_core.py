@@ -13,7 +13,6 @@ from eigenfence import (
     check_eigenpair,
     desingularize,
     diag_similar,
-    eigenvalues,
     parse_matrix,
     parse_problem,
 )
@@ -150,8 +149,7 @@ def test_residual_zero_iff_exact_on_integers():
     lambda: Eigenpair(1.0, np.ones(3)),
     lambda: diag_similar(cases.PERRON6_A, cases.PERRON6_PAIR),
     lambda: desingularize(cases.SHEAR4_A, cases.SHEAR4_PAIR),
-    lambda: eigenvalues(cases.PERRON6_A),
-], ids=["Eigenpair", "SimilarityResult", "Desingularization", "Spectrum"])
+], ids=["Eigenpair", "SimilarityResult", "Desingularization"])
 def test_records_holding_arrays_compare_by_identity(make):
     """A record that holds arrays compares and hashes by identity, as the
     region tables do: by value, ``==`` would ask an array for its truth."""

@@ -13,7 +13,7 @@ from eigenfence import (
 
 
 def test_worked_6x6_spectrum():
-    values = eigenvalues(cases.PERRON6_A).values
+    values = eigenvalues(cases.PERRON6_A)
     assert values[0] == pytest.approx(24.0, abs=1e-8)
     expected = sorted([24.0, 7.76, -3.05, 2.65 + 1.34j, 2.65 - 1.34j, 2.0],
                       key=abs, reverse=True)
@@ -22,24 +22,29 @@ def test_worked_6x6_spectrum():
 
 
 def test_worked_7x7_spectrum():
-    values = np.sort(eigenvalues(cases.NEG7_A).values.real)
+    values = np.sort(eigenvalues(cases.NEG7_A).real)
     expected = np.sort(np.array(cases.NEG7_OTHERS + [0.0]))
     np.testing.assert_allclose(values, expected, atol=0.01)
 
 
 def test_diagonal_spectrum():
-    values = eigenvalues(np.diag([1.0, 2.0, 3.0])).values
+    values = eigenvalues(np.diag([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(values, [3.0, 2.0, 1.0], atol=1e-14)
 
 
 def test_sorted_by_modulus():
-    values = eigenvalues(cases.SINGULAR6_A).values
+    values = eigenvalues(cases.SINGULAR6_A)
     mods = np.abs(values)
     assert np.all(mods[:-1] >= mods[1:] - 1e-12)
 
 
+def test_spectrum_is_read_only():
+    values = eigenvalues(cases.PERRON6_A)
+    assert isinstance(values, np.ndarray) and not values.flags.writeable
+
+
 def test_conjugate_pairs():
-    values = eigenvalues(cases.PERRON6_A).values
+    values = eigenvalues(cases.PERRON6_A)
     complexes = values[np.abs(values.imag) > 1e-9]
     assert len(complexes) % 2 == 0
     paired = np.sort_complex(complexes)
@@ -56,8 +61,8 @@ def test_similarity_invariance():
         from eigenfence import Eigenpair
         sim = diag_similar(a, Eigenpair(lam, v), tol=1e-7)
         np.testing.assert_allclose(
-            np.sort_complex(eigenvalues(a).values),
-            np.sort_complex(eigenvalues(sim.B).values), atol=1e-7)
+            np.sort_complex(eigenvalues(a)),
+            np.sort_complex(eigenvalues(sim.B)), atol=1e-7)
 
 
 def test_product_matches_determinant():
@@ -66,7 +71,7 @@ def test_product_matches_determinant():
         n = int(rng.integers(2, 9))
         m = rng.integers(-6, 7, size=(n, n)).astype(float)
         det = determinant(m)
-        prod = np.prod(eigenvalues(m).values).real
+        prod = np.prod(eigenvalues(m)).real
         assert prod == pytest.approx(det, rel=1e-6, abs=1e-6 * (1 + abs(det)))
 
 

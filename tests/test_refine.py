@@ -8,10 +8,9 @@ import cases
 from conftest import random_row_sum_matrix
 from eigenfence import (
     Eigenpair,
-    EvenSizeError,
     NotConstantRowSumError,
-    OddSizeError,
     RegionIntersection,
+    SizeError,
     diag_similar,
     eigenvalues,
     nontrivial_values,
@@ -52,7 +51,7 @@ def test_even_zero_matrix():
 
 
 def test_even_rejects_odd():
-    with pytest.raises(OddSizeError):
+    with pytest.raises(SizeError, match="^even-size refinement called with odd n = 5$"):
         refine_even(np.zeros((5, 5)))
 
 
@@ -118,7 +117,7 @@ def test_odd_zero_matrix():
 
 
 def test_odd_rejects_even():
-    with pytest.raises(EvenSizeError):
+    with pytest.raises(SizeError, match="^odd-size refinement called with even n = 4$"):
         refine_odd(np.zeros((4, 4)))
 
 
