@@ -11,16 +11,9 @@ dense-solver oracle exists only for verification and the ``eig`` command.
 
 from .core import (
     DEFAULT_TOL,
-    ConvergenceError,
-    DimensionError,
     EigenfenceError,
     Eigenpair,
     InputError,
-    InvalidEigenpairError,
-    NotConstantRowSumError,
-    ParseError,
-    SizeError,
-    ViewportError,
     as_matrix,
     check_eigenpair,
     parse_matrix,

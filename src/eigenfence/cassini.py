@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Eigenpair, SizeError, as_matrix
+from .core import DEFAULT_TOL, EigenfenceError, Eigenpair, as_matrix
 from .discs import _deleted_sums
 from .geometry import CassiniUnion, RegionIntersection
 from .refine import refinement
@@ -28,7 +28,7 @@ def obr_set(matrix) -> CassiniUnion:
     m = as_matrix(matrix)
     n = m.shape[0]
     if n < 2:
-        raise SizeError(f"Ostrowski-Brauer set needs n >= 2, got n = {n}")
+        raise EigenfenceError(f"Ostrowski-Brauer set needs n >= 2, got n = {n}")
     d, deleted = np.diagonal(m), _deleted_sums(m)
     i, j = np.triu_indices(n, 1)
     bound = np.fmax(deleted[i] * deleted[j], 0.0)   # an inf R_i times R_j = 0: 0, not NaN

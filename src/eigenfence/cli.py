@@ -2,14 +2,17 @@
 
 Subcommands: locate, refine, bound, obr, render, eig, validate.  All take
 the JSON problem format (matrix plus optional eigenpair); ``eig`` also
-accepts the plain-text matrix form.  Exit codes: 0 success, 1 math-module
-failure (including a bound value, a refinement entry or a region above
-the float range), 2 parse/validation failure (including n < 3, a
+accepts the plain-text matrix form.  Exit codes: 0 success; 2 for an
+:class:`~eigenfence.core.InputError` (bad text, JSON or numbers, n < 3, a
 ``--tol`` that is not a finite positive number, an eigenpair whose
 residual is not finite or that puts B above the float range, a
 ``bound --k`` below 1, a ``render`` with no layer and no ``--eigs``, an
-input that cannot be read or is not UTF-8, and an ``--out`` that cannot
-be written).
+input that is not UTF-8) or an ``OSError`` (an input that cannot be read,
+an ``--out`` that cannot be written); 1 for any other
+:class:`~eigenfence.core.EigenfenceError` (B's row sums not constant, a
+size outside an operation's range, a degenerate viewport) or an
+``OverflowError`` (a bound value, a refinement entry or a region above
+the float range).
 
 Every JSON command writes what ``json.dumps(doc, indent=2)`` would, byte
 for byte, through :func:`eigenfence.geometry.iterencode`: the commands put

@@ -1,8 +1,13 @@
 """Dense matrix / eigenpair primitives shared by every other module.
 
-Matrices are plain ``numpy.ndarray`` objects (square, float64, finite);
-:func:`as_matrix` is the single validation gate.  The known eigenpair is
-carried by the small frozen :class:`Eigenpair`.
+Matrices are plain ``numpy.ndarray`` objects (square, float64, finite).
+Every number from outside passes one gate, which refuses strings, complex
+numbers, JSON ``null``, ints above the float range, misshapen or empty data
+and non-finite entries with an :class:`InputError` naming the field:
+:func:`as_matrix` takes the matrix through it, and the small frozen
+:class:`Eigenpair` its eigenvector and eigenvalue.  The package raises two
+error classes: :class:`InputError` for bad input (the CLI's exit 2) and
+its base :class:`EigenfenceError` for everything else (exit 1).
 """
 
 from __future__ import annotations
@@ -37,41 +42,16 @@ BLOCK_ENTRIES = 1 << 16
 # ---------------------------------------------------------------------------
 
 class EigenfenceError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package: a computation
+    that cannot go on (a matrix size outside an operation's range, B's row
+    sums not constant, a failed eigenvalue iteration, a degenerate
+    viewport).  The CLI exits 1 on it."""
 
 
 class InputError(EigenfenceError):
-    """Bad input data (text, JSON, shapes, invalid eigenpair), or an
-    eigenvector whose zero components do not suit the similarity asked for."""
-
-
-class ParseError(InputError):
-    """Malformed matrix/problem text: bad numbers, ragged rows, empty input."""
-
-
-class DimensionError(InputError):
-    """Non-square matrix, or vector length disagreeing with the matrix."""
-
-
-class InvalidEigenpairError(InputError):
-    """The claimed (lambda, v) is not an eigenpair within tolerance."""
-
-
-class SizeError(EigenfenceError):
-    """Matrix dimension outside the supported range for this operation,
-    or of the wrong parity for a parity-specific refinement."""
-
-
-class NotConstantRowSumError(EigenfenceError):
-    """Matrix rows do not share a common sum within tolerance."""
-
-
-class ConvergenceError(EigenfenceError):
-    """The dense eigenvalue iteration failed to converge."""
-
-
-class ViewportError(EigenfenceError):
-    """Degenerate (zero or negative extent) drawing viewport."""
+    """Bad input data (text, JSON, numbers, shapes, an eigenpair that is
+    not one within tolerance), or an eigenvector whose zero components do
+    not suit the similarity asked for.  The CLI exits 2 on it."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,31 +60,59 @@ class ViewportError(EigenfenceError):
 
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
-    """A known real eigenpair: eigenvalue ``value`` with eigenvector ``vector``."""
+    """A known real eigenpair: eigenvalue ``value`` with eigenvector ``vector``.
+
+    Both pass the gate of every number from outside, the vector first:
+    InputError names the field that is not real, finite and of the right
+    shape, or the vector that is zero.  The pair keeps a read-only float64
+    copy of the vector and the value as a float.
+    """
 
     value: float
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector)
-        if v.dtype.kind == "c":
-            raise InvalidEigenpairError("eigenvector must be real, got complex entries")
-        v = v.astype(float)
-        if v.ndim != 1 or v.size == 0:
-            raise DimensionError("eigenvector must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise InvalidEigenpairError("eigenvector has non-finite entries")
-        if not np.isfinite(self.value):
-            raise InvalidEigenpairError("eigenvalue is not finite")
-        if not np.any(v != 0.0):
-            raise InvalidEigenpairError("eigenvector must not be the zero vector")
+        v = _real(self.vector, "eigenvector", 1).copy()
+        if not v.any():
+            raise InputError("eigenvector must not be the zero vector")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", float(_real(self.value, "eigenvalue", 0)))
 
     @property
     def n(self) -> int:
         return self.vector.size
+
+
+def _real(obj, what: str, ndim: int) -> np.ndarray:
+    """``obj``, a value from outside named ``what`` in errors, as a float64
+    array of ``ndim`` dimensions with at least one entry, every one finite;
+    InputError otherwise.  A float64 array comes back as itself.
+
+    Strings, complex numbers and JSON ``null`` are refused, not converted
+    (astype would read "6" as 6.0, null as NaN and 6+1j as 6).  Only an
+    object array (null, an int above the int64 range or a non-number) is
+    looked at entry by entry, as its conversion already is.
+    """
+    try:
+        a = np.asarray(obj)
+        found = {type(x) for x in a.flat} if a.dtype == object else ()
+        if a.dtype.kind in "US" or str in found:
+            raise InputError(f"not a numeric {what}: entries must be numbers, got strings")
+        if type(None) in found:
+            raise InputError(f"not a numeric {what}: entries must be numbers, got null")
+        if a.dtype.kind == "c":
+            raise InputError(f"{what} entries must be real, got complex entries")
+        a = a.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:   # a ragged list, an int above the float range
+        raise InputError(f"not a numeric {what}: {exc}") from exc
+    if a.ndim != ndim:
+        raise InputError(f"expected a {ndim}-D {what}, got {a.ndim}-D data")
+    if a.size == 0:
+        raise InputError(f"{what} must be non-empty")
+    if not np.isfinite(a).all():
+        raise InputError(f"{what} entries must be finite (no NaN/inf)")
+    return a
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -116,26 +124,12 @@ def as_matrix(obj) -> np.ndarray:
     column offsets and B's split: a read-only one by reference (what
     :func:`~eigenfence.similarity.prepare` returns), so its owner must not
     make it writable again, and a writable one as a read-only copy.
-    Raises DimensionError for non-square input and ParseError for string,
-    complex or non-finite entries.
+    Raises InputError for data that is not a non-empty 2-D array of finite
+    real numbers, then for a matrix that is not square.
     """
-    try:
-        a = np.asarray(obj)
-        if a.dtype.kind == "c":
-            raise ParseError("matrix entries must be real, got complex entries")
-        if a.dtype.kind in "US":   # astype would read "6" as 6.0
-            raise ParseError("not a numeric matrix: entries must be numbers, got strings")
-        a = a.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:   # an int above the float range
-        raise ParseError(f"not a numeric matrix: {exc}") from exc
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got {a.ndim}-D data")
+    a = _real(obj, "matrix", 2)
     if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {a.shape[0]}x{a.shape[1]}")
-    if a.size == 0:
-        raise DimensionError("matrix must be non-empty")
-    if not np.all(np.isfinite(a)):
-        raise ParseError("matrix entries must be finite (no NaN/inf)")
+        raise InputError(f"matrix must be square, got shape {a.shape[0]}x{a.shape[1]}")
     return a
 
 
@@ -152,7 +146,7 @@ def parse_matrix(text: str) -> np.ndarray:
     """
     stripped = text.strip()
     if not stripped:
-        raise ParseError("empty matrix input")
+        raise InputError("empty matrix input")
     if stripped.startswith("{"):
         matrix, _ = parse_problem(stripped)
         return matrix
@@ -165,10 +159,10 @@ def parse_matrix(text: str) -> np.ndarray:
         try:
             rows.append([float(tok) for tok in line.split()])
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            raise InputError(f"line {lineno}: {exc}") from exc
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise ParseError(f"ragged rows: row widths {sorted(widths)}")
+        raise InputError(f"ragged rows: row widths {sorted(widths)}")
     return as_matrix(rows)
 
 
@@ -181,29 +175,18 @@ def parse_problem(text: str) -> tuple[np.ndarray, Eigenpair | None]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "matrix" not in doc:
-        raise ParseError('problem JSON must be an object with a "matrix" key')
+        raise InputError('problem JSON must be an object with a "matrix" key')
     matrix = as_matrix(doc["matrix"])
 
     if ("eigenvalue" in doc) != ("eigenvector" in doc):
-        raise ParseError('"eigenvalue" and "eigenvector" must be given together')
+        raise InputError('"eigenvalue" and "eigenvector" must be given together')
     if "eigenvalue" not in doc:
         return matrix, None
-    field = "eigenvalue"   # the field being converted, named in the error
-    try:
-        # float() and astype would read "24" as 24.0
-        if isinstance(doc[field], str):
-            raise TypeError("must be a number, got a string")
-        value, field = float(doc[field]), "eigenvector"
-        vector = np.asarray(doc[field])
-        if vector.dtype.kind in "US":
-            raise TypeError("entries must be numbers, got strings")
-        pair = Eigenpair(value, vector)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad eigenpair data: {field}: {exc}") from exc
+    pair = Eigenpair(doc["eigenvalue"], doc["eigenvector"])
     if pair.n != matrix.shape[0]:
-        raise DimensionError(
+        raise InputError(
             f"eigenvector length {pair.n} does not match matrix size {matrix.shape[0]}")
     return matrix, pair
 
@@ -217,9 +200,9 @@ def check_eigenpair(matrix, pair: Eigenpair, tol: float = DEFAULT_TOL) -> float:
 
     Returns ``max_i |(Av - lambda v)_i| / (1 + max_i |v_i|)``.  The caller
     treats the pair as valid iff the residual is at most ``tol``.  Raises
-    InvalidEigenpairError when ``Av`` or ``lambda v`` overflows and so the
-    residual is not finite: no tolerance could judge it (NaN compares
-    false with every ``tol``).
+    InputError when ``Av`` or ``lambda v`` overflows and so the residual
+    is not finite: no tolerance could judge it (NaN compares false with
+    every ``tol``).
     """
     return _residual(as_matrix(matrix), pair, tol)
 
@@ -230,21 +213,20 @@ def _residual(a: np.ndarray, pair: Eigenpair, tol: float) -> float:
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
     if pair.n != a.shape[0]:
-        raise DimensionError(
+        raise InputError(
             f"eigenvector length {pair.n} does not match matrix size {a.shape[0]}")
     v = pair.vector
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.abs(a @ v - pair.value * v).max() / (1.0 + np.abs(v).max()))
     if not np.isfinite(residual):
-        raise InvalidEigenpairError(
-            "eigenpair residual is not finite: A v or lambda v overflows")
+        raise InputError("eigenpair residual is not finite: A v or lambda v overflows")
     return residual
 
 
 def require_eigenpair(a: np.ndarray, pair: Eigenpair, tol: float = DEFAULT_TOL) -> None:
-    """Raise InvalidEigenpairError unless the pair passes :func:`check_eigenpair`
-    on ``a``, a matrix that :func:`as_matrix` returned."""
+    """Raise InputError unless the pair passes :func:`check_eigenpair` on
+    ``a``, a matrix that :func:`as_matrix` returned."""
     residual = _residual(a, pair, tol)
     if residual > tol:
-        raise InvalidEigenpairError(
+        raise InputError(
             f"eigenpair residual {residual:.3e} exceeds tolerance {tol:.3e}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .core import SizeError, as_matrix
+from .core import EigenfenceError, as_matrix
 from .geometry import DiscUnion
 
 #: Rows and columns per square tile of the transposed copy in
@@ -164,7 +164,7 @@ def second_type_discs_of_transpose(matrix, _desc=None) -> DiscUnion:
     ``_desc`` is M's :func:`split_columns`, when the caller has it."""
     m = as_matrix(matrix)
     if len(m) < 3:
-        raise SizeError(f"second-type discs need n >= 3, got n = {len(m)}")
+        raise EigenfenceError(f"second-type discs need n >= 3, got n = {len(m)}")
     radii = row_gaps(split_columns(m) if _desc is None else _desc, 0.0)
     return DiscUnion._named("second-type discs", np.column_stack((np.diagonal(m), radii)))
 

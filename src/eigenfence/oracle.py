@@ -6,14 +6,15 @@ command use it to check membership, bounds and similarity claims.
 
 Eigenvalues come from LAPACK's standard dense path (Hessenberg reduction
 followed by shifted QR triangularization, via ``numpy.linalg``).  On the
-rare non-convergence it raises :class:`~eigenfence.core.ConvergenceError`.
+rare non-convergence it raises :class:`~eigenfence.core.EigenfenceError`,
+as it does for a matrix above desk scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ConvergenceError, SizeError, as_matrix
+from .core import EigenfenceError, as_matrix
 
 #: Largest dimension accepted (desk scale).
 MAX_N = 64
@@ -30,11 +31,11 @@ def eigenvalues(matrix) -> np.ndarray:
     a = as_matrix(matrix)
     n = a.shape[0]
     if n > MAX_N:
-        raise SizeError(f"oracle is desk-scale only (n <= {MAX_N}), got n = {n}")
+        raise EigenfenceError(f"oracle is desk-scale only (n <= {MAX_N}), got n = {n}")
     try:
         values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+        raise EigenfenceError(f"eigenvalue iteration failed: {exc}") from exc
     values = values[np.lexsort((-values.imag, -values.real, -np.abs(values)))]
     values.setflags(write=False)
     return values
@@ -44,7 +45,7 @@ def determinant(matrix) -> float:
     """Determinant via LU with partial pivoting; singular input gives 0."""
     a = as_matrix(matrix)
     if a.shape[0] > MAX_N:
-        raise SizeError(f"oracle is desk-scale only (n <= {MAX_N}), got n = {a.shape[0]}")
+        raise EigenfenceError(f"oracle is desk-scale only (n <= {MAX_N}), got n = {a.shape[0]}")
     return float(np.linalg.det(a))
 
 

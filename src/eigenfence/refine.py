@@ -11,7 +11,7 @@ refined region, a :class:`~eigenfence.geometry.PairIntersectionUnion`.
 rows, a one-kth selection from it on, in expected ``O(n^2)`` time with
 numpy 2.4 on AVX-512) and checks the constant row sum once, with
 :func:`row_sum_constant`; :func:`refine_even` and :func:`refine_odd` call
-it and insist on a parity, raising SizeError for the other one.
+it and insist on a parity, raising EigenfenceError for the other one.
 A refinement holds each shifted matrix as its per-column offsets from B,
 by name (``offsets["F"]``, and ``offsets["G"]`` for odd n): the negated
 middle order statistics of the split, the same floats at every n.
@@ -46,7 +46,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import NotConstantRowSumError, SizeError, as_matrix
+from .core import EigenfenceError, as_matrix
 from .discs import row_gaps, split_columns
 from .geometry import DiscUnion, PairIntersectionUnion
 
@@ -95,7 +95,8 @@ def row_sum_constant(matrix) -> float:
     """The shared row sum of a constant row-sum matrix, already validated
     by :func:`~eigenfence.core.as_matrix`.
 
-    Raises NotConstantRowSumError when the row sums deviate by more than
+    Raises EigenfenceError, with a message that starts ``row sums spread``,
+    when the row sums deviate by more than
     ``ROW_SUM_TOL * (1 + |mean sum|)``, and OverflowError when a row sum
     is above the float range.  A partial sum that overflows does not
     count: the sums are then taken again at half scale, which is exact
@@ -113,7 +114,7 @@ def row_sum_constant(matrix) -> float:
         lam = float((sums / len(sums)).sum())
     spread = float(sums.max() - sums.min())   # inf only if far from constant
     if spread > ROW_SUM_TOL * (1.0 + abs(lam)):
-        raise NotConstantRowSumError(
+        raise EigenfenceError(
             f"row sums spread {spread:.3e} exceeds tolerance (mean sum {lam:g})")
     return lam
 
@@ -145,7 +146,7 @@ def refinement(matrix, _desc=None) -> Refinement:
     b = as_matrix(matrix)
     n = b.shape[0]
     if n < 3:
-        raise SizeError(f"refinement needs n >= 3, got n = {n}")
+        raise EigenfenceError(f"refinement needs n >= 3, got n = {n}")
     row_sum_constant(b)
     desc = split_columns(b) if _desc is None else _desc
     h = n // 2
@@ -162,19 +163,20 @@ def refinement(matrix, _desc=None) -> Refinement:
 
 def refine_even(matrix) -> Refinement:
     """Even-size refinement: F subtracts the (n/2)-th largest off-diagonal
-    per column.  Raises SizeError for odd n."""
+    per column.  Raises EigenfenceError for odd n."""
     ref = refinement(matrix)
     if "G" in ref.offsets:
-        raise SizeError(f"even-size refinement called with odd n = {len(ref.B)}")
+        raise EigenfenceError(f"even-size refinement called with odd n = {len(ref.B)}")
     return ref
 
 
 def refine_odd(matrix) -> Refinement:
     """Odd-size refinement pair: F subtracts the ((n-1)/2)-th largest
-    off-diagonal per column, G the ((n+1)/2)-th.  Raises SizeError for even n."""
+    off-diagonal per column, G the ((n+1)/2)-th.  Raises EigenfenceError
+    for even n."""
     ref = refinement(matrix)
     if "G" not in ref.offsets:
-        raise SizeError(f"odd-size refinement called with even n = {len(ref.B)}")
+        raise EigenfenceError(f"odd-size refinement called with even n = {len(ref.B)}")
     return ref
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ViewportError
+from .core import EigenfenceError
 from .geometry import DiscUnion
 
 GRAY = "#c8c8c8"
@@ -67,7 +67,7 @@ def _auto_box(scene: Scene) -> tuple[float, float, float, float]:
         z = complex(z)
         boxes.append((z.real, z.real, z.imag, z.imag))
     if not boxes:
-        raise ViewportError("nothing to draw and no viewport given")
+        raise EigenfenceError("nothing to draw and no viewport given")
     x0 = min(b[0] for b in boxes)
     x1 = max(b[1] for b in boxes)
     y0 = min(b[2] for b in boxes)
@@ -85,16 +85,16 @@ def _squared(box: tuple[float, float, float, float]) -> tuple[float, float, floa
     overflow."""
     x0, x1, y0, y1 = box
     if not (x0 < x1 and y0 < y1):
-        raise ViewportError(f"degenerate viewport {box}")
+        raise EigenfenceError(f"degenerate viewport {box}")
     width, height = x1 - x0, y1 - y0
     side = max(width, height)
     if side == math.inf:
         which = "width" if width == side else "height"
-        raise ViewportError(f"viewport {which} is above the float range: {box}")
+        raise EigenfenceError(f"viewport {which} is above the float range: {box}")
     cx, cy = x0 / 2.0 + x1 / 2.0, y0 / 2.0 + y1 / 2.0
     square = (cx - side / 2.0, cx + side / 2.0, cy - side / 2.0, cy + side / 2.0)
     if not all(map(math.isfinite, square)):
-        raise ViewportError(f"viewport squared to side {side!r} is above the float range: {box}")
+        raise EigenfenceError(f"viewport squared to side {side!r} is above the float range: {box}")
     return square
 
 
@@ -196,7 +196,11 @@ def _raster_path(region, box, res: int, transform: _Transform) -> str:
 # ---------------------------------------------------------------------------
 
 def render_svg(scene: Scene) -> str:
-    """Render a scene to an SVG document string (deterministic)."""
+    """Render a scene to an SVG document string (deterministic).
+
+    Raises EigenfenceError when there is nothing to draw and no viewport,
+    and for a viewport that is empty or NaN, or whose width, height or
+    square is above the float range."""
     box = _squared(scene.viewport if scene.viewport is not None else _auto_box(scene))
     t = _Transform(box)
 

@@ -35,8 +35,8 @@ def test_disc_bound_worked_values():
 
 
 def test_disc_bound_needs_n3():
-    from eigenfence import SizeError
-    with pytest.raises(SizeError):
+    from eigenfence import EigenfenceError
+    with pytest.raises(EigenfenceError, match="^second-type discs need n >= 3, got n = 2$"):
         standard_reports(np.eye(2), Eigenpair(1.0, np.ones(2)))
 
 

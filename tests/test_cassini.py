@@ -4,7 +4,7 @@ import pytest
 import cases
 from conftest import random_row_sum_matrix
 from eigenfence import (
-    SizeError,
+    EigenfenceError,
     cassini_intersection_region,
     eigenvalues,
     nontrivial_values,
@@ -43,7 +43,7 @@ def test_rowsum3_refined_set_membership():
 
 
 def test_needs_two_rows():
-    with pytest.raises(SizeError):
+    with pytest.raises(EigenfenceError, match="^Ostrowski-Brauer set needs n >= 2, got n = 1$"):
         obr_set(np.array([[3.0]]))
 
 

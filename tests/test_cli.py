@@ -11,7 +11,7 @@ import cases
 from eigenfence import (
     DEFAULT_TOL,
     Eigenpair,
-    InvalidEigenpairError,
+    InputError,
     SemiNorm,
     cassini_intersection_region,
     check_eigenpair,
@@ -260,8 +260,8 @@ HUGE_INT = 10 ** 400   # a JSON integer literal above the float range
 
 @pytest.mark.parametrize("field, message", [
     ("matrix", "not a numeric matrix: int too large to convert to float"),
-    ("eigenvalue", "bad eigenpair data: eigenvalue: int too large to convert to float"),
-    ("eigenvector", "bad eigenpair data: eigenvector: int too large to convert to float")],
+    ("eigenvalue", "not a numeric eigenvalue: int too large to convert to float"),
+    ("eigenvector", "not a numeric eigenvector: int too large to convert to float")],
     ids=["matrix", "eigenvalue", "eigenvector"])
 def test_integer_above_the_float_range_is_an_input_error(tmp_path, capsys, field, message):
     doc = {"matrix": cases.PERRON6_A.tolist(), "eigenvalue": 24.0,
@@ -284,12 +284,17 @@ def test_integer_above_the_float_range_is_an_input_error(tmp_path, capsys, field
 @pytest.mark.parametrize("field, message", [
     ("matrix", "not a numeric matrix: entries must be numbers, got strings"),
     ("row", "not a numeric matrix: entries must be numbers, got strings"),
-    ("eigenvalue", "bad eigenpair data: eigenvalue: must be a number, got a string"),
-    ("eigenvector", "bad eigenpair data: eigenvector: entries must be numbers, got strings")],
-    ids=["matrix", "row", "eigenvalue", "eigenvector"])
+    ("eigenvalue", "not a numeric eigenvalue: entries must be numbers, got strings"),
+    ("eigenvector", "not a numeric eigenvector: entries must be numbers, got strings"),
+    ("null-row", "not a numeric matrix: entries must be numbers, got null"),
+    ("null-eigenvalue", "not a numeric eigenvalue: entries must be numbers, got null"),
+    ("null-eigenvector", "not a numeric eigenvector: entries must be numbers, got null")],
+    ids=["matrix", "row", "eigenvalue", "eigenvector", "null-row", "null-eigenvalue",
+         "null-eigenvector"])
 def test_json_strings_are_not_numbers(tmp_path, capsys, field, message):
-    """A number spelled as a JSON string is refused, not converted: every
-    command, ``eig`` included, exits 2 with one line naming the field."""
+    """A number spelled as a JSON string is refused, not converted, and a
+    JSON null is refused, not read as NaN: every command, ``eig`` included,
+    exits 2 with one line naming the field."""
     doc = {"matrix": cases.PERRON6_A.tolist(), "eigenvalue": 24.0,
            "eigenvector": cases.PERRON6_PAIR.vector.tolist()}
     if field == "matrix":
@@ -298,8 +303,14 @@ def test_json_strings_are_not_numbers(tmp_path, capsys, field, message):
         doc["matrix"][1][2] = str(doc["matrix"][1][2])
     elif field == "eigenvalue":
         doc["eigenvalue"] = "24"
-    else:
+    elif field == "eigenvector":
         doc["eigenvector"] = [str(x) for x in doc["eigenvector"]]
+    elif field == "null-row":
+        doc["matrix"][1][2] = None
+    elif field == "null-eigenvalue":
+        doc["eigenvalue"] = None
+    else:
+        doc["eigenvector"][3] = None
     path = tmp_path / "strings.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     for command in (["validate"], ["locate"], ["refine"], ["bound"], ["obr"], ["eig"],
@@ -606,9 +617,9 @@ NONFINITE_RESIDUAL = {
 @pytest.mark.parametrize("case", sorted(NONFINITE_RESIDUAL))
 def test_nonfinite_residual_is_refused_by_every_command(tmp_path, capsys, case):
     a, pair = NONFINITE_RESIDUAL[case]
-    with pytest.raises(InvalidEigenpairError, match="residual is not finite"):
+    with pytest.raises(InputError, match="residual is not finite"):
         check_eigenpair(a, pair)
-    with pytest.raises(InvalidEigenpairError, match="residual is not finite"):
+    with pytest.raises(InputError, match="residual is not finite"):
         standard_reports(a, pair)
     path = write_problem(tmp_path / f"{case}.json", a, pair)
     for command in (["validate"], ["locate"], ["refine"], ["bound", "--det"], ["obr"],

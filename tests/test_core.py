@@ -1,14 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import cases
 from eigenfence import (
-    DimensionError,
     Eigenpair,
-    InvalidEigenpairError,
-    ParseError,
+    InputError,
     as_matrix,
     check_eigenpair,
     desingularize,
@@ -29,27 +28,27 @@ def test_parse_worked_6x6():
 
 
 def test_parse_ragged():
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match=r"^ragged rows: row widths \[1, 2\]$"):
         parse_matrix("1 2\n3")
 
 
 def test_parse_bad_number():
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="^line 1: could not convert string to float: 'x'$"):
         parse_matrix("1 x\n3 4")
 
 
 def test_parse_empty():
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="^empty matrix input$"):
         parse_matrix("   \n  ")
 
 
 def test_parse_non_square():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="^matrix must be square, got shape 2x3$"):
         parse_matrix("1 2 3\n4 5 6")
 
 
 def test_parse_rejects_nonfinite():
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match=r"^matrix entries must be finite \(no NaN/inf\)$"):
         parse_matrix("1 2\n3 inf")
 
 
@@ -65,17 +64,17 @@ def test_parse_json_form():
 def test_parse_problem_pair_optional_but_joint():
     m, pair = parse_problem('{"matrix": [[1, 0], [0, 1]]}')
     assert pair is None
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match='^"eigenvalue" and "eigenvector" must be given together$'):
         parse_problem('{"matrix": [[1, 0], [0, 1]], "eigenvalue": 1.0}')
 
 
 def test_problem_vector_length_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="^eigenvector length 3 does not match matrix size 2$"):
         parse_problem('{"matrix": [[1, 0], [0, 1]], "eigenvalue": 1, "eigenvector": [1, 2, 3]}')
 
 
 def test_as_matrix_rejects_vector():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="^expected a 2-D matrix, got 1-D data$"):
         as_matrix([1.0, 2.0, 3.0])
 
 
@@ -85,15 +84,35 @@ def test_as_matrix_rejects_vector():
     [[1 + 2j, 0], [0, 1]],
 ], ids=["array", "array-zero-imag", "list"])
 def test_as_matrix_rejects_complex(complex_matrix):
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="^matrix entries must be real, got complex entries$"):
         as_matrix(complex_matrix)
 
 
 @pytest.mark.parametrize("complex_vector", [np.array([1 + 2j, 1.0]), [1 + 2j, 1.0]],
                          ids=["array", "list"])
 def test_eigenpair_rejects_complex_vector(complex_vector):
-    with pytest.raises(InvalidEigenpairError):
+    with pytest.raises(InputError, match="^eigenvector entries must be real, got complex entries$"):
         Eigenpair(1.0, complex_vector)
+
+
+@pytest.mark.parametrize("value, vector, message", [
+    (24.0, ["1", "1", "1"], "not a numeric eigenvector: entries must be numbers, got strings"),
+    (24.0, [2 ** 70, "1", 1], "not a numeric eigenvector: entries must be numbers, got strings"),
+    ("24", [1.0, 1.0, 1.0], "not a numeric eigenvalue: entries must be numbers, got strings"),
+    (6 + 1j, [1.0, 1.0, 1.0], "eigenvalue entries must be real, got complex entries"),
+    (6, [1, None, 1], "not a numeric eigenvector: entries must be numbers, got null"),
+    (None, [1.0, 1.0, 1.0], "not a numeric eigenvalue: entries must be numbers, got null"),
+], ids=["string-vector", "string-beside-huge-int", "string-value", "complex-value",
+        "null-entry", "null-value"])
+def test_eigenpair_refuses_what_is_not_a_real_number(value, vector, message):
+    """A library caller meets the gate the JSON problem format does: one
+    InputError naming the field, never a conversion or a bare TypeError."""
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        Eigenpair(value, vector)
+
+
+def test_eigenpair_reads_a_boolean_as_a_number():
+    assert Eigenpair(True, np.ones(3)).value == 1.0
 
 
 def test_as_matrix_returns_float64_input_itself():
@@ -105,7 +124,7 @@ def test_as_matrix_returns_float64_input_itself():
 
 
 def test_eigenpair_rejects_zero_vector():
-    with pytest.raises(InvalidEigenpairError):
+    with pytest.raises(InputError, match="^eigenvector must not be the zero vector$"):
         Eigenpair(1.0, np.zeros(3))
 
 
@@ -130,7 +149,7 @@ def test_residual_wrong_eigenvalue():
 
 
 def test_residual_dimension_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InputError, match="^eigenvector length 4 does not match matrix size 3$"):
         check_eigenpair(np.eye(3), Eigenpair(1.0, np.ones(4)))
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import cases
 from eigenfence import (
-    SizeError,
+    EigenfenceError,
     classic_discs,
     eigenvalues,
     nontrivial_values,
@@ -47,7 +47,7 @@ def test_radius_constant_even():
 
 
 def test_radius_too_short():
-    with pytest.raises(SizeError):
+    with pytest.raises(EigenfenceError, match="^second-type discs need n >= 3, got n = 2$"):
         kernel_radius([1.0])
 
 
@@ -92,7 +92,7 @@ def test_second_type_discs_diagonal_matrix():
 
 
 def test_second_type_needs_n3():
-    with pytest.raises(SizeError):
+    with pytest.raises(EigenfenceError, match="^second-type discs need n >= 3, got n = 2$"):
         second_type_discs_of_transpose(np.eye(2))
 
 

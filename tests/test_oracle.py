@@ -4,8 +4,7 @@ import pytest
 import cases
 from conftest import random_row_sum_matrix
 from eigenfence import (
-    ConvergenceError,
-    SizeError,
+    EigenfenceError,
     determinant,
     diag_similar,
     eigenvalues,
@@ -82,9 +81,9 @@ def test_determinant_values():
 
 
 def test_size_cap():
-    with pytest.raises(SizeError):
+    with pytest.raises(EigenfenceError, match=r"^oracle is desk-scale only \(n <= 64\), got n = 65$"):
         eigenvalues(np.eye(65))
-    with pytest.raises(SizeError):
+    with pytest.raises(EigenfenceError, match=r"^oracle is desk-scale only \(n <= 64\), got n = 65$"):
         determinant(np.eye(65))
 
 
@@ -93,6 +92,6 @@ def test_retry_exhaustion(monkeypatch):
         raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(np.linalg, "eigvals", always_fails)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(EigenfenceError, match="^eigenvalue iteration failed: no convergence$"):
         eigenvalues(cases.ROWSUM3_A)
 

@@ -7,10 +7,9 @@ import pytest
 import cases
 from conftest import random_row_sum_matrix
 from eigenfence import (
+    EigenfenceError,
     Eigenpair,
-    NotConstantRowSumError,
     RegionIntersection,
-    SizeError,
     diag_similar,
     eigenvalues,
     nontrivial_values,
@@ -51,13 +50,14 @@ def test_even_zero_matrix():
 
 
 def test_even_rejects_odd():
-    with pytest.raises(SizeError, match="^even-size refinement called with odd n = 5$"):
+    with pytest.raises(EigenfenceError, match="^even-size refinement called with odd n = 5$"):
         refine_even(np.zeros((5, 5)))
 
 
 def test_even_rejects_drifting_row_sums():
     m = np.array([[1.0, 2, 3, 4], [0, 0, 0, 0], [1, 1, 1, 1], [2, 2, 2, 2]])
-    with pytest.raises(NotConstantRowSumError):
+    with pytest.raises(EigenfenceError,
+                       match=r"^row sums spread 1\.000e\+01 exceeds tolerance \(mean sum 5\.5\)$"):
         refine_even(m)
 
 
@@ -65,7 +65,8 @@ def test_row_sums_whose_partial_sums_overflow():
     # 1e308 + 1e308 overflows, but every row sums to 0: checked again at half scale
     m = np.array([[1e308, 1e308, -1e308, -1e308]] * 4)
     assert row_sum_constant(m) == 0.0
-    with pytest.raises(NotConstantRowSumError):
+    with pytest.raises(EigenfenceError,
+                       match=r"^row sums spread 5\.000e\+307 exceeds tolerance \(mean sum 1\.25e\+307\)$"):
         row_sum_constant(np.vstack([m[:3], [[1e308, 1e308, -1e308, -0.5e308]]]))
     with pytest.raises(OverflowError, match="^row sums: a row sum is above the float range"):
         row_sum_constant(np.array([[1e308, 1e308, 0.0, 0.0]] * 4))
@@ -73,7 +74,8 @@ def test_row_sums_whose_partial_sums_overflow():
     big = np.array([[1e308, 0.7e308, 0.0, 0.0]] * 4)
     assert row_sum_constant(big) == 1.7e308
     big[3, 1] = 0.0
-    with pytest.raises(NotConstantRowSumError):
+    with pytest.raises(EigenfenceError,
+                       match=r"^row sums spread 7\.000e\+307 exceeds tolerance \(mean sum 1\.525e\+308\)$"):
         row_sum_constant(big)
 
 
@@ -117,7 +119,7 @@ def test_odd_zero_matrix():
 
 
 def test_odd_rejects_even():
-    with pytest.raises(SizeError, match="^odd-size refinement called with even n = 4$"):
+    with pytest.raises(EigenfenceError, match="^odd-size refinement called with even n = 4$"):
         refine_odd(np.zeros((4, 4)))
 
 

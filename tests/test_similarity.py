@@ -6,7 +6,6 @@ from conftest import random_row_sum_matrix
 from eigenfence import (
     Eigenpair,
     InputError,
-    InvalidEigenpairError,
     desingularize,
     diag_similar,
     eigenvalues,
@@ -69,7 +68,7 @@ def test_diagonal_preserved_exactly():
 
 
 def test_rejects_invalid_pair():
-    with pytest.raises(InvalidEigenpairError):
+    with pytest.raises(InputError, match=r"^eigenpair residual 6\.667e-01 exceeds tolerance 1\.000e-09$"):
         diag_similar(cases.PERRON6_A, Eigenpair(23.0, cases.PERRON6_PAIR.vector))
 
 
@@ -192,12 +191,12 @@ def test_prepare_checks_only_the_given_pair():
     a = np.array([[2.0, 3.0 + 1.6e-9, -3.0], [1.0, 4.0 + 1.6e-9, 1.0], [7.0, 2.0, 3.0]])
     pair = Eigenpair(5.0, np.array([0.0, 1.0, 1.0]))
     d = desingularize(a, pair)
-    with pytest.raises(InvalidEigenpairError):
+    with pytest.raises(InputError, match=r"^eigenpair residual 1\.600e-09 exceeds tolerance 1\.000e-09$"):
         diag_similar(d.C, Eigenpair(5.0, d.w))
     sim = prepare(a, pair)
     assert sim.k == 1
     np.testing.assert_allclose(sim.B.sum(axis=1), 5.0, rtol=1e-8)
-    with pytest.raises(InvalidEigenpairError):
+    with pytest.raises(InputError, match=r"^eigenpair residual 5\.000e-02 exceeds tolerance 1\.000e-09$"):
         prepare(a, Eigenpair(5.1, pair.vector))
 
 
